@@ -10,9 +10,9 @@ from .core import (
     GroundSet,
     GroundSetMismatch,
     ModeError,
+    NonFiniteRank,
     RankVector,
     UnknownLabel,
-    iter_masks_by_size,
     load_rank_vector,
     mu,
     rank_vector_from_json,
@@ -68,7 +68,6 @@ from .matroid import (
     circuit_connected,
     circuits,
     expanded_mmrv,
-    expanded_rank,
     helgason_expand,
     is_matroid,
 )

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import lattice
+
 MAX_DENSE_ELEMENTS = 20
 
 MODES = ("int", "float")
@@ -32,6 +34,10 @@ class ModeError(ValueError):
 
 class GroundSetMismatch(ValueError):
     """Operands defined over different ground sets."""
+
+
+class NonFiniteRank(ValueError):
+    """A NaN or infinite value where a rank is expected."""
 
 
 @dataclass(frozen=True)
@@ -107,15 +113,6 @@ def subset_format(ground: GroundSet, mask: int) -> str:
     return ",".join(ground.labels_of(mask))
 
 
-def iter_masks_by_size(n: int):
-    """All nonzero masks over n bits, smallest cardinality first."""
-    by_size = [[] for _ in range(n + 1)]
-    for m in range(1, 1 << n):
-        by_size[m.bit_count()].append(m)
-    for bucket in by_size[1:]:
-        yield from bucket
-
-
 @dataclass(frozen=True, eq=False)
 class RankVector:
     """Dense set function on all subsets of a ground set.
@@ -140,6 +137,12 @@ class RankVector:
         if arr.shape != (1 << ground.n,):
             raise ValueError(
                 f"expected {1 << ground.n} values (one per subset), got shape {arr.shape}"
+            )
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise NonFiniteRank(
+                f"rank of subset {subset_format(ground, bad)!r} is {arr[bad]}; "
+                "ranks must be finite"
             )
         if mode == "int":
             cast = np.asarray(arr, dtype=np.int64)
@@ -183,7 +186,7 @@ class RankVector:
     def to_ranks(self) -> dict:
         """Ordered {subset key: value} dict, smallest subsets first."""
         out = {}
-        for m in iter_masks_by_size(self.ground.n):
+        for m in lattice.by_size(self.ground.n).tolist():
             out[subset_format(self.ground, m)] = self.value(m)
         return out
 
@@ -203,24 +206,10 @@ class RankVector:
         return hash((self.ground.labels, self.mode, self.values.tobytes()))
 
 
-def singleton_values(rank: RankVector) -> np.ndarray:
-    return rank.values[[1 << i for i in range(rank.ground.n)]]
-
-
 def mu(rank: RankVector, mask: int):
     """Additive measure: sum of singleton ranks over the subset."""
     total = sum(rank.value(1 << i) for i in range(rank.ground.n) if mask >> i & 1)
     return total if rank.mode == "int" else float(total)
-
-
-def mu_vector(rank: RankVector) -> np.ndarray:
-    """mu of every subset, indexed by mask."""
-    n = rank.ground.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=rank.values.dtype)
-    for i in range(n):
-        out += np.where(masks >> i & 1, rank.values[1 << i], 0)
-    return out
 
 
 def rank_vector_to_json(rank: RankVector) -> dict:

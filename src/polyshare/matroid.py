@@ -11,6 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import lattice
 from .core import DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel
 from .polymatroid import Polymatroid, validate_polymatroid
 
@@ -37,18 +38,7 @@ def _require_matroid(M: Polymatroid):
 def circuits(M: Polymatroid) -> list[int]:
     """All minimal dependent sets, ordered by size then mask."""
     _require_matroid(M)
-    n = M.ground.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
-    dep = M.values < sizes
-    minimal = dep.copy()
-    for i in range(n):
-        bit = 1 << i
-        has = (masks & bit) != 0
-        minimal[has] &= ~dep[masks[has] ^ bit]
-    found = [int(m) for m in masks[minimal]]
-    found.sort(key=lambda m: (m.bit_count(), m))
-    return found
+    return lattice.minimal(M.values < lattice.sizes(M.ground.n))
 
 
 def _is_circuit(vals: np.ndarray, mask: int) -> bool:
@@ -120,6 +110,13 @@ class ExpandedMatroid:
     def n_elements(self) -> int:
         return len(self.element_names)
 
+    def block_of(self, name: str) -> int:
+        """Index of the base element whose block holds the atom ``name``."""
+        try:
+            return self._block_of[name]
+        except KeyError:
+            raise UnknownLabel(f"{name!r} is not an element of the expansion") from None
+
     def dual(self) -> "ExpandedMatroid":
         flipped = ExpandedMatroid(self.base, not self.dualized)
         flipped._memo = self._memo  # same underlying min-formula values
@@ -156,9 +153,7 @@ class ExpandedMatroid:
             S = tokens
         seen = set()
         for name in S:
-            idx = self._block_of.get(name)
-            if idx is None:
-                raise UnknownLabel(f"{name!r} is not an element of the expansion")
+            idx = self.block_of(name)
             if name in seen:
                 raise DuplicateLabel(f"element {name!r} given twice")
             seen.add(name)
@@ -194,10 +189,6 @@ def helgason_expand(M: Polymatroid, dualized: bool = False) -> ExpandedMatroid:
     return ExpandedMatroid(M, dualized)
 
 
-def expanded_rank(E: ExpandedMatroid, S) -> int:
-    return E.rank(S)
-
-
 def block_collapse(E: ExpandedMatroid) -> Polymatroid:
     """Dense polymatroid of block-union ranks; recovers the base when not
     dualized, and the base's dual when the base is tight."""
@@ -218,14 +209,8 @@ def expanded_mmrv(E: ExpandedMatroid, roles=None) -> int:
     labels = tuple(roles) if roles is not None else base_ground.labels
     if len(labels) != 5 or len(set(labels)) != 5:
         raise ValueError(f"roles must pick five distinct blocks, got {labels}")
-    bits = [base_ground.bit(lbl) for lbl in labels]
+    block_masks = lattice.additive([base_ground.bit(lbl) for lbl in labels])
+    values = [E.block_rank(m) for m in block_masks.tolist()]
     ground5 = GroundSet(labels)
-    values = np.zeros(32, dtype=np.int64)
-    for m in range(1, 32):
-        block_mask = 0
-        for i in range(5):
-            if m >> i & 1:
-                block_mask |= bits[i]
-        values[m] = E.block_rank(block_mask)
     pm = validate_polymatroid(RankVector(ground5, values, "int"))
     return mmrv(pm)

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice
 from .core import (
     GroundSet,
     GroundSetMismatch,
     ModeError,
     RankVector,
     mu,
-    mu_vector,
     subset_format,
     subset_parse,
 )
@@ -128,15 +128,14 @@ def check_polymatroid(rank: RankVector, tolerance=None) -> list[Violation]:
                     rank.value(drop),
                 )
             )
-    masks = np.arange(1 << n, dtype=np.int64)
+    masks = lattice.masks(n)
     for i in range(n):
         bi = 1 << i
         for j in range(i + 1, n):
             bj = 1 << j
-            sub = masks[(masks & (bi | bj)) == 0]
-            gap = vals[sub | bi] + vals[sub | bj] - vals[sub | bi | bj] - vals[sub]
-            for k in np.nonzero(gap < -tol)[0]:
-                a = int(sub[k])
+            f_a, f_ai, f_aj, f_aij = lattice.pair(vals, i, j)
+            bad = f_ai + f_aj - f_aij - f_a < -tol
+            for a in lattice.pair(masks, i, j)[0][bad].tolist():
                 violations.append(
                     Violation(
                         "submodular",
@@ -160,9 +159,9 @@ def validate_polymatroid(rank: RankVector, tolerance=None) -> Polymatroid:
 def dual(M: Polymatroid) -> Polymatroid:
     """Dual polymatroid: A maps to f(M-A) + mu(A) - f(M).  Always tight."""
     rank = M.rank
-    full = rank.ground.full_mask
-    masks = np.arange(full + 1)
-    out = rank.values[full ^ masks] + mu_vector(rank) - rank.values[full]
+    vals = rank.values
+    singletons = vals[[1 << i for i in range(rank.ground.n)]]
+    out = vals[::-1] + lattice.additive(singletons) - vals[-1]  # vals[::-1][A] = f(M - A)
     return validate_polymatroid(RankVector(rank.ground, out, rank.mode))
 
 
@@ -170,15 +169,11 @@ def tighten(M: Polymatroid) -> Polymatroid:
     """Drop each element's private information: f(A) - sum over i in A of
     (f(M) - f(M-i)).  Order-independent, hence computed in one pass."""
     rank = M.rank
-    n = rank.ground.n
     full = rank.ground.full_mask
     vals = rank.values
-    masks = np.arange(full + 1, dtype=np.int64)
-    penalty = np.zeros(full + 1, dtype=vals.dtype)
-    for i in range(n):
-        delta = vals[full] - vals[full ^ (1 << i)]
-        penalty += np.where(masks >> i & 1, delta, 0)
-    return validate_polymatroid(RankVector(rank.ground, vals - penalty, rank.mode))
+    private = vals[full] - vals[[full ^ (1 << i) for i in range(rank.ground.n)]]
+    out = vals - lattice.additive(private)
+    return validate_polymatroid(RankVector(rank.ground, out, rank.mode))
 
 
 def is_tight(M: Polymatroid, tolerance=None) -> bool:
@@ -251,10 +246,8 @@ def factor(M: Polymatroid, fmap: FactorMap) -> Polymatroid:
         raise GroundSetMismatch(
             f"map source {fmap.source.labels} != polymatroid ground {M.ground.labels}"
         )
-    size = 1 << fmap.target.n
-    out = np.empty(size, dtype=M.values.dtype)
-    for t in range(size):
-        out[t] = M.values[fmap.preimage(t)]
+    blocks = [fmap.preimage(1 << k) for k in range(fmap.target.n)]
+    out = M.values[lattice.additive(blocks)]
     return validate_polymatroid(RankVector(fmap.target, out, M.mode))
 
 
@@ -293,29 +286,19 @@ def split_atom(M: Polymatroid, a: str, alpha1, alpha2, labels) -> Polymatroid:
     l1, l2 = labels
     ground = M.ground
     k = ground.index(a)
-    abit = 1 << k
-    ha = M.value(abit)
+    ha = M.value(1 << k)
     a1 = _require_mode_value(M.mode, alpha1, "alpha1")
     a2 = _require_mode_value(M.mode, alpha2, "alpha2")
     tol = 0 if M.mode == "int" else VALIDATION_TOL
     if abs((a1 + a2) - ha) > tol:
         raise ValueError(f"alpha1 + alpha2 = {a1 + a2} but f({a}) = {ha}")
     new_ground = GroundSet(ground.labels[:k] + (l1, l2) + ground.labels[k + 1 :])
-    n = ground.n
-    vals = M.values
-    masks = np.arange(1 << n, dtype=np.int64)
-    rest = masks[(masks & abit) == 0]
-    low = rest & (abit - 1)
-    base = low | (rest >> (k + 1)) << (k + 2)  # old bits above a shift past both atoms
-    b1 = 1 << k
-    b2 = 1 << (k + 1)
-    h_plain = vals[rest]
-    h_with = vals[rest | abit]
-    out = np.empty(1 << (n + 1), dtype=vals.dtype)
-    out[base] = h_plain
-    out[base | b1] = np.minimum(h_plain + a1, h_with)
-    out[base | b2] = np.minimum(h_plain + a2, h_with)
-    out[base | b1 | b2] = h_with
+    h_plain, h_with = lattice.split(M.values, k)
+    out = np.empty(2 * len(M.values), dtype=M.values.dtype)
+    # old bits above a shift past both atoms, which take bits k and k + 1
+    parts = (h_plain, np.minimum(h_plain + a1, h_with), np.minimum(h_plain + a2, h_with), h_with)
+    for cell, part in zip(lattice.pair(out, k, k + 1), parts):
+        cell[:, 0] = part
     return validate_polymatroid(RankVector(new_ground, out, M.mode))
 
 
@@ -337,8 +320,7 @@ def basis_r(ground: GroundSet, A: int) -> Polymatroid:
     """Indicator polymatroid of hitting A: rank 1 on subsets meeting A, else 0."""
     if A == 0:
         raise ValueError("basis_r needs a non-empty subset")
-    masks = np.arange(1 << ground.n)
-    vals = ((masks & A) != 0).astype(np.int64)
+    vals = ((lattice.masks(ground.n) & A) != 0).astype(np.int64)
     return validate_polymatroid(RankVector(ground, vals, "int"))
 
 
@@ -382,6 +364,4 @@ def round_to_integer(rank: RankVector, residual_tol: float = 1e-3) -> RankVector
 def uniform_matroid(k: int, labels) -> Polymatroid:
     """Rank min(|A|, k) on the given labels, integer mode."""
     ground = GroundSet(labels)
-    masks = np.arange(1 << ground.n)
-    sizes = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
-    return validate_polymatroid(RankVector(ground, np.minimum(sizes, k), "int"))
+    return validate_polymatroid(RankVector(ground, np.minimum(lattice.sizes(ground.n), k), "int"))

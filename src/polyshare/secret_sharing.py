@@ -1,10 +1,10 @@
 """Access structures, their duals, and matroid ports.
 
 An access structure is the upward-closed family of participant subsets that
-can recover the secret.  Small structures are stored explicitly as a bitset
-over all subsets; port structures over expanded matroids (174 participants
-for the bundled construction) are membership oracles answering one subset at
-a time.
+can recover the secret.  Structures on at most MAX_EXPLICIT participants are
+stored as one flag per subset; larger ones, such as the ports of expanded
+matroids (174 participants for the bundled construction), are membership
+oracles answering one subset at a time.
 """
 
 import json
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import lattice
 from .core import GroundSet, GroundSetMismatch
 from .matroid import ExpandedMatroid, helgason_expand
 from .polymatroid import Polymatroid, default_decision_tol, validate_polymatroid
@@ -22,13 +23,23 @@ MAX_EXPLICIT = 20
 
 
 class AccessStructure:
-    """Qualified-subset family over a participant ground set."""
+    """Qualified-subset family over a participant ground set.
+
+    Give either the ``qualified`` flags (one per subset mask) or a membership
+    ``oracle``.  On at most MAX_EXPLICIT participants the structure always
+    holds the ``qualified`` table: an oracle is evaluated on every subset at
+    construction, so its upward closure is checked too.  Larger structures
+    keep the oracle, ``qualified`` is None, and only the empty and the full
+    set are checked.
+    """
 
     def __init__(self, participants: GroundSet, qualified=None, oracle=None):
         if (qualified is None) == (oracle is None):
             raise ValueError("provide exactly one of qualified array or oracle")
         self.participants = participants
         full = participants.full_mask
+        if oracle is not None and participants.n <= MAX_EXPLICIT:
+            qualified = np.fromiter(map(oracle, range(full + 1)), dtype=bool, count=full + 1)
         if qualified is not None:
             if participants.n > MAX_EXPLICIT:
                 raise ValueError(
@@ -41,13 +52,11 @@ class AccessStructure:
                 raise ValueError("the empty set must not be qualified")
             if not q[full]:
                 raise ValueError("the full participant set must be qualified")
-            masks = np.arange(full + 1, dtype=np.int64)
             for i in range(participants.n):
-                bit = 1 << i
-                lower = masks[(masks & bit) == 0]
-                bad = q[lower] & ~q[lower | bit]
-                if np.any(bad):
-                    worst = int(lower[np.nonzero(bad)[0][0]])
+                without, with_i = lattice.split(q, i)
+                bad = without & ~with_i
+                if bad.any():
+                    worst = int(lattice.split(lattice.masks(participants.n), i)[0][bad][0])
                     raise ValueError(
                         f"not upward closed: {participants.labels_of(worst)} qualified "
                         f"but adding {participants.labels[i]!r} loses qualification"
@@ -90,16 +99,10 @@ def from_qualified_masks(participants: GroundSet, masks) -> AccessStructure:
 
 def from_minimal(participants: GroundSet, minimal_masks) -> AccessStructure:
     """Explicit structure as the upward closure of the given sets."""
-    n = participants.n
-    q = np.zeros(1 << n, dtype=bool)
+    q = np.zeros(1 << participants.n, dtype=bool)
     for m in minimal_masks:
         q[m] = True
-    all_masks = np.arange(1 << n, dtype=np.int64)
-    for i in range(n):
-        bit = 1 << i
-        upper = all_masks[(all_masks & bit) != 0]
-        q[upper] |= q[upper ^ bit]
-    return AccessStructure(participants, qualified=q)
+    return AccessStructure(participants, qualified=lattice.up_closure(q))
 
 
 def from_oracle(participants: GroundSet, fn) -> AccessStructure:
@@ -112,8 +115,7 @@ def threshold_structure(k: int, labels) -> AccessStructure:
     n = participants.n
     if not 1 <= k <= n:
         raise ValueError(f"threshold must be in 1..{n}, got {k}")
-    sizes = np.array([m.bit_count() for m in range(1 << n)])
-    return AccessStructure(participants, qualified=sizes >= k)
+    return AccessStructure(participants, qualified=lattice.sizes(n) >= k)
 
 
 def is_qualified(A: AccessStructure, S: int) -> bool:
@@ -126,57 +128,45 @@ def is_qualified(A: AccessStructure, S: int) -> bool:
 
 def dual_structure(A: AccessStructure) -> AccessStructure:
     """Qualified in the dual iff the complement is unqualified."""
+    if A.is_explicit:  # reversed order maps each mask to its complement
+        return AccessStructure(A.participants, qualified=~A.qualified[::-1])
     full = A.participants.full_mask
-    if A.is_explicit:
-        masks = np.arange(full + 1, dtype=np.int64)
-        return AccessStructure(A.participants, qualified=~A.qualified[full ^ masks])
     inner = A.oracle
     return AccessStructure(A.participants, oracle=lambda m: not inner(full ^ m))
 
 
+def _table(A: AccessStructure) -> np.ndarray:
+    if not A.is_explicit:
+        raise ValueError(
+            f"structures on more than {MAX_EXPLICIT} participants cannot be enumerated"
+        )
+    return A.qualified
+
+
 def minimal_qualified(A: AccessStructure) -> list[int]:
     """Inclusion-minimal qualified sets, ordered by size then mask."""
-    if not A.is_explicit:
-        raise ValueError("oracle structures cannot be enumerated")
-    n = A.participants.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    minimal = A.qualified.copy()
-    for i in range(n):
-        bit = 1 << i
-        has = (masks & bit) != 0
-        minimal[has] &= ~A.qualified[masks[has] ^ bit]
-    out = [int(m) for m in masks[minimal]]
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return out
+    return lattice.minimal(_table(A))
 
 
 def important_participants(A: AccessStructure):
     """(important labels, connected flag); i is important when joining some
     unqualified set makes it qualified.  Connected means everyone matters."""
-    if not A.is_explicit:
-        raise ValueError("oracle structures are out of scope for global scans")
-    n = A.participants.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    q = A.qualified
+    q = _table(A)
     important = set()
-    for i in range(n):
-        bit = 1 << i
-        lower = masks[(masks & bit) == 0]
-        if np.any(~q[lower] & q[lower | bit]):
-            important.add(A.participants.labels[i])
-    return important, len(important) == n
+    for i, label in enumerate(A.participants.labels):
+        without, with_i = lattice.split(q, i)
+        if (~without & with_i).any():
+            important.add(label)
+    return important, len(important) == A.participants.n
 
 
-def _drop_element(ground: GroundSet, label: str):
-    """Participant ground set and a mask translator for ground minus label."""
-    k = ground.index(label)
-    participants = GroundSet(ground.labels[:k] + ground.labels[k + 1 :])
-    low = (1 << k) - 1
-
-    def translate(mask: int) -> int:
-        return (mask & low) | (mask >> k) << (k + 1)
-
-    return participants, translate
+def _secret_gaps(M: Polymatroid, secret: str):
+    """Participants (the ground set minus the secret) and f(secret + S) - f(S)
+    for every participant mask S."""
+    k = M.ground.index(secret)
+    participants = GroundSet(M.ground.labels[:k] + M.ground.labels[k + 1 :])
+    without, with_secret = lattice.split(M.values, k)
+    return participants, (with_secret - without).ravel()
 
 
 def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
@@ -188,16 +178,14 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
     is rejected by the structure invariants.
     """
     if isinstance(M, ExpandedMatroid):
-        if secret not in M._block_of:
-            raise ValueError(f"{secret!r} is not an element of the expansion")
+        sblock = M.block_of(secret)
         if M.rank([secret]) == 0:
             raise ValueError(f"secret {secret!r} is a loop")
-        sblock = M._block_of[secret]
         names = tuple(n for n in M.element_names if n != secret)
         participants = GroundSet(names)
         block_masks = [0] * M.base.ground.n
         for i, name in enumerate(names):
-            block_masks[M._block_of[name]] |= 1 << i
+            block_masks[M.block_of(name)] |= 1 << i
 
         def member(mask: int) -> bool:
             counts = [(mask & bm).bit_count() for bm in block_masks]
@@ -211,62 +199,37 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
     fs = M.rank_of(secret)
     if fs <= tol:
         raise ValueError(f"secret {secret!r} is a loop")
-    participants, translate = _drop_element(M.ground, secret)
-    sbit = M.ground.bit(secret)
-    q = np.zeros(1 << participants.n, dtype=bool)
-    for S in range(1 << participants.n):
-        base = translate(S)
-        q[S] = abs(M.value(base | sbit) - M.value(base)) <= tol
-    return AccessStructure(participants, qualified=q)
+    participants, gaps = _secret_gaps(M, secret)
+    return AccessStructure(participants, qualified=np.abs(gaps) <= tol)
 
 
-def realizes(M: Polymatroid, A: AccessStructure, secret: str, tolerance=None, samples: int = 64):
+def realizes(M: Polymatroid, A: AccessStructure, secret: str, tolerance=None):
     """Does M with this secret realize A?  (ok, counterexample mask or None).
 
     Qualified sets must satisfy f(sS) = f(S); unqualified sets must satisfy
-    f(sS) = f(S) + f(s).  Explicit structures are scanned in full; oracle
-    structures are spot-checked on structured and seeded random subsets.
+    f(sS) = f(S) + f(s).  Every participant subset is checked, and the
+    counterexample is the smallest failing mask.
     """
     tol = default_decision_tol(M.mode) if tolerance is None else tolerance
     fs = M.rank_of(secret)
     if fs <= tol:
         raise ValueError(f"secret {secret!r} has rank {fs}; the secret must be non-trivial")
-    participants, translate = _drop_element(M.ground, secret)
+    participants, gaps = _secret_gaps(M, secret)
     if participants.labels != A.participants.labels:
         raise GroundSetMismatch(
             f"structure participants {A.participants.labels} do not match "
             f"ground set minus secret {participants.labels}"
         )
-    sbit = M.ground.bit(secret)
-
-    def violates(S: int) -> bool:
-        base = translate(S)
-        gap = M.value(base | sbit) - M.value(base)
-        if is_qualified(A, S):
-            return abs(gap) > tol
-        return abs(gap - fs) > tol
-
-    full = participants.full_mask
-    if A.is_explicit:
-        candidates = range(full + 1)
-    else:
-        fixed = [0, full]
-        fixed += [1 << i for i in range(participants.n)]
-        fixed += [full ^ (1 << i) for i in range(participants.n)]
-        rng = np.random.default_rng(20240817)
-        sampled = [int(x) for x in rng.integers(0, full + 1, size=samples)]
-        candidates = dict.fromkeys(fixed + sampled)
-    for S in candidates:
-        if violates(S):
-            return False, S
+    failing = np.flatnonzero(np.where(A.qualified, np.abs(gaps), np.abs(gaps - fs)) > tol)
+    if failing.size:
+        return False, int(failing[0])
     return True, None
 
 
 def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
     if isinstance(M, ExpandedMatroid):
-        if secret not in M._block_of:
-            raise ValueError(f"{secret!r} is not an element of the expansion")
+        sblock = M.block_of(secret)
         n = M.base.ground.n
 
         def atom_rank(block: int) -> int:
@@ -274,7 +237,6 @@ def sigma(M, secret: str):
             counts[block] = 1
             return M.rank_of_counts(counts)
 
-        sblock = M._block_of[secret]
         fs = atom_rank(sblock)
         if fs == 0:
             raise ValueError(f"secret {secret!r} has rank zero")

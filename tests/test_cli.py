@@ -71,6 +71,20 @@ class TestValidate:
         assert code == 1
         assert "submodular" in out
 
+    @pytest.mark.parametrize("mode", ["float", "int"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rank_is_usage_error(self, capsys, tmp_path, mode, bad):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(
+            '{"ground":["a","b"],"mode":"%s","ranks":{"a":%s,"b":1,"a,b":1}}' % (mode, bad)
+        )
+        for command in ("validate", "dual"):
+            code, out, err = run(capsys, command, "--in", str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "must be finite" in err
+            assert "Traceback" not in err
+
     def test_violations_as_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         with open(bad, "w") as fh:

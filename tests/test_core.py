@@ -1,6 +1,8 @@
 """Ground sets, masks, and rank vectors."""
 
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,9 @@ from polyshare import (
     DuplicateLabel,
     GroundSet,
     ModeError,
+    NonFiniteRank,
     RankVector,
     UnknownLabel,
-    iter_masks_by_size,
     load_rank_vector,
     mu,
     rank_vector_from_json,
@@ -20,7 +22,7 @@ from polyshare import (
     subset_parse,
     uniform_matroid,
 )
-from polyshare.core import mu_vector
+from polyshare.lattice import additive, by_size
 
 from generators import pm
 
@@ -87,7 +89,7 @@ class TestSubsetKeys:
             assert subset_parse(ABC, subset_format(ABC, mask)) == mask
 
     def test_masks_by_size_order(self):
-        masks = list(iter_masks_by_size(3))
+        masks = by_size(3).tolist()
         assert masks == [1, 2, 4, 3, 5, 6, 7]
 
 
@@ -110,6 +112,22 @@ class TestRankVector:
         vals[1] = 0.5
         with pytest.raises(ModeError):
             RankVector(ABC, vals, "int")
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, mode, bad):
+        vals = np.ones(8)
+        vals[0] = 0
+        vals[5] = bad
+        with pytest.raises(NonFiniteRank, match="'a,c'"):
+            RankVector(ABC, vals, mode)
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_rejected(self, mode, bad):
+        text = '{"ground": ["a", "b"], "mode": "%s", "ranks": {"a": %s, "b": 1, "a,b": 1}}'
+        with pytest.raises(NonFiniteRank, match="must be finite"):
+            rank_vector_from_json(json.loads(text % (mode, bad)))
 
     def test_values_read_only(self):
         rv = RankVector(ABC, np.zeros(8), "int")
@@ -181,7 +199,7 @@ class TestMu:
 
     def test_mu_vector_matches_pointwise(self):
         p = pm({"a": 2, "b": 1, "a,b": 2})
-        vec = mu_vector(p.rank)
+        vec = additive(p.values[[1, 2]])
         assert [mu(p.rank, m) for m in range(4)] == vec.tolist()
 
 

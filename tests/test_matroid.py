@@ -17,7 +17,6 @@ from polyshare import (
     circuits,
     dual,
     expanded_mmrv,
-    expanded_rank,
     helgason_expand,
     is_connected,
     is_matroid,
@@ -179,7 +178,7 @@ class TestExpansion:
 
     def test_empty_subset(self, tight_pm):
         e = helgason_expand(tight_pm)
-        assert expanded_rank(e, []) == 0
+        assert e.rank([]) == 0
 
     def test_paper_expansion_size_and_full_rank(self, tight_pm):
         e = helgason_expand(tight_pm)

@@ -49,6 +49,9 @@ U23 = uniform_matroid(2, ("a", "b", "c"))
 BC = ("b", "c")
 
 
+P21 = GroundSet(tuple(f"p{i}" for i in range(21)))  # one past the explicit cap
+
+
 def all_masks(A):
     return range(A.participants.full_mask + 1)
 
@@ -99,19 +102,27 @@ class TestAccessStructure:
             from_minimal(GroundSet(labels), [1])
 
     def test_oracle_side_skips_the_cap(self):
-        labels = tuple(f"p{i}" for i in range(21))
-        A = from_oracle(GroundSet(labels), lambda m: m.bit_count() >= 3)
+        A = from_oracle(P21, lambda m: m.bit_count() >= 3)
         assert not A.is_explicit
         assert is_qualified(A, 0b111)
         assert not is_qualified(A, 0b011)
+
+    def test_small_oracle_is_materialised_and_checked(self):
+        g = GroundSet(("p", "q", "r"))
+        A = from_oracle(g, lambda m: m.bit_count() >= 2)
+        assert A.is_explicit
+        assert A == threshold_structure(2, g.labels)
+        with pytest.raises(ValueError, match="not upward closed"):
+            from_oracle(g, lambda m: m in (0b001, 0b111))
 
     def test_equality_is_explicit_only(self):
         t = threshold_structure(2, BC)
         assert t == threshold_structure(2, BC)
         assert t != threshold_structure(1, BC)
         assert t != threshold_structure(2, ("x", "y"))
-        oracle = from_oracle(GroundSet(BC), lambda m: m.bit_count() >= 2)
-        assert (t == oracle) is False  # NotImplemented on both sides
+        lazy = from_oracle(P21, lambda m: m.bit_count() >= 2)
+        twin = from_oracle(P21, lambda m: m.bit_count() >= 2)
+        assert (lazy == twin) is False  # NotImplemented on both sides
 
     def test_bad_qualified_shape(self):
         g = GroundSet(("p", "q"))
@@ -160,8 +171,8 @@ class TestMinimalQualified:
         assert minimal_qualified(A) == [0b001, 0b110]  # 0b101 absorbed by 0b001
 
     def test_oracle_rejected(self):
-        A = from_oracle(GroundSet(BC), lambda m: m.bit_count() >= 1)
-        with pytest.raises(ValueError, match="cannot be enumerated"):
+        A = from_oracle(P21, lambda m: m.bit_count() >= 1)
+        with pytest.raises(ValueError, match="more than 20 participants cannot be enumerated"):
             minimal_qualified(A)
 
 
@@ -188,13 +199,14 @@ class TestDualStructure:
 
     def test_oracle_dual_matches_explicit_dual(self):
         g = GroundSet(("p", "q", "r"))
-        explicit = threshold_structure(2, g.labels)
         oracle = from_oracle(g, lambda m: m.bit_count() >= 2)
-        dual_oracle = dual_structure(oracle)
-        dual_explicit = dual_structure(explicit)
-        assert not dual_oracle.is_explicit
-        for m in all_masks(explicit):
-            assert is_qualified(dual_oracle, m) == is_qualified(dual_explicit, m)
+        assert dual_structure(oracle) == dual_structure(threshold_structure(2, g.labels))
+        # past the cap the dual stays lazy: at least 2 of 21 dualizes to at least 20 of 21
+        dual_lazy = dual_structure(from_oracle(P21, lambda m: m.bit_count() >= 2))
+        assert not dual_lazy.is_explicit
+        full = P21.full_mask
+        for m in (0, 0b1, 0b11, full ^ 0b11, full ^ 0b1, full):
+            assert is_qualified(dual_lazy, m) == (m.bit_count() >= 20)
 
 
 class TestMatroidPort:
@@ -386,6 +398,18 @@ class TestRealizes:
         ok, witness = realizes(wrong, A, "a_1")
         assert not ok and witness is not None
 
+    def test_every_subset_is_checked(self):
+        # A differs from the port of U_{8,16} (the sets of 8 or more) on the
+        # single 7-set X = {p4..p10}; a sampled check would almost surely miss it
+        labels = tuple(f"p{i}" for i in range(16))
+        M = uniform_matroid(8, labels)
+        participants = GroundSet(labels[1:])
+        X = participants.mask_of([f"p{i}" for i in range(4, 11)])
+        A = from_oracle(participants, lambda S: S.bit_count() >= 8 or S & X == X)
+        assert X == 1016
+        assert realizes(M, A, "p0") == (False, X)
+        assert realizes(M, matroid_port(M, "p0"), "p0") == (True, None)
+
 
 class TestRealizationUniqueness:
     """With unit singleton ranks, only one integer polymatroid realizes the
@@ -449,8 +473,8 @@ class TestImportantParticipants:
         assert connected
 
     def test_oracle_rejected(self):
-        A = from_oracle(GroundSet(BC), lambda m: m.bit_count() >= 1)
-        with pytest.raises(ValueError, match="out of scope"):
+        A = from_oracle(P21, lambda m: m.bit_count() >= 1)
+        with pytest.raises(ValueError, match="more than 20 participants cannot be enumerated"):
             important_participants(A)
 
 
