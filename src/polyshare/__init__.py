@@ -11,6 +11,7 @@ from .core import (
     GroundSetMismatch,
     ModeError,
     NonFiniteRank,
+    NonNumericRank,
     RankVector,
     UnknownLabel,
     load_rank_vector,

@@ -9,6 +9,7 @@ oracles in :mod:`polyshare.matroid`.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,10 @@ class GroundSetMismatch(ValueError):
 
 class NonFiniteRank(ValueError):
     """A NaN or infinite value where a rank is expected."""
+
+
+class NonNumericRank(ValueError):
+    """A rank given as something other than a real number (a string, a bool)."""
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,13 @@ class RankVector:
             if mask in seen:
                 raise ValueError(f"subset {key!r} given twice")
             seen.add(mask)
+            # plain ints and floats skip the slower abstract-base-class check
+            if type(val) not in (int, float) and (
+                isinstance(val, bool) or not isinstance(val, numbers.Real)
+            ):
+                raise NonNumericRank(
+                    f"rank of subset {key!r} is {val!r}; ranks must be real numbers"
+                )
             values[mask] = val
         missing = [m for m in range(1, 1 << ground.n) if m not in seen]
         if missing:

@@ -93,20 +93,40 @@ def _columns(d: JointDistribution, mask: int) -> list[int]:
     return [i for i in range(d.variables.n) if mask >> i & 1]
 
 
-def _aggregate(rows: np.ndarray, probs: np.ndarray):
-    """Unique rows (lexicographic) with summed probabilities."""
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    summed = np.bincount(inverse, weights=probs, minlength=uniq.shape[0])
-    return uniq, summed
+def _codes(column: np.ndarray):
+    """Rank of each value in the sorted distinct values, and their count."""
+    uniq, codes = np.unique(column, return_inverse=True)
+    return codes, uniq.shape[0]
+
+
+def _refine(labels: np.ndarray, codes: np.ndarray, card: int) -> np.ndarray:
+    """Labels of the rows extended by one column whose values rank last.
+
+    If ``labels`` rank the restricted rows lexicographically, so do the
+    result's: the new column breaks ties within each existing label.
+    """
+    _, inverse = np.unique(labels * card + codes, return_inverse=True)
+    return inverse
+
+
+def _labels(rows: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row among the distinct rows."""
+    labels = np.zeros(rows.shape[0], dtype=np.int64)
+    for k in range(rows.shape[1]):
+        labels = _refine(labels, *_codes(rows[:, k]))
+    return labels
 
 
 def marginal(d: JointDistribution, A: int) -> JointDistribution:
     """Distribution of the variables in A, other coordinates summed out."""
     if A == 0:
         raise ValueError("marginal over the empty set is not defined")
-    cols = _columns(d, A)
-    uniq, summed = _aggregate(d.outcomes[:, cols], d.probs)
-    return JointDistribution(GroundSet(d.variables.labels_of(A)), uniq, summed)
+    rows = d.outcomes[:, _columns(d, A)]
+    labels = _labels(rows)
+    summed = np.bincount(labels, weights=d.probs)
+    first = np.empty(summed.shape[0], dtype=np.int64)
+    first[labels] = np.arange(d.n_rows)  # any row of a label gives its values
+    return JointDistribution(GroundSet(d.variables.labels_of(A)), rows[first], summed)
 
 
 def _entropy_bits(probs: np.ndarray) -> float:
@@ -115,12 +135,23 @@ def _entropy_bits(probs: np.ndarray) -> float:
 
 
 def entropy_vector(d: JointDistribution) -> Polymatroid:
-    """H of every marginal, as a float-mode polymatroid (always valid)."""
+    """H of every marginal, as a float-mode polymatroid (always valid).
+
+    One depth-first pass over the subsets: a child adds a column above its
+    parent's highest one, and its rows are labelled from the parent's
+    labels, so only the labels along the current path are held.
+    """
     n = d.variables.n
     values = np.zeros(1 << n, dtype=np.float64)
-    for mask in range(1, 1 << n):
-        _, summed = _aggregate(d.outcomes[:, _columns(d, mask)], d.probs)
-        values[mask] = _entropy_bits(summed)
+    columns = [_codes(d.outcomes[:, j]) for j in range(n)]
+
+    def visit(mask: int, labels: np.ndarray, start: int) -> None:
+        for j in range(start, n):
+            child = _refine(labels, *columns[j])
+            values[mask | 1 << j] = _entropy_bits(np.bincount(child, weights=d.probs))
+            visit(mask | 1 << j, child, j + 1)
+
+    visit(0, np.zeros(d.n_rows, dtype=np.int64), 0)
     return validate_polymatroid(RankVector(d.variables, values, "float"))
 
 
@@ -130,6 +161,7 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
     The result is the maximum-entropy coupling with the given marginals: the
     two non-shared parts are conditionally independent given the overlap.
     Probability of a combined row is p1 * p2 / p_overlap, with 0/0 = 0.
+    Output rows follow d1's row order, then d2's within one overlap value.
     Raises MarginalMismatch when the inputs disagree on the overlap.
     """
     shared = [v for v in d1.variables if v in d2.variables]
@@ -140,37 +172,34 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
     cols2 = [d2.variables.index(v) for v in shared]
     extra_cols = [d2.variables.index(v) for v in extra]
 
-    overlap: dict[tuple, float] = {}
-    for row, p in zip(d1.outcomes.tolist(), d1.probs):
-        key = tuple(row[c] for c in cols1)
-        overlap[key] = overlap.get(key, 0.0) + float(p)
-    check: dict[tuple, float] = {}
-    for row, p in zip(d2.outcomes.tolist(), d2.probs):
-        key = tuple(row[c] for c in cols2)
-        check[key] = check.get(key, 0.0) + float(p)
-    for key in set(overlap) | set(check):
-        gap = abs(overlap.get(key, 0.0) - check.get(key, 0.0))
-        if gap > MARGINAL_TOL:
-            raise MarginalMismatch(
-                f"shared marginal differs at {dict(zip(shared, key))}: "
-                f"{overlap.get(key, 0.0)} vs {check.get(key, 0.0)} (gap {gap:.3e})"
-            )
+    # one label per overlap value, shared by the rows of both inputs
+    keys = np.concatenate([d1.outcomes[:, cols1], d2.outcomes[:, cols2]])
+    labels = _labels(keys)
+    n_keys = int(labels.max()) + 1
+    l1, l2 = labels[: d1.n_rows], labels[d1.n_rows :]
+    overlap = np.bincount(l1, weights=d1.probs, minlength=n_keys)
+    check = np.bincount(l2, weights=d2.probs, minlength=n_keys)
+    gap = np.abs(overlap - check)
+    bad = gap > MARGINAL_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        key = keys[int(np.argmax(labels == k))].tolist()
+        raise MarginalMismatch(
+            f"shared marginal differs at {dict(zip(shared, key))}: "
+            f"{float(overlap[k])} vs {float(check[k])} (gap {float(gap[k]):.3e})"
+        )
 
-    by_key: dict[tuple, list] = {}
-    for row, p in zip(d2.outcomes.tolist(), d2.probs):
-        key = tuple(row[c] for c in cols2)
-        by_key.setdefault(key, []).append((row, float(p)))
-
-    rows = []
-    probs = []
-    for row1, p1 in zip(d1.outcomes.tolist(), d1.probs):
-        key = tuple(row1[c] for c in cols1)
-        denom = overlap.get(key, 0.0)
-        if denom == 0.0:
-            continue
-        for row2, p2 in by_key.get(key, []):
-            rows.append(row1 + [row2[c] for c in extra_cols])
-            probs.append(float(p1) * p2 / denom)
+    # each d1 row with positive overlap mass meets d2's rows of its overlap
+    # value, taken in d2's row order
+    by_key = np.argsort(l2, kind="stable")
+    sizes = np.bincount(l2, minlength=n_keys)
+    firsts = np.cumsum(sizes) - sizes
+    reps = np.where(overlap[l1] != 0.0, sizes[l1], 0)
+    i1 = np.repeat(np.arange(d1.n_rows), reps)
+    offsets = np.arange(i1.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
+    i2 = by_key[firsts[l1[i1]] + offsets]
+    rows = np.concatenate([d1.outcomes[i1], d2.outcomes[i2][:, extra_cols]], axis=1)
+    probs = d1.probs[i1] * d2.probs[i2] / overlap[l1[i1]]
     return JointDistribution(out_vars, rows, probs)
 
 

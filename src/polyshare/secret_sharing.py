@@ -90,19 +90,28 @@ class AccessStructure:
         return hash(self.participants.labels)
 
 
-def from_qualified_masks(participants: GroundSet, masks) -> AccessStructure:
-    q = np.zeros(1 << participants.n, dtype=bool)
+def _flags(participants: GroundSet, masks) -> np.ndarray:
+    """One flag per subset, set on the given masks."""
+    full = participants.full_mask
+    q = np.zeros(full + 1, dtype=bool)
     for m in masks:
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= full:
+            raise ValueError(
+                f"mask {m!r} is not a subset of the participants (valid: integers 0..{full})"
+            )
         q[m] = True
-    return AccessStructure(participants, qualified=q)
+    return q
+
+
+def from_qualified_masks(participants: GroundSet, masks) -> AccessStructure:
+    return AccessStructure(participants, qualified=_flags(participants, masks))
 
 
 def from_minimal(participants: GroundSet, minimal_masks) -> AccessStructure:
     """Explicit structure as the upward closure of the given sets."""
-    q = np.zeros(1 << participants.n, dtype=bool)
-    for m in minimal_masks:
-        q[m] = True
-    return AccessStructure(participants, qualified=lattice.up_closure(q))
+    return AccessStructure(
+        participants, qualified=lattice.up_closure(_flags(participants, minimal_masks))
+    )
 
 
 def from_oracle(participants: GroundSet, fn) -> AccessStructure:

@@ -85,6 +85,17 @@ class TestValidate:
             assert err.startswith("error: ") and "must be finite" in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ranks", ['{"a":"1","b":true,"a,b":"2"}', '{"a":1,"b":1,"a,b":false}'])
+    def test_non_numeric_rank_is_usage_error(self, capsys, tmp_path, ranks):
+        path = tmp_path / "strings.json"
+        path.write_text('{"ground":["a","b"],"mode":"int","ranks":%s}' % ranks)
+        for command in ("validate", "dual"):
+            code, out, err = run(capsys, command, "--in", str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "must be real numbers" in err
+            assert "Traceback" not in err
+
     def test_violations_as_json(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         with open(bad, "w") as fh:

@@ -11,6 +11,7 @@ from polyshare import (
     GroundSet,
     ModeError,
     NonFiniteRank,
+    NonNumericRank,
     RankVector,
     UnknownLabel,
     load_rank_vector,
@@ -128,6 +129,22 @@ class TestRankVector:
         text = '{"ground": ["a", "b"], "mode": "%s", "ranks": {"a": %s, "b": 1, "a,b": 1}}'
         with pytest.raises(NonFiniteRank, match="must be finite"):
             rank_vector_from_json(json.loads(text % (mode, bad)))
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize(
+        "bad", ["1", True, False, None, [1], {"r": 1}, np.bool_(True), b"1", 1j]
+    )
+    def test_non_numeric_rank_rejected(self, mode, bad):
+        with pytest.raises(NonNumericRank, match="'b'.*must be real numbers"):
+            RankVector.from_ranks(GroundSet("ab"), {"a": 1, "b": bad, "a,b": 2}, mode)
+
+    def test_numpy_and_fraction_ranks_accepted(self):
+        from fractions import Fraction
+
+        rv = RankVector.from_ranks(
+            GroundSet("ab"), {"a": np.int64(1), "b": Fraction(1, 2), "a,b": np.float32(1.5)}
+        )
+        assert rv.values.tolist() == [0.0, 1.0, 0.5, 1.5]
 
     def test_values_read_only(self):
         rv = RankVector(ABC, np.zeros(8), "int")

@@ -19,7 +19,7 @@ from polyshare import (
 )
 from polyshare.entropy import distribution_from_json, distribution_to_json
 
-from generators import random_distribution
+from generators import ground, random_distribution
 
 H_A_TABLE1 = 0.9990649315776107  # binary entropy of the 0.482/0.518 marginal
 
@@ -32,6 +32,117 @@ def fair_bits(labels):
 
 def rows_as_dict(d):
     return {tuple(r): p for r, p in zip(d.outcomes.tolist(), d.probs.tolist())}
+
+
+# ---------------------------------------------------------------------------
+# slow references: a fresh lexicographic grouping of every row slice, and the
+# gluing written as per-row dict loops
+
+def reference_marginal(d, mask):
+    """Distinct rows of the slice (lexicographic) and their summed probabilities."""
+    cols = [i for i in range(d.variables.n) if mask >> i & 1]
+    uniq, inverse = np.unique(d.outcomes[:, cols], axis=0, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=d.probs, minlength=uniq.shape[0])
+
+
+def reference_entropy_vector(d):
+    """Entropy of every marginal from one np.unique(axis=0) per subset."""
+    values = np.zeros(1 << d.variables.n, dtype=np.float64)
+    for mask in range(1, 1 << d.variables.n):
+        _, summed = reference_marginal(d, mask)
+        p = summed[summed > 0]
+        values[mask] = float(-(p * np.log2(p)).sum())
+    return values
+
+
+def reference_conditional_product(d1, d2):
+    """The gluing row by row: d1's rows in order, each with d2's matching rows."""
+    shared = [v for v in d1.variables if v in d2.variables]
+    extra = [v for v in d2.variables if v not in d1.variables]
+    cols1 = [d1.variables.index(v) for v in shared]
+    cols2 = [d2.variables.index(v) for v in shared]
+    extra_cols = [d2.variables.index(v) for v in extra]
+
+    overlap, check, by_key = {}, {}, {}
+    for row, p in zip(d1.outcomes.tolist(), d1.probs):
+        key = tuple(row[c] for c in cols1)
+        overlap[key] = overlap.get(key, 0.0) + float(p)
+    for row, p in zip(d2.outcomes.tolist(), d2.probs):
+        key = tuple(row[c] for c in cols2)
+        check[key] = check.get(key, 0.0) + float(p)
+        by_key.setdefault(key, []).append((row, float(p)))
+    for key in set(overlap) | set(check):
+        if abs(overlap.get(key, 0.0) - check.get(key, 0.0)) > 1e-9:
+            raise MarginalMismatch(f"shared marginal differs at {key}")
+
+    rows, probs = [], []
+    for row1, p1 in zip(d1.outcomes.tolist(), d1.probs):
+        key = tuple(row1[c] for c in cols1)
+        denom = overlap.get(key, 0.0)
+        if denom == 0.0:
+            continue
+        for row2, p2 in by_key.get(key, []):
+            rows.append(row1 + [row2[c] for c in extra_cols])
+            probs.append(float(p1) * p2 / denom)
+    labels = d1.variables.labels + tuple(extra)
+    return JointDistribution(GroundSet(labels), rows, probs)
+
+
+def assert_same_distribution(got, want):
+    """Same variables, same rows in the same order, bit-identical probabilities."""
+    assert got.variables.labels == want.variables.labels
+    assert np.array_equal(got.outcomes, want.outcomes)
+    assert np.array_equal(got.probs, want.probs)
+
+
+def assert_matches_references(d, rng):
+    """entropy_vector, marginal and conditional_product agree exactly with the
+    references."""
+    assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+    g = d.variables
+    for _ in range(2):
+        left = int(rng.integers(1, 1 << g.n))
+        right = int(rng.integers(1, 1 << g.n))
+        parts = []
+        for mask in (left, right):
+            m = marginal(d, mask)
+            rows, probs = reference_marginal(d, mask)
+            assert m.variables.labels == g.labels_of(mask)
+            assert np.array_equal(m.outcomes, rows) and np.array_equal(m.probs, probs)
+            order = rng.permutation(m.n_rows)  # row order must carry through
+            parts.append(JointDistribution(m.variables, m.outcomes[order], m.probs[order]))
+        assert_same_distribution(
+            conditional_product(*parts), reference_conditional_product(*parts)
+        )
+
+
+SWEEP_CASES = (
+    "single row",
+    "zero-probability rows",
+    "constant column",
+    "negative and huge values",
+    "all-distinct column",
+)
+
+
+def sweep_distribution(rng, n, case):
+    """A small distribution on n variables shaped to hit one edge case."""
+    k = 1 if case == "single row" else int(rng.integers(2, 41))
+    rows = rng.integers(0, 3, size=(k, n))
+    col = int(rng.integers(n))
+    if case == "constant column":
+        rows[:, col] = 7
+    elif case == "negative and huge values":
+        rows = rows * (1 << 41) - 5  # -5, 2^41 - 5, 2^42 - 5
+        rows[:, col] = -rows[:, col]
+    elif case == "all-distinct column":
+        rows[:, col] = rng.permutation(k) * 1000 - 500
+    rows = rng.permutation(np.unique(rows, axis=0))
+    probs = rng.random(rows.shape[0]) + 0.05
+    if case == "zero-probability rows" and rows.shape[0] > 1:
+        probs[rng.random(rows.shape[0]) < 0.4] = 0.0
+        probs[int(rng.integers(rows.shape[0]))] = 1.0
+    return JointDistribution(ground(n), rows, probs / probs.sum())
 
 
 class TestJointDistribution:
@@ -108,6 +219,38 @@ class TestEntropyVector:
                     continue
                 h_cond = m_xi.value(a | b) - m_xi.value(b)
                 assert -1e-9 <= h_cond <= m_xi.value(a) + 1e-9
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("case", SWEEP_CASES)
+    def test_seeded_sweep(self, n, case):
+        rng = np.random.default_rng(1000 * n + SWEEP_CASES.index(case))
+        for _ in range(3):
+            assert_matches_references(sweep_distribution(rng, n, case), rng)
+
+    def test_random_distributions(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            d = random_distribution(rng, ground(n).labels, max_support=30, n_values=4)
+            assert_matches_references(d, rng)
+
+    def test_table1(self, table1):
+        assert_matches_references(table1, np.random.default_rng(5))
+
+    def test_mismatch_message_names_value_and_masses(self):
+        d1 = JointDistribution(GroundSet("ab"), [[0, 0], [1, 1]], [0.5, 0.5])
+        d2 = JointDistribution(GroundSet("bc"), [[0, 0], [1, 1]], [0.3, 0.7])
+        with pytest.raises(MarginalMismatch, match=r"\{'b': 0\}: 0\.5 vs 0\.3 \(gap 2\.000e-01\)"):
+            conditional_product(d1, d2)
+
+    def test_no_shared_variables_is_the_product(self):
+        d1 = JointDistribution(GroundSet("a"), [[1], [0]], [0.25, 0.75])
+        d2 = JointDistribution(GroundSet("b"), [[5], [-5], [0]], [0.5, 0.3, 0.2])
+        glued = conditional_product(d1, d2)
+        assert_same_distribution(glued, reference_conditional_product(d1, d2))
+        assert glued.outcomes.tolist() == [[1, 5], [1, -5], [1, 0], [0, 5], [0, -5], [0, 0]]
 
 
 class TestMarginal:

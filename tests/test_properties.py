@@ -31,6 +31,7 @@ from polyshare import (
 from polyshare.core import mu
 
 from generators import assert_polymatroids_equal, ground
+from test_entropy import assert_matches_references
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -66,20 +67,28 @@ def tight_polymatroids(draw, **kwargs):
     return tighten(draw(int_polymatroids(**kwargs)))
 
 
+VALUE_ALPHABETS = ((0, 1, 2), (-1, 0, 1), (-(1 << 41), 0, (1 << 40) + 3))
+
+
 @st.composite
 def distributions(draw, max_vars=3):
+    """Few rows over three outcome values (small, negative or beyond 2^40);
+    some rows may have probability zero."""
     n = draw(st.integers(1, max_vars))
     g = ground(n)
+    alphabet = draw(st.sampled_from(VALUE_ALPHABETS))
     rows = draw(
         st.lists(
-            st.tuples(*[st.integers(0, 2)] * n),
+            st.tuples(*[st.sampled_from(alphabet)] * n),
             min_size=1,
             max_size=6,
             unique=True,
         )
     )
     weights = draw(
-        st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows))
+        st.lists(
+            st.integers(0, 9), min_size=len(rows), max_size=len(rows)
+        ).filter(any)
     )
     probs = np.asarray(weights, dtype=np.float64)
     probs /= probs.sum()
@@ -223,6 +232,11 @@ class TestEntropy:
     @given(distributions())
     def test_entropy_vectors_always_validate(self, d):
         entropy_vector(d)  # raises on any violated inequality
+
+    @SETTINGS
+    @given(distributions(max_vars=5), st.integers(0, 2**32 - 1))
+    def test_entropy_and_gluing_match_the_references(self, d, seed):
+        assert_matches_references(d, np.random.default_rng(seed))
 
     @SETTINGS
     @given(distributions(max_vars=3))

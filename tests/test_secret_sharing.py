@@ -101,6 +101,18 @@ class TestAccessStructure:
         with pytest.raises(ValueError, match="capped at 20"):
             from_minimal(GroundSet(labels), [1])
 
+    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40, 2.5, True])
+    def test_from_minimal_rejects_bad_masks(self, mask):
+        g = GroundSet(("p", "q"))
+        with pytest.raises(ValueError, match=rf"mask {mask} is not a subset.*0\.\.3"):
+            from_minimal(g, [0b01, mask])
+
+    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40, 2.5, True])
+    def test_from_qualified_masks_rejects_bad_masks(self, mask):
+        g = GroundSet(("p", "q"))
+        with pytest.raises(ValueError, match=rf"mask {mask} is not a subset.*0\.\.3"):
+            from_qualified_masks(g, [0b11, mask])
+
     def test_oracle_side_skips_the_cap(self):
         A = from_oracle(P21, lambda m: m.bit_count() >= 3)
         assert not A.is_explicit
