@@ -12,6 +12,7 @@ from .core import (
     ModeError,
     NonFiniteRank,
     NonNumericRank,
+    RankOverflow,
     RankVector,
     UnknownLabel,
     load_rank_vector,

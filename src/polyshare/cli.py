@@ -5,6 +5,9 @@ Exit codes: 0 = success (or a true predicate), 1 = mathematical failure
 failed reproduction), 2 = usage error.  Rank-vector output is JSON ordered by
 subset size then mask, so identical inputs give byte-identical output and
 every produced file feeds back into the other commands.
+
+Each ``cmd_*`` returns ``(exit code, JSON document, table lines)``; the lines
+are None for commands that write JSON only, and ``main`` writes one of the two.
 """
 
 import argparse
@@ -12,12 +15,7 @@ import json
 import os
 import sys
 
-from .core import (
-    load_rank_vector,
-    rank_vector_to_json,
-    subset_format,
-    subset_parse,
-)
+from .core import load_rank_vector, rank_vector_to_json, subset_format
 from .entropy import entropy_vector, load_distribution
 from .inequalities import mmrv
 from .matroid import circuits, helgason_expand
@@ -32,8 +30,11 @@ from .polymatroid import (
 )
 from .reproduce import run_reproduction
 from .secret_sharing import (
+    access_structure_from_json,
     access_structure_to_json,
     dual_structure,
+    expanded_port_doc,
+    expanded_port_spec,
     load_access_structure,
     matroid_port,
     realizes,
@@ -41,34 +42,8 @@ from .secret_sharing import (
 )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
-
-
-def _emit_doc(doc: dict, args) -> None:
-    if args.format == "table" and "ranks" in doc:
-        lines = [f"{key or '(empty)'}\t{value}" for key, value in doc["ranks"].items()]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(json.dumps(doc, indent=1), args.out)
-
-
-def _emit_value(label: str, value, args, extra: dict | None = None) -> None:
-    if args.format == "json":
-        doc = {label: value}
-        if extra:
-            doc.update(extra)
-        _emit(json.dumps(doc, indent=1), args.out)
-    else:
-        _emit(str(value), args.out)
-
-
-def _load_pm(path: str, tolerance=None):
-    return validate_polymatroid(load_rank_vector(path), tolerance)
+def _load_pm(path: str):
+    return validate_polymatroid(load_rank_vector(path))
 
 
 def _number(text: str):
@@ -85,102 +60,77 @@ def _split_list(text: str, count: int, what: str) -> list[str]:
     return parts
 
 
-def cmd_validate(args) -> int:
-    rank = load_rank_vector(args.infile)
-    violations = check_polymatroid(rank, args.tolerance)
+def _ranks(rank) -> tuple:
+    """A rank-vector result; its table has one "subset<TAB>value" line per subset."""
+    doc = rank_vector_to_json(rank)
+    return 0, doc, (f"{key}\t{value}" for key, value in doc["ranks"].items())
+
+
+def cmd_validate(args) -> tuple:
+    violations = check_polymatroid(load_rank_vector(args.infile), args.tolerance)
     if not violations:
-        if args.format == "json":
-            _emit(json.dumps({"valid": True}, indent=1), args.out)
-        else:
-            _emit("valid", args.out)
-        return 0
-    if args.format == "json":
-        _emit(json.dumps({"valid": False, "violations": [v.as_dict() for v in violations]}, indent=1), args.out)
-    else:
-        lines = [
-            f"{v.kind} violated at elements={','.join(v.elements)} subset={v.subset!r}: "
-            f"{v.lhs} < {v.rhs}"
-            for v in violations
-        ]
-        _emit("\n".join(lines), args.out)
-    return 1
+        return 0, {"valid": True}, ["valid"]
+    lines = [
+        f"{v.kind} violated at elements={','.join(v.elements)} subset={v.subset!r}: "
+        f"{v.lhs} < {v.rhs}"
+        for v in violations
+    ]
+    return 1, {"valid": False, "violations": [v.as_dict() for v in violations]}, lines
 
 
-def cmd_dual(args) -> int:
-    _emit_doc(rank_vector_to_json(dual(_load_pm(args.infile)).rank), args)
-    return 0
+def cmd_dual(args) -> tuple:
+    return _ranks(dual(_load_pm(args.infile)).rank)
 
 
-def cmd_tighten(args) -> int:
-    _emit_doc(rank_vector_to_json(tighten(_load_pm(args.infile)).rank), args)
-    return 0
+def cmd_tighten(args) -> tuple:
+    return _ranks(tighten(_load_pm(args.infile)).rank)
 
 
-def cmd_entropy(args) -> int:
-    vector = entropy_vector(load_distribution(args.infile))
-    _emit_doc(rank_vector_to_json(vector.rank), args)
-    return 0
+def cmd_entropy(args) -> tuple:
+    return _ranks(entropy_vector(load_distribution(args.infile)).rank)
 
 
-def cmd_mmrv(args) -> int:
+def cmd_mmrv(args) -> tuple:
     pm = _load_pm(args.infile)
     roles = _split_list(args.roles, 5, "role labels") if args.roles else None
     value = mmrv(pm, roles)
-    _emit_value("mmrv", value, args)
-    return 0 if value >= 0 else 1
+    return (0 if value >= 0 else 1), {"mmrv": value}, [str(value)]
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> tuple:
     pm = _load_pm(args.infile)
     alphas = [_number(a) for a in _split_list(args.alphas, 2, "alphas")]
     labels = _split_list(args.labels, 2, "labels")
-    result = split_atom(pm, args.element, alphas[0], alphas[1], labels)
-    _emit_doc(rank_vector_to_json(result.rank), args)
-    return 0
+    return _ranks(split_atom(pm, args.element, alphas[0], alphas[1], labels).rank)
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> tuple:
     pm = _load_pm(args.infile)
-    result = principal_extension(pm, args.element, _number(args.alpha), args.label)
-    _emit_doc(rank_vector_to_json(result.rank), args)
-    return 0
+    return _ranks(principal_extension(pm, args.element, _number(args.alpha), args.label).rank)
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> tuple:
     pm = _load_pm(args.infile)
     expansion = helgason_expand(pm, dualized=args.dual)
     if args.query is not None:
         value = expansion.rank(args.query)
-        _emit_value("rank", value, args, {"query": args.query})
-        return 0
+        return 0, {"rank": value, "query": args.query}, [str(value)]
     doc = {
         "elements": expansion.n_elements,
         "dualized": expansion.dualized,
-        "blocks": {
-            label: size
-            for label, size in zip(pm.ground.labels, expansion.block_sizes)
-        },
+        "blocks": dict(zip(pm.ground.labels, expansion.block_sizes)),
         "full_rank": expansion.block_rank(pm.ground.full_mask),
     }
-    if args.format == "table":
-        lines = [f"elements\t{doc['elements']}", f"dualized\t{doc['dualized']}"]
-        lines += [f"block {k}\t{v}" for k, v in doc["blocks"].items()]
-        lines.append(f"full_rank\t{doc['full_rank']}")
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(json.dumps(doc, indent=1), args.out)
-    return 0
+    lines = [f"elements\t{doc['elements']}", f"dualized\t{doc['dualized']}"]
+    lines += [f"block {k}\t{v}" for k, v in doc["blocks"].items()]
+    return 0, doc, lines + [f"full_rank\t{doc['full_rank']}"]
 
 
-def cmd_circuits(args) -> int:
+def cmd_circuits(args) -> tuple:
     pm = _load_pm(args.infile)
     found = circuits(pm)
-    if args.format == "json":
-        doc = {"circuits": [list(pm.ground.labels_of(m)) for m in found]}
-        _emit(json.dumps(doc, indent=1), args.out)
-    else:
-        _emit("\n".join(subset_format(pm.ground, m) for m in found) or "(none)", args.out)
-    return 0
+    doc = {"circuits": [list(pm.ground.labels_of(m)) for m in found]}
+    return 0, doc, [subset_format(pm.ground, m) for m in found] or ["(none)"]
 
 
 def _relative_to_out(in_path: str, out: str | None) -> str:
@@ -189,92 +139,68 @@ def _relative_to_out(in_path: str, out: str | None) -> str:
     return os.path.relpath(os.path.abspath(in_path), os.path.dirname(os.path.abspath(out)) or ".")
 
 
-def cmd_port(args) -> int:
+def cmd_port(args) -> tuple:
     pm = _load_pm(args.infile)
     if args.expanded:
-        expansion = helgason_expand(pm, dualized=args.dual)
-        matroid_port(expansion, args.secret)  # raises if the secret is unusable
-        doc = {
-            "port": {
-                "expanded": {
-                    "base_file": _relative_to_out(args.infile, args.out),
-                    "dualized": args.dual,
-                },
-                "secret": args.secret,
-            }
-        }
-        _emit(json.dumps(doc, indent=1), args.out)
-        return 0
+        matroid_port(helgason_expand(pm, dualized=args.dual), args.secret)  # raises if unusable
+        base_file = _relative_to_out(args.infile, args.out)
+        return 0, expanded_port_doc(base_file, args.dual, args.secret), None
     if args.dual:
         pm = dual(pm)
-    structure = matroid_port(pm, args.secret, args.tolerance)
-    _emit(json.dumps(access_structure_to_json(structure), indent=1), args.out)
-    return 0
+    return 0, access_structure_to_json(matroid_port(pm, args.secret, args.tolerance)), None
 
 
-def cmd_access_dual(args) -> int:
+def cmd_access_dual(args) -> tuple:
     with open(args.infile) as fh:
         doc = json.load(fh)
-    if "port" in doc and "expanded" in doc["port"]:
-        inner = doc["port"]["expanded"]
-        base_abs = os.path.join(os.path.dirname(os.path.abspath(args.infile)), inner["base_file"])
-        flipped = {
-            "port": {
-                "expanded": {
-                    "base_file": _relative_to_out(base_abs, args.out),
-                    "dualized": not inner.get("dualized", False),
-                },
-                "secret": doc["port"]["secret"],
-            }
-        }
-        _emit(json.dumps(flipped, indent=1), args.out)
-        return 0
-    structure = load_access_structure(args.infile)
-    _emit(json.dumps(access_structure_to_json(dual_structure(structure)), indent=1), args.out)
-    return 0
+    base_dir = os.path.dirname(os.path.abspath(args.infile))
+    expanded = expanded_port_spec(doc)
+    if expanded is None:
+        structure = access_structure_from_json(doc, base_dir)
+        return 0, access_structure_to_json(dual_structure(structure)), None
+    base_file, dualized, secret = expanded
+    base_file = _relative_to_out(os.path.join(base_dir, base_file), args.out)
+    return 0, expanded_port_doc(base_file, not dualized, secret), None
 
 
-def cmd_realizes(args) -> int:
+def cmd_realizes(args) -> tuple:
     pm = _load_pm(args.infile)
     structure = load_access_structure(args.access)
     ok, witness = realizes(pm, structure, args.secret, args.tolerance)
-    extra = {
-        "counterexample": None
-        if witness is None
-        else list(structure.participants.labels_of(witness))
-    }
-    if args.format == "json":
-        _emit_value("realizes", ok, args, extra)
-    elif ok:
-        _emit("realizes", args.out)
-    else:
-        _emit(f"violated at {subset_format(structure.participants, witness)!r}", args.out)
-    return 0 if ok else 1
+    if ok:
+        return 0, {"realizes": True, "counterexample": None}, ["realizes"]
+    labels = list(structure.participants.labels_of(witness))
+    line = f"violated at {subset_format(structure.participants, witness)!r}"
+    return 1, {"realizes": False, "counterexample": labels}, [line]
 
 
-def cmd_sigma(args) -> int:
+def cmd_sigma(args) -> tuple:
     value = sigma(_load_pm(args.infile), args.secret)
-    _emit_value("sigma", str(value), args, {"value": float(value)})
-    return 0
+    return 0, {"sigma": str(value), "value": float(value)}, [str(value)]
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple:
     report = run_reproduction(args.step)
-    if args.format == "json":
-        _emit(json.dumps(report.as_dict(), indent=1), args.out)
-    else:
-        _emit(report.format_table(), args.out)
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.as_dict(), [report.format_table()]
 
 
-def _add_common(sub, infile=True, fmt_default="table"):
-    if infile:
-        sub.add_argument("--in", dest="infile", required=True, help="input file")
-    sub.add_argument("--out", help="write output here instead of stdout")
-    sub.add_argument(
-        "--format", choices=("json", "table"), default=fmt_default, help="output format"
-    )
-    sub.add_argument("--tolerance", type=float, default=None, help="override the mode default")
+# name: (handler, help, default format; None writes JSON only)
+COMMANDS = {
+    "validate": (cmd_validate, "check the polymatroid inequalities", "table"),
+    "dual": (cmd_dual, "dual polymatroid", "json"),
+    "tighten": (cmd_tighten, "remove private information at every element", "json"),
+    "entropy": (cmd_entropy, "entropy vector of a distribution file", "json"),
+    "mmrv": (cmd_mmrv, "MMRV inequality value (exit 1 when negative)", "table"),
+    "split": (cmd_split, "split an element into two fresh parts", "json"),
+    "extend": (cmd_extend, "principal extension by one element", "json"),
+    "expand": (cmd_expand, "unit-atom expansion summary or rank query", "table"),
+    "circuits": (cmd_circuits, "minimal dependent sets of a matroid", "table"),
+    "port": (cmd_port, "access structure of a matroid port", None),
+    "access-dual": (cmd_access_dual, "dual access structure", None),
+    "realizes": (cmd_realizes, "does the polymatroid realize the structure", "table"),
+    "sigma": (cmd_sigma, "worst share-to-secret ratio", "table"),
+    "reproduce": (cmd_reproduce, "re-derive every bundled reference value", "table"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,86 +209,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Polymatroid duality, entropy vectors, MMRV certificates, and matroid ports.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    sub = {}
+    for name, (func, help_text, fmt) in COMMANDS.items():
+        p = sub[name] = subs.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name != "reproduce":
+            p.add_argument("--in", dest="infile", required=True, help="input file")
+        p.add_argument("--out", help="write output here instead of stdout")
+        p.add_argument(
+            "--format", choices=("json", "table") if fmt else ("json",),
+            default=fmt or "json", help="output format",
+        )
+        if name in ("validate", "port", "realizes"):
+            p.add_argument("--tolerance", type=float, help="override the mode default")
 
-    sub = subs.add_parser("validate", help="check the polymatroid inequalities")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_validate)
-
-    sub = subs.add_parser("dual", help="dual polymatroid")
-    _add_common(sub, fmt_default="json")
-    sub.set_defaults(func=cmd_dual)
-
-    sub = subs.add_parser("tighten", help="remove private information at every element")
-    _add_common(sub, fmt_default="json")
-    sub.set_defaults(func=cmd_tighten)
-
-    sub = subs.add_parser("entropy", help="entropy vector of a distribution file")
-    _add_common(sub, fmt_default="json")
-    sub.set_defaults(func=cmd_entropy)
-
-    sub = subs.add_parser("mmrv", help="MMRV inequality value (exit 1 when negative)")
-    _add_common(sub)
-    sub.add_argument("--roles", help="five labels playing a,b,c,d,e (default: ground order)")
-    sub.set_defaults(func=cmd_mmrv)
-
-    sub = subs.add_parser("split", help="split an element into two fresh parts")
-    _add_common(sub, fmt_default="json")
-    sub.add_argument("--element", required=True)
-    sub.add_argument("--alphas", required=True, help="two values summing to the element's rank")
-    sub.add_argument("--labels", required=True, help="two fresh labels")
-    sub.set_defaults(func=cmd_split)
-
-    sub = subs.add_parser("extend", help="principal extension by one element")
-    _add_common(sub, fmt_default="json")
-    sub.add_argument("--element", required=True)
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--label", required=True)
-    sub.set_defaults(func=cmd_extend)
-
-    sub = subs.add_parser("expand", help="unit-atom expansion summary or rank query")
-    _add_common(sub)
-    sub.add_argument("--dual", action="store_true", help="answer for the dual of the expansion")
-    sub.add_argument("--query", help='subset, e.g. "a:12,b:3" or "a_1,b_2"')
-    sub.set_defaults(func=cmd_expand)
-
-    sub = subs.add_parser("circuits", help="minimal dependent sets of a matroid")
-    _add_common(sub)
-    sub.set_defaults(func=cmd_circuits)
-
-    sub = subs.add_parser("port", help="access structure of a matroid port")
-    _add_common(sub, fmt_default="json")
-    sub.add_argument("--secret", required=True)
-    sub.add_argument("--expanded", action="store_true", help="port of the unit-atom expansion")
-    sub.add_argument("--dual", action="store_true", help="port of the dual instead")
-    sub.set_defaults(func=cmd_port)
-
-    sub = subs.add_parser("access-dual", help="dual access structure")
-    _add_common(sub, fmt_default="json")
-    sub.set_defaults(func=cmd_access_dual)
-
-    sub = subs.add_parser("realizes", help="does the polymatroid realize the structure")
-    _add_common(sub)
-    sub.add_argument("--secret", required=True)
-    sub.add_argument("--access", required=True, help="access-structure file")
-    sub.set_defaults(func=cmd_realizes)
-
-    sub = subs.add_parser("sigma", help="worst share-to-secret ratio")
-    _add_common(sub)
-    sub.add_argument("--secret", required=True)
-    sub.set_defaults(func=cmd_sigma)
-
-    sub = subs.add_parser("reproduce", help="re-derive every bundled reference value")
-    _add_common(sub, infile=False)
-    sub.add_argument("--step", type=int, help="run a single step (1-10)")
-    sub.set_defaults(func=cmd_reproduce)
-
+    sub["mmrv"].add_argument(
+        "--roles", help="five labels playing a,b,c,d,e (default: ground order)"
+    )
+    sub["split"].add_argument("--element", required=True)
+    sub["split"].add_argument(
+        "--alphas", required=True, help="two values summing to the element's rank"
+    )
+    sub["split"].add_argument("--labels", required=True, help="two fresh labels")
+    sub["extend"].add_argument("--element", required=True)
+    sub["extend"].add_argument("--alpha", required=True)
+    sub["extend"].add_argument("--label", required=True)
+    sub["expand"].add_argument(
+        "--dual", action="store_true", help="answer for the dual of the expansion"
+    )
+    sub["expand"].add_argument("--query", help='subset, e.g. "a:12,b:3" or "a_1,b_2"')
+    sub["port"].add_argument("--secret", required=True)
+    sub["port"].add_argument(
+        "--expanded", action="store_true", help="port of the unit-atom expansion"
+    )
+    sub["port"].add_argument("--dual", action="store_true", help="port of the dual instead")
+    sub["realizes"].add_argument("--secret", required=True)
+    sub["realizes"].add_argument("--access", required=True, help="access-structure file")
+    sub["sigma"].add_argument("--secret", required=True)
+    sub["reproduce"].add_argument("--step", type=int, help="run a single step (1-10)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, table = args.func(args)
+        text = "\n".join(table) if args.format == "table" else json.dumps(doc, indent=1)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        else:
+            print(text)
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,8 @@
 A ground set is an ordered tuple of distinct labels; subsets of it are plain
 Python ints used as bitmasks, with bit ``i`` standing for the ``i``-th label.
 A rank vector stores one value per subset, indexed directly by mask, in one of
-two numeric modes: ``"int"`` (exact, int64) or ``"float"`` (binary64).  Dense
+two numeric modes: ``"int"`` (exact, int64) or ``"float"`` (binary64).  Int
+mode refuses values large enough that int64 sums over them could wrap.  Dense
 storage is capped at 20 elements; larger ground sets must go through the lazy
 oracles in :mod:`polyshare.matroid`.
 """
@@ -43,6 +44,36 @@ class NonFiniteRank(ValueError):
 
 class NonNumericRank(ValueError):
     """A rank given as something other than a real number (a string, a bool)."""
+
+
+class RankOverflow(ValueError):
+    """Int-mode ranks so large that int64 sums over them could wrap around."""
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false",
+               (int, float): "a number"}
+
+
+def json_field(doc, name: str, kind, where: str):
+    """``doc[name]`` of a parsed JSON document, checked to be a ``kind`` (a key
+    of _JSON_TYPES); the ValueError names the field when it is missing or of
+    another type.  A boolean is not a number here."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r:.40}")
+    if name not in doc:
+        raise ValueError(f"{where} missing {name!r}")
+    value = doc[name]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{where} field {name!r} must be {_JSON_TYPES[kind]}, got {value!r:.40}")
+    return value
+
+
+def _check_dense(ground: "GroundSet") -> None:
+    if ground.n > MAX_DENSE_ELEMENTS:
+        raise ValueError(
+            f"dense rank vectors are capped at {MAX_DENSE_ELEMENTS} elements "
+            f"(got {ground.n}); use a lazy oracle instead"
+        )
 
 
 @dataclass(frozen=True)
@@ -133,16 +164,14 @@ class RankVector:
     def __init__(self, ground: GroundSet, values, mode: str = "float"):
         if mode not in MODES:
             raise ModeError(f"mode must be one of {MODES}, got {mode!r}")
-        if ground.n > MAX_DENSE_ELEMENTS:
-            raise ValueError(
-                f"dense rank vectors are capped at {MAX_DENSE_ELEMENTS} elements "
-                f"(got {ground.n}); use a lazy oracle instead"
-            )
+        _check_dense(ground)
         arr = np.asarray(values)
         if arr.shape != (1 << ground.n,):
             raise ValueError(
                 f"expected {1 << ground.n} values (one per subset), got shape {arr.shape}"
             )
+        if mode == "float":
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NonFiniteRank(
@@ -150,12 +179,17 @@ class RankVector:
                 "ranks must be finite"
             )
         if mode == "int":
+            # every library sum stays below (n + 2) * max|value|
+            limit = -(-(1 << 63) // (ground.n + 2))
+            if arr.max() >= limit or arr.min() <= -limit:
+                raise RankOverflow(
+                    f"int-mode ranks must lie strictly between -{limit} and {limit} "
+                    f"on {ground.n} elements, or int64 sums could wrap"
+                )
             cast = np.asarray(arr, dtype=np.int64)
             if not np.array_equal(cast, arr):
                 raise ModeError("non-integer values in int mode")
             arr = cast
-        else:
-            arr = np.asarray(arr, dtype=np.float64)
         if arr[0] != 0:
             raise ValueError(f"rank of the empty set must be 0, got {arr[0]}")
         arr = arr.copy()
@@ -167,7 +201,9 @@ class RankVector:
     @classmethod
     def from_ranks(cls, ground: GroundSet, ranks: dict, mode: str = "float") -> "RankVector":
         """Build from a {subset key: value} mapping covering every nonempty subset."""
-        values = np.zeros(1 << ground.n, dtype=np.float64)
+        _check_dense(ground)
+        int_mode = mode == "int"
+        values = [0] * (1 << ground.n)  # Python numbers, so big ints stay exact
         seen = set()
         for key, val in ranks.items():
             mask = subset_parse(ground, key)
@@ -183,6 +219,8 @@ class RankVector:
                 raise NonNumericRank(
                     f"rank of subset {key!r} is {val!r}; ranks must be real numbers"
                 )
+            if int_mode and type(val) is not int and float(val).is_integer():
+                val = int(val)  # 2.0 in int mode, kept exact beside big ints
             values[mask] = val
         missing = [m for m in range(1, 1 << ground.n) if m not in seen]
         if missing:
@@ -233,11 +271,10 @@ def rank_vector_to_json(rank: RankVector) -> dict:
 
 
 def rank_vector_from_json(doc: dict) -> RankVector:
-    for field_name in ("ground", "mode", "ranks"):
-        if field_name not in doc:
-            raise ValueError(f"rank-vector file missing {field_name!r}")
-    ground = GroundSet(doc["ground"])
-    return RankVector.from_ranks(ground, doc["ranks"], doc["mode"])
+    where = "rank-vector file"
+    ground = GroundSet(json_field(doc, "ground", list, where))
+    mode = json_field(doc, "mode", str, where)
+    return RankVector.from_ranks(ground, json_field(doc, "ranks", dict, where), mode)
 
 
 def load_rank_vector(path) -> RankVector:

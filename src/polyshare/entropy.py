@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, RankVector
+from .core import GroundSet, RankVector, json_field
 from .polymatroid import Polymatroid, validate_polymatroid
 
 SUM_TOL = 1e-9
@@ -38,7 +38,7 @@ class JointDistribution:
             )
         if p.shape != (rows.shape[0],):
             raise ValueError("one probability per outcome row required")
-        if np.any(p < 0):
+        if not np.all(p >= 0):  # NaN fails here too
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -59,12 +59,15 @@ class JointDistribution:
 
 
 def distribution_from_json(doc: dict) -> JointDistribution:
-    for field in ("variables", "rows"):
-        if field not in doc:
-            raise ValueError(f"distribution file missing {field!r}")
-    variables = GroundSet(doc["variables"])
-    outcomes = [row["values"] for row in doc["rows"]]
-    probs = [row["prob"] for row in doc["rows"]]
+    variables = GroundSet(json_field(doc, "variables", list, "distribution file"))
+    outcomes, probs = [], []
+    for i, row in enumerate(json_field(doc, "rows", list, "distribution file")):
+        values = json_field(row, "values", list, f"distribution row {i}")
+        prob = json_field(row, "prob", (int, float), f"distribution row {i}")
+        if not all(type(v) is int for v in values):
+            raise ValueError(f"distribution row {i} field 'values' must hold integers")
+        outcomes.append(values)
+        probs.append(prob)
     return JointDistribution(variables, outcomes, probs)
 
 

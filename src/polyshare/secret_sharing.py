@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice
-from .core import GroundSet, GroundSetMismatch
+from .core import GroundSet, GroundSetMismatch, json_field, load_rank_vector
 from .matroid import ExpandedMatroid, helgason_expand
 from .polymatroid import Polymatroid, default_decision_tol, validate_polymatroid
 
@@ -301,33 +301,51 @@ def access_structure_to_json(A: AccessStructure) -> dict:
     }
 
 
-def _port_from_doc(doc: dict, base_dir: str) -> AccessStructure:
-    from .core import load_rank_vector
+def expanded_port_doc(base_file: str, dualized: bool, secret: str) -> dict:
+    """Document naming the port of the expansion of the rank vector in
+    ``base_file`` (a path relative to the document's own directory)."""
+    expanded = {"base_file": base_file, "dualized": dualized}
+    return {"port": {"expanded": expanded, "secret": secret}}
 
-    spec = doc["port"]
-    secret = spec["secret"]
-    if "matroid_file" in spec:
-        path = os.path.join(base_dir, spec["matroid_file"])
-        pm = validate_polymatroid(load_rank_vector(path))
-        return matroid_port(pm, secret)
-    if "expanded" in spec:
-        exp = spec["expanded"]
-        path = os.path.join(base_dir, exp["base_file"])
-        base = validate_polymatroid(load_rank_vector(path))
-        E = helgason_expand(base, dualized=bool(exp.get("dualized", False)))
-        return matroid_port(E, secret)
-    raise ValueError("port spec needs either 'matroid_file' or 'expanded'")
+
+def expanded_port_spec(doc) -> tuple[str, bool, str] | None:
+    """(base_file, dualized, secret) of an expanded-port document, None for
+    any other document."""
+    spec = doc.get("port") if isinstance(doc, dict) else None
+    if not (isinstance(spec, dict) and "expanded" in spec):
+        return None
+    exp = json_field(spec, "expanded", dict, "port spec")
+    dualized = json_field(exp, "dualized", bool, "expanded port") if "dualized" in exp else False
+    base_file = json_field(exp, "base_file", str, "expanded port")
+    return base_file, dualized, json_field(spec, "secret", str, "port spec")
+
+
+def _port_from_doc(doc: dict, base_dir: str) -> AccessStructure:
+    expanded = expanded_port_spec(doc)
+    if expanded is not None:
+        base_file, dualized, secret = expanded
+        base = validate_polymatroid(load_rank_vector(os.path.join(base_dir, base_file)))
+        return matroid_port(helgason_expand(base, dualized=dualized), secret)
+    spec = json_field(doc, "port", dict, "access-structure file")
+    if "matroid_file" not in spec:
+        raise ValueError("port spec needs either 'matroid_file' or 'expanded'")
+    path = os.path.join(base_dir, json_field(spec, "matroid_file", str, "port spec"))
+    pm = validate_polymatroid(load_rank_vector(path))
+    return matroid_port(pm, json_field(spec, "secret", str, "port spec"))
 
 
 def access_structure_from_json(doc: dict, base_dir: str = ".") -> AccessStructure:
-    if "port" in doc:
+    if isinstance(doc, dict) and "port" in doc:
         return _port_from_doc(doc, base_dir)
-    for field in ("participants", "minimal_qualified"):
-        if field not in doc:
-            raise ValueError(f"access-structure file missing {field!r}")
-    participants = GroundSet(doc["participants"])
-    masks = [participants.mask_of(group) for group in doc["minimal_qualified"]]
-    return from_minimal(participants, masks)
+    where = "access-structure file"
+    participants = GroundSet(json_field(doc, "participants", list, where))
+    groups = json_field(doc, "minimal_qualified", list, where)
+    for group in groups:
+        if not (isinstance(group, list) and all(isinstance(label, str) for label in group)):
+            raise ValueError(
+                f"{where} field 'minimal_qualified' holds {group!r:.40}, not a list of labels"
+            )
+    return from_minimal(participants, [participants.mask_of(group) for group in groups])
 
 
 def load_access_structure(path) -> AccessStructure:

@@ -1,13 +1,22 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import argparse
+import contextlib
+import copy
+import functools
+import io
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyshare import RankVector, save_rank_vector, uniform_matroid
-from polyshare.cli import main
+from polyshare.cli import build_parser, main
 from polyshare.reproduce import fixture_doc
+from polyshare.secret_sharing import expanded_port_doc
 
 from generators import pm, split_fully
 
@@ -384,3 +393,217 @@ class TestDeterminism:
         table = dict(line.split("\t") for line in table_out.splitlines())
         for key, value in doc["ranks"].items():
             assert table[key or "(empty)"] == str(value)
+
+
+def subcommands() -> dict:
+    """{name: subparser}, read from the parser itself."""
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+TOLERANT = {"validate", "port", "realizes"}
+JSON_ONLY = {"port", "access-dual"}
+
+
+@pytest.fixture()
+def valid_args(tmp_path, u23_file, middle_file, tight_file, table1_file):
+    """Arguments of one run of every subcommand that exits 0."""
+    access = tmp_path / "access.json"
+    access.write_text(json.dumps({"participants": ["b", "c"], "minimal_qualified": [["b", "c"]]}))
+    return {
+        "validate": ["--in", u23_file],
+        "dual": ["--in", middle_file],
+        "tighten": ["--in", middle_file],
+        "entropy": ["--in", table1_file],
+        "mmrv": ["--in", middle_file],
+        "split": ["--in", tight_file, "--element", "a", "--alphas", "1,36", "--labels", "a1,a2"],
+        "extend": ["--in", u23_file, "--element", "a", "--alpha", "1", "--label", "t"],
+        "expand": ["--in", tight_file, "--query", "a:1"],
+        "circuits": ["--in", u23_file],
+        "port": ["--in", u23_file, "--secret", "a"],
+        "access-dual": ["--in", str(access)],
+        "realizes": ["--in", u23_file, "--secret", "a", "--access", str(access)],
+        "sigma": ["--in", tight_file, "--secret", "a"],
+        "reproduce": ["--step", "1"],
+    }
+
+
+class TestFlags:
+    def test_tolerance_and_table_only_where_honoured(self):
+        usage = {name: sub.format_usage() for name, sub in subcommands().items()}
+        assert {name for name, u in usage.items() if "--tolerance" in u} == TOLERANT
+        assert {name for name, u in usage.items() if "--format {json}" in u} == JSON_ONLY
+
+    def test_every_subcommand_has_a_valid_run(self, valid_args):
+        assert set(valid_args) == set(subcommands())
+
+    @pytest.mark.parametrize("name", sorted(subcommands()))
+    def test_unhonoured_flags_exit_two(self, capsys, valid_args, name):
+        argv = [name, *valid_args[name]]
+        assert run(capsys, *argv)[0] == 0
+        if name in TOLERANT:
+            assert run(capsys, *argv, "--tolerance", "1e-3")[0] == 0
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tolerance", "1e-3"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        if name in JSON_ONLY:
+            assert run(capsys, *argv, "--format", "json")[0] == 0
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", "table"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'table'" in capsys.readouterr().err
+
+
+class TestTolerance:
+    @pytest.fixture()
+    def near_file(self, tmp_path):
+        """f(a,b) - f(b) = 5e-4: the secret a is recovered from b within 1e-3 only."""
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(
+            {"ground": ["a", "b"], "mode": "float", "ranks": {"a": 1.0, "b": 1.0, "a,b": 1.0005}}
+        ))
+        return str(path)
+
+    def test_validate(self, capsys, tmp_path):
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps(
+            {"ground": ["a", "b"], "mode": "float", "ranks": {"a": 1.0, "b": 1.0, "a,b": 2.000001}}
+        ))
+        code, out, _ = run(capsys, "validate", "--in", str(path))
+        assert code == 1 and "submodular" in out
+        code, out, _ = run(capsys, "validate", "--in", str(path), "--tolerance", "1e-3")
+        assert (code, out) == (0, "valid\n")
+        # dual validates with the default tolerance and has no flag to change it
+        with pytest.raises(SystemExit) as exc:
+            main(["dual", "--in", str(path), "--tolerance", "1e-3"])
+        assert exc.value.code == 2
+
+    def test_port(self, capsys, near_file):
+        argv = ["port", "--in", near_file, "--secret", "a"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "full participant set must be qualified" in err
+        code, out, _ = run(capsys, *argv, "--tolerance", "1e-3")
+        assert code == 0
+        assert json.loads(out) == {"participants": ["b"], "minimal_qualified": [["b"]]}
+
+    def test_realizes(self, capsys, tmp_path, near_file):
+        access = tmp_path / "access.json"
+        access.write_text(json.dumps({"participants": ["b"], "minimal_qualified": [["b"]]}))
+        argv = ["realizes", "--in", near_file, "--secret", "a", "--access", str(access)]
+        assert run(capsys, *argv) == (1, "violated at 'b'\n", "")
+        assert run(capsys, *argv, "--tolerance", "1e-3") == (0, "realizes\n", "")
+
+
+class TestIntMode:
+    def test_big_ranks_tighten_exactly(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"ground": ["a", "b"], "mode": "int",
+             "ranks": {"a": 2**60 + 1, "b": 1, "a,b": 2**60 + 2}}
+        ))
+        # beyond 2^53: float64 would read 2^60, 1, 2^60 and tighten to 1, 1, 1
+        code, out, _ = run(capsys, "tighten", "--in", str(path), "--format", "table")
+        assert (code, out) == (0, "a\t0\nb\t0\na,b\t0\n")
+
+    def test_wrapping_ranks_are_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "wrap.json"
+        keys = ("a", "b", "c", "a,b", "a,c", "b,c", "a,b,c")
+        path.write_text(json.dumps({"ground": ["a", "b", "c"], "mode": "int",
+                                    "ranks": {k: 2**62 for k in keys}}))
+        # int64 sums would wrap dual's pairs to -2^63, and its re-validation too
+        code, out, err = run(capsys, "dual", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "could wrap" in err
+
+
+# replacement values for the fuzz, one of each JSON type
+SWAPS = (None, True, "x", 7, math.nan, math.inf, [], ["a"], {}, {"a": 1})
+
+
+def _kind(value) -> str:
+    """JSON type of a value; ints and finite floats are both numbers."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "non-finite"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+def _entries(doc, path=()):
+    """(path, value) of every entry of a JSON document, the document itself first."""
+    yield path, doc
+    items = ()
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield from _entries(value, path + (key,))
+
+
+# name: (document, commands reading it from {doc}); other paths are under {dir}
+FUZZ_DOCS = {
+    "table2_middle": (fixture_doc("table2_middle.json"), [["dual", "--in", "{doc}"]]),
+    "table1": (fixture_doc("table1.json"), [["entropy", "--in", "{doc}"]]),
+    "access": (
+        {"participants": ["b", "c"], "minimal_qualified": [["b", "c"]]},
+        [["access-dual", "--in", "{doc}"],
+         ["realizes", "--in", "{dir}/u23.json", "--secret", "a", "--access", "{doc}"]],
+    ),
+    "matroid port": (
+        {"port": {"matroid_file": "u23.json", "secret": "a"}},
+        [["access-dual", "--in", "{doc}"],
+         ["realizes", "--in", "{dir}/u23.json", "--secret", "a", "--access", "{doc}"]],
+    ),
+    "expanded port": (
+        expanded_port_doc("base.json", False, "a_1"),
+        [["access-dual", "--in", "{doc}"],
+         ["realizes", "--in", "{dir}/dense.json", "--secret", "a_1", "--access", "{doc}"]],
+    ),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz")
+        base = pm({"a": 2, "b": 2, "a,b": 3})
+        save_rank_vector(U23.rank, path / "u23.json")
+        save_rank_vector(base.rank, path / "base.json")
+        save_rank_vector(split_fully(base, ("a", "b")).rank, path / "dense.json")
+        return path
+
+    def outcomes(self, fuzz_dir, name, doc):
+        """(argv, exit code, stdout, stderr) of each command on the document."""
+        (fuzz_dir / "doc.json").write_text(json.dumps(doc))
+        for command in FUZZ_DOCS[name][1]:
+            argv = [a.format(doc=fuzz_dir / "doc.json", dir=fuzz_dir) for a in command]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            yield argv, code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("name", sorted(FUZZ_DOCS))
+    def test_unmutated_documents_run(self, fuzz_dir, name):
+        for argv, code, _, err in self.outcomes(fuzz_dir, name, FUZZ_DOCS[name][0]):
+            assert code == 0, (argv, err)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_dropped_field_or_swapped_type_exits_two(self, fuzz_dir, data):
+        name = data.draw(st.sampled_from(sorted(FUZZ_DOCS)))
+        doc = copy.deepcopy(FUZZ_DOCS[name][0])
+        path, value = data.draw(st.sampled_from(list(_entries(doc))))
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if path and isinstance(parent, dict) and data.draw(st.booleans()):
+            assume(path[-1] != "dualized")  # the one optional field
+            del parent[path[-1]]
+        else:
+            swap = data.draw(st.sampled_from([v for v in SWAPS if _kind(v) != _kind(value)]))
+            if path:
+                parent[path[-1]] = swap
+            else:
+                doc = swap
+        for argv, code, out, err in self.outcomes(fuzz_dir, name, doc):
+            assert (code, out) == (2, ""), (argv, doc)
+            assert err.startswith("error: ") and "Traceback" not in err

@@ -12,6 +12,7 @@ from polyshare import (
     ModeError,
     NonFiniteRank,
     NonNumericRank,
+    RankOverflow,
     RankVector,
     UnknownLabel,
     load_rank_vector,
@@ -21,7 +22,9 @@ from polyshare import (
     save_rank_vector,
     subset_format,
     subset_parse,
+    tighten,
     uniform_matroid,
+    validate_polymatroid,
 )
 from polyshare.lattice import additive, by_size
 
@@ -193,6 +196,56 @@ class TestRankVector:
         assert r1 != r1.to_float()
 
 
+class TestIntMode:
+    def test_big_ranks_stored_exactly(self):
+        ranks = {"a": 2**60 + 1, "b": 1, "a,b": 2**60 + 2}
+        rv = RankVector.from_ranks(GroundSet("ab"), ranks, "int")
+        assert rv.to_ranks() == ranks
+        # beyond 2^53: float64 would read 2^60, 1, 2^60 and tighten to 1, 1, 1
+        assert tighten(validate_polymatroid(rv)).values.tolist() == [0, 0, 0, 0]
+
+    def test_integral_float_accepted_beside_big_ranks(self):
+        ranks = {"a": 2**60 + 1, "b": 1.0, "a,b": 2**60 + 2.0}
+        rv = RankVector.from_ranks(GroundSet("ab"), ranks, "int")
+        assert rv.to_ranks() == {"a": 2**60 + 1, "b": 1, "a,b": 2**60}
+        assert type(rv.value(2)) is int
+
+    def test_fractional_rank_rejected(self):
+        with pytest.raises(ModeError):
+            RankVector.from_ranks(GroundSet("ab"), {"a": 1, "b": 1.5, "a,b": 2}, "int")
+
+    def test_wrapping_ranks_rejected(self):
+        # int64 sums would wrap this dual's pairs to -2^63, and its re-validation too
+        keys = ("a", "b", "c", "a,b", "a,c", "b,c", "a,b,c")
+        with pytest.raises(RankOverflow, match="could wrap"):
+            RankVector.from_ranks(ABC, {k: 2**62 for k in keys}, "int")
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_bound_is_max_times_n_plus_two(self, n):
+        ground = GroundSet(f"x{i}" for i in range(n))
+        limit = -(-(2**63) // (n + 2))
+        values = [0] * (1 << n)
+        for top in (limit - 1, -(limit - 1)):
+            values[-1] = top
+            assert RankVector(ground, values, "int").value(ground.full_mask) == top
+        for bad in (limit, -limit, 2**63 - 1, -(2**63), 2**63, 2**70):
+            values[-1] = bad
+            with pytest.raises(RankOverflow):
+                RankVector(ground, values, "int")
+        array = np.zeros(1 << n, dtype=np.int64)
+        array[-1] = -(2**63)
+        with pytest.raises(RankOverflow):
+            RankVector(ground, array, "int")
+
+    def test_float_mode_has_no_bound(self):
+        assert RankVector(GroundSet("a"), [0, 2.0**70], "float").value(1) == 2.0**70
+
+    def test_cap_checked_before_allocation(self):
+        ground = GroundSet(f"x{i}" for i in range(21))
+        with pytest.raises(ValueError, match="capped at 20"):
+            RankVector.from_ranks(ground, {"x0": 1}, "int")
+
+
 class TestMu:
     def test_u23_pair(self):
         u23 = uniform_matroid(2, ("a", "b", "c"))
@@ -234,6 +287,16 @@ class TestJsonFiles:
             del broken[key]
             with pytest.raises(ValueError, match=key):
                 rank_vector_from_json(broken)
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"ground": "ab", "mode": "int", "ranks": {}}, "'ground' must be a list"),
+        ({"ground": ["a"], "mode": "int", "ranks": [1]}, "'ranks' must be an object"),
+        ({"ground": ["a"], "mode": 1, "ranks": {"a": 1}}, "'mode' must be a string"),
+        ([["a"], "int", {"a": 1}], "must be a JSON object"),
+    ])
+    def test_malformed_document_names_the_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            rank_vector_from_json(doc)
 
     def test_file_is_stable(self, tmp_path):
         u23 = uniform_matroid(2, ("a", "b", "c"))

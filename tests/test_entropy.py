@@ -182,6 +182,23 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="rows"):
             distribution_from_json({"variables": ["a"]})
 
+    def test_nan_prob_rejected(self):
+        # NaN compares false both ways: only a p >= 0 test catches it
+        with pytest.raises(ValueError, match="non-negative"):
+            JointDistribution(GroundSet("ab"), [[0, 0], [1, 1]], [np.nan, 1.0])
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"variables": "ab", "rows": []}, "'variables' must be a list"),
+        ({"variables": ["a"], "rows": {"values": [0], "prob": 1}}, "'rows' must be a list"),
+        ({"variables": ["a"], "rows": [{"values": [0]}]}, "row 0 missing 'prob'"),
+        ({"variables": ["a"], "rows": [{"values": [0], "prob": "1"}]}, "'prob' must be a number"),
+        ({"variables": ["a"], "rows": [{"values": [0], "prob": True}]}, "'prob' must be a number"),
+        ({"variables": ["a"], "rows": [{"values": [0.5], "prob": 1}]}, "must hold integers"),
+    ])
+    def test_malformed_document_names_the_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            distribution_from_json(doc)
+
 
 class TestEntropyVector:
     def test_two_fair_bits(self):

@@ -35,6 +35,8 @@ from polyshare import (
 from polyshare.secret_sharing import (
     access_structure_from_json,
     access_structure_to_json,
+    expanded_port_doc,
+    expanded_port_spec,
     from_minimal,
     from_oracle,
     from_qualified_masks,
@@ -633,3 +635,37 @@ class TestJsonRoundTrips:
         direct = matroid_port(helgason_expand(tight_pm, dualized=True), "a_1")
         for probe in (0, A.participants.full_mask, 0b1011):
             assert is_qualified(A, probe) == is_qualified(direct, probe)
+
+
+class TestPortDocuments:
+    def test_expanded_round_trip(self):
+        assert expanded_port_spec(expanded_port_doc("b.json", True, "a_1")) == ("b.json", True, "a_1")
+
+    def test_dualized_defaults_to_false(self):
+        doc = {"port": {"expanded": {"base_file": "b.json"}, "secret": "a_1"}}
+        assert expanded_port_spec(doc) == ("b.json", False, "a_1")
+
+    @pytest.mark.parametrize("doc", [
+        {"participants": ["b"], "minimal_qualified": [["b"]]},
+        {"port": {"matroid_file": "m.json", "secret": "a"}},
+        {"port": ["expanded"]},
+        [1],
+        None,
+    ])
+    def test_other_documents_are_not_expanded(self, doc):
+        assert expanded_port_spec(doc) is None
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"port": {"expanded": {"dualized": False}, "secret": "a_1"}}, "missing 'base_file'"),
+        ({"port": {"expanded": {"base_file": "b.json", "dualized": 1}, "secret": "a_1"}},
+         "'dualized' must be true or false"),
+        ({"port": {"expanded": {"base_file": "b.json"}}}, "missing 'secret'"),
+        ({"port": {"matroid_file": 3, "secret": "a"}}, "'matroid_file' must be a string"),
+        ({"port": {"secret": "a"}}, "either 'matroid_file' or 'expanded'"),
+        ({"participants": "bc", "minimal_qualified": []}, "'participants' must be a list"),
+        ({"participants": ["b", "c"], "minimal_qualified": [1]}, "holds 1, not a list"),
+        ({"participants": ["b", "c"], "minimal_qualified": ["bc"]}, "holds 'bc', not a list"),
+    ])
+    def test_malformed_document_names_the_field(self, doc, field):
+        with pytest.raises(ValueError, match=field):
+            access_structure_from_json(doc)
