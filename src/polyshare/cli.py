@@ -134,8 +134,10 @@ def cmd_circuits(args) -> tuple:
 
 
 def _relative_to_out(in_path: str, out: str | None) -> str:
+    """``in_path`` as an expanded-port ``base_file``: relative to the --out
+    file's directory, absolute when the document goes to stdout."""
     if out is None:
-        return in_path
+        return os.path.abspath(in_path)
     return os.path.relpath(os.path.abspath(in_path), os.path.dirname(os.path.abspath(out)) or ".")
 
 

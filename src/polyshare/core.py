@@ -11,6 +11,7 @@ oracles in :mod:`polyshare.matroid`.
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +69,12 @@ def json_field(doc, name: str, kind, where: str):
     return value
 
 
-def _check_dense(ground: "GroundSet") -> None:
+def check_dense(ground: "GroundSet") -> None:
+    """Raise before anything is allocated when one value per subset of
+    ``ground`` would exceed the dense cap."""
     if ground.n > MAX_DENSE_ELEMENTS:
         raise ValueError(
-            f"dense rank vectors are capped at {MAX_DENSE_ELEMENTS} elements "
+            f"dense storage is capped at {MAX_DENSE_ELEMENTS} elements "
             f"(got {ground.n}); use a lazy oracle instead"
         )
 
@@ -164,14 +167,21 @@ class RankVector:
     def __init__(self, ground: GroundSet, values, mode: str = "float"):
         if mode not in MODES:
             raise ModeError(f"mode must be one of {MODES}, got {mode!r}")
-        _check_dense(ground)
+        check_dense(ground)
         arr = np.asarray(values)
         if arr.shape != (1 << ground.n,):
             raise ValueError(
                 f"expected {1 << ground.n} values (one per subset), got shape {arr.shape}"
             )
         if mode == "float":
-            arr = np.asarray(arr, dtype=np.float64)
+            try:
+                arr = np.asarray(arr, dtype=np.float64)
+            except OverflowError:  # a Python int beyond the float range
+                bad = next(i for i, v in enumerate(arr.tolist()) if abs(v) > sys.float_info.max)
+                raise NonFiniteRank(
+                    f"rank of subset {subset_format(ground, bad)!r} is too large for a float; "
+                    "ranks must be finite"
+                ) from None
         if arr.dtype.kind == "f" and not np.isfinite(arr).all():
             bad = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NonFiniteRank(
@@ -201,7 +211,7 @@ class RankVector:
     @classmethod
     def from_ranks(cls, ground: GroundSet, ranks: dict, mode: str = "float") -> "RankVector":
         """Build from a {subset key: value} mapping covering every nonempty subset."""
-        _check_dense(ground)
+        check_dense(ground)
         int_mode = mode == "int"
         values = [0] * (1 << ground.n)  # Python numbers, so big ints stay exact
         seen = set()

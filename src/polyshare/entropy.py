@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, RankVector, json_field
+from .core import GroundSet, RankVector, check_dense, json_field
 from .polymatroid import Polymatroid, validate_polymatroid
 
 SUM_TOL = 1e-9
@@ -30,8 +30,14 @@ class JointDistribution:
     probs: np.ndarray
 
     def __init__(self, variables: GroundSet, outcomes, probs):
-        rows = np.asarray(outcomes, dtype=np.int64)
-        p = np.asarray(probs, dtype=np.float64)
+        try:
+            rows = np.asarray(outcomes, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("outcome values must fit in a 64-bit signed integer") from None
+        try:
+            p = np.asarray(probs, dtype=np.float64)
+        except OverflowError:
+            raise ValueError("probabilities must be finite floats") from None
         if rows.ndim != 2 or rows.shape[1] != variables.n:
             raise ValueError(
                 f"outcomes must be (rows, {variables.n}), got shape {rows.shape}"
@@ -144,6 +150,7 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
     parent's highest one, and its rows are labelled from the parent's
     labels, so only the labels along the current path are held.
     """
+    check_dense(d.variables)
     n = d.variables.n
     values = np.zeros(1 << n, dtype=np.float64)
     columns = [_codes(d.outcomes[:, j]) for j in range(n)]
@@ -211,6 +218,4 @@ def product_power(d: JointDistribution, n: int) -> Polymatroid:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     base = entropy_vector(d)
-    return validate_polymatroid(
-        RankVector(base.ground, n * base.values, "float")
-    )
+    return Polymatroid(RankVector(base.ground, n * base.values, "float"))

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import lattice
 from .core import DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel
-from .polymatroid import Polymatroid, validate_polymatroid
+from .polymatroid import Polymatroid
 
 MAX_CIRCUIT_ELEMENTS = 15
 
@@ -196,7 +196,7 @@ def block_collapse(E: ExpandedMatroid) -> Polymatroid:
     values = np.fromiter(
         (E.block_rank(m) for m in range(1 << ground.n)), dtype=np.int64, count=1 << ground.n
     )
-    return validate_polymatroid(RankVector(ground, values, "int"))
+    return Polymatroid(RankVector(ground, values, "int"))
 
 
 def expanded_mmrv(E: ExpandedMatroid, roles=None) -> int:
@@ -212,5 +212,4 @@ def expanded_mmrv(E: ExpandedMatroid, roles=None) -> int:
     block_masks = lattice.additive([base_ground.bit(lbl) for lbl in labels])
     values = [E.block_rank(m) for m in block_masks.tolist()]
     ground5 = GroundSet(labels)
-    pm = validate_polymatroid(RankVector(ground5, values, "int"))
-    return mmrv(pm)
+    return mmrv(Polymatroid(RankVector(ground5, values, "int")))

@@ -1,9 +1,11 @@
 """Polymatroid algebra on dense rank vectors.
 
 Validation runs the elemental inequalities (enough to imply monotonicity and
-submodularity in full), so it costs O(n^2 * 2^n) instead of O(4^n).  Every
-operation that returns a Polymatroid validates its result; a bug upstream
-surfaces as a ValidationError here rather than as silent garbage downstream.
+submodularity in full), so it costs O(n^2 * 2^n) instead of O(4^n).  It runs
+where data enters the program: files, fixtures, entropy vectors and rounding.
+The operations here map polymatroids to polymatroids and build their result
+directly; re-checking it could fail only through float rounding, and would
+then reject a valid input.  Property tests check each operation's output.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ from .core import (
     GroundSetMismatch,
     ModeError,
     RankVector,
+    check_dense,
     mu,
     subset_format,
     subset_parse,
@@ -83,7 +86,8 @@ class ResidualTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class Polymatroid:
-    """A rank vector that has passed validate_polymatroid."""
+    """A rank vector satisfying the elemental inequalities: one that passed
+    validate_polymatroid, or the result of an operation closed on polymatroids."""
 
     rank: RankVector
 
@@ -148,9 +152,9 @@ def check_polymatroid(rank: RankVector, tolerance=None) -> list[Violation]:
     return violations
 
 
-def validate_polymatroid(rank: RankVector, tolerance=None) -> Polymatroid:
+def validate_polymatroid(rank: RankVector) -> Polymatroid:
     """Gate a rank vector into a Polymatroid, or raise ValidationError."""
-    violations = check_polymatroid(rank, tolerance)
+    violations = check_polymatroid(rank)
     if violations:
         raise ValidationError(violations)
     return Polymatroid(rank)
@@ -162,7 +166,7 @@ def dual(M: Polymatroid) -> Polymatroid:
     vals = rank.values
     singletons = vals[[1 << i for i in range(rank.ground.n)]]
     out = vals[::-1] + lattice.additive(singletons) - vals[-1]  # vals[::-1][A] = f(M - A)
-    return validate_polymatroid(RankVector(rank.ground, out, rank.mode))
+    return Polymatroid(RankVector(rank.ground, out, rank.mode))
 
 
 def tighten(M: Polymatroid) -> Polymatroid:
@@ -173,11 +177,11 @@ def tighten(M: Polymatroid) -> Polymatroid:
     vals = rank.values
     private = vals[full] - vals[[full ^ (1 << i) for i in range(rank.ground.n)]]
     out = vals - lattice.additive(private)
-    return validate_polymatroid(RankVector(rank.ground, out, rank.mode))
+    return Polymatroid(RankVector(rank.ground, out, rank.mode))
 
 
-def is_tight(M: Polymatroid, tolerance=None) -> bool:
-    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
+def is_tight(M: Polymatroid) -> bool:
+    tol = default_decision_tol(M.mode)
     full = M.ground.full_mask
     return all(
         abs(M.values[full] - M.values[full ^ (1 << i)]) <= tol
@@ -185,10 +189,10 @@ def is_tight(M: Polymatroid, tolerance=None) -> bool:
     )
 
 
-def is_connected(M: Polymatroid, tolerance=None):
+def is_connected(M: Polymatroid):
     """(True, None), or (False, (A, B)) for the first proper bipartition with
-    f(A) + f(B) = f(M) within tolerance."""
-    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
+    f(A) + f(B) = f(M) within the mode's decision tolerance."""
+    tol = default_decision_tol(M.mode)
     n = M.ground.n
     if n == 1:
         return True, None
@@ -203,9 +207,9 @@ def is_connected(M: Polymatroid, tolerance=None):
     return True, None
 
 
-def is_independent_set(M: Polymatroid, A: int, tolerance=None) -> bool:
+def is_independent_set(M: Polymatroid, A: int) -> bool:
     """True when f(A) equals the sum of its singleton ranks."""
-    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
+    tol = default_decision_tol(M.mode)
     return abs(M.value(A) - mu(M.rank, A)) <= tol
 
 
@@ -248,7 +252,7 @@ def factor(M: Polymatroid, fmap: FactorMap) -> Polymatroid:
         )
     blocks = [fmap.preimage(1 << k) for k in range(fmap.target.n)]
     out = M.values[lattice.additive(blocks)]
-    return validate_polymatroid(RankVector(fmap.target, out, M.mode))
+    return Polymatroid(RankVector(fmap.target, out, M.mode))
 
 
 def _require_mode_value(mode: str, alpha, name: str):
@@ -273,7 +277,7 @@ def principal_extension(M: Polymatroid, a: str, alpha, new_label: str) -> Polyma
     out[:size_old] = old
     masks = np.arange(size_old)
     out[size_old:] = np.minimum(old + alpha, old[masks | abit])
-    return validate_polymatroid(RankVector(new_ground, out, M.mode))
+    return Polymatroid(RankVector(new_ground, out, M.mode))
 
 
 def split_atom(M: Polymatroid, a: str, alpha1, alpha2, labels) -> Polymatroid:
@@ -289,8 +293,7 @@ def split_atom(M: Polymatroid, a: str, alpha1, alpha2, labels) -> Polymatroid:
     ha = M.value(1 << k)
     a1 = _require_mode_value(M.mode, alpha1, "alpha1")
     a2 = _require_mode_value(M.mode, alpha2, "alpha2")
-    tol = 0 if M.mode == "int" else VALIDATION_TOL
-    if abs((a1 + a2) - ha) > tol:
+    if abs((a1 + a2) - ha) > default_validation_tol(M.mode):
         raise ValueError(f"alpha1 + alpha2 = {a1 + a2} but f({a}) = {ha}")
     new_ground = GroundSet(ground.labels[:k] + (l1, l2) + ground.labels[k + 1 :])
     h_plain, h_with = lattice.split(M.values, k)
@@ -299,7 +302,7 @@ def split_atom(M: Polymatroid, a: str, alpha1, alpha2, labels) -> Polymatroid:
     parts = (h_plain, np.minimum(h_plain + a1, h_with), np.minimum(h_plain + a2, h_with), h_with)
     for cell, part in zip(lattice.pair(out, k, k + 1), parts):
         cell[:, 0] = part
-    return validate_polymatroid(RankVector(new_ground, out, M.mode))
+    return Polymatroid(RankVector(new_ground, out, M.mode))
 
 
 def collapse_pair(M: Polymatroid, l1: str, l2: str, label: str) -> Polymatroid:
@@ -320,8 +323,9 @@ def basis_r(ground: GroundSet, A: int) -> Polymatroid:
     """Indicator polymatroid of hitting A: rank 1 on subsets meeting A, else 0."""
     if A == 0:
         raise ValueError("basis_r needs a non-empty subset")
+    check_dense(ground)
     vals = ((lattice.masks(ground.n) & A) != 0).astype(np.int64)
-    return validate_polymatroid(RankVector(ground, vals, "int"))
+    return Polymatroid(RankVector(ground, vals, "int"))
 
 
 def linear_combine(terms) -> RankVector:
@@ -364,4 +368,5 @@ def round_to_integer(rank: RankVector, residual_tol: float = 1e-3) -> RankVector
 def uniform_matroid(k: int, labels) -> Polymatroid:
     """Rank min(|A|, k) on the given labels, integer mode."""
     ground = GroundSet(labels)
-    return validate_polymatroid(RankVector(ground, np.minimum(lattice.sizes(ground.n), k), "int"))
+    check_dense(ground)
+    return Polymatroid(RankVector(ground, np.minimum(lattice.sizes(ground.n), k), "int"))

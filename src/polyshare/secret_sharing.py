@@ -1,8 +1,8 @@
 """Access structures, their duals, and matroid ports.
 
 An access structure is the upward-closed family of participant subsets that
-can recover the secret.  Structures on at most MAX_EXPLICIT participants are
-stored as one flag per subset; larger ones, such as the ports of expanded
+can recover the secret.  Structures on at most MAX_DENSE_ELEMENTS participants
+are stored as one flag per subset; larger ones, such as the ports of expanded
 matroids (174 participants for the bundled construction), are membership
 oracles answering one subset at a time.
 """
@@ -15,18 +15,23 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice
-from .core import GroundSet, GroundSetMismatch, json_field, load_rank_vector
+from .core import (
+    MAX_DENSE_ELEMENTS,
+    GroundSet,
+    GroundSetMismatch,
+    check_dense,
+    json_field,
+    load_rank_vector,
+)
 from .matroid import ExpandedMatroid, helgason_expand
 from .polymatroid import Polymatroid, default_decision_tol, validate_polymatroid
-
-MAX_EXPLICIT = 20
 
 
 class AccessStructure:
     """Qualified-subset family over a participant ground set.
 
     Give either the ``qualified`` flags (one per subset mask) or a membership
-    ``oracle``.  On at most MAX_EXPLICIT participants the structure always
+    ``oracle``.  On at most MAX_DENSE_ELEMENTS participants the structure always
     holds the ``qualified`` table: an oracle is evaluated on every subset at
     construction, so its upward closure is checked too.  Larger structures
     keep the oracle, ``qualified`` is None, and only the empty and the full
@@ -38,13 +43,10 @@ class AccessStructure:
             raise ValueError("provide exactly one of qualified array or oracle")
         self.participants = participants
         full = participants.full_mask
-        if oracle is not None and participants.n <= MAX_EXPLICIT:
+        if oracle is not None and participants.n <= MAX_DENSE_ELEMENTS:
             qualified = np.fromiter(map(oracle, range(full + 1)), dtype=bool, count=full + 1)
         if qualified is not None:
-            if participants.n > MAX_EXPLICIT:
-                raise ValueError(
-                    f"explicit structures capped at {MAX_EXPLICIT} participants"
-                )
+            check_dense(participants)
             q = np.asarray(qualified, dtype=bool)
             if q.shape != (full + 1,):
                 raise ValueError(f"need one flag per subset, got shape {q.shape}")
@@ -92,6 +94,7 @@ class AccessStructure:
 
 def _flags(participants: GroundSet, masks) -> np.ndarray:
     """One flag per subset, set on the given masks."""
+    check_dense(participants)
     full = participants.full_mask
     q = np.zeros(full + 1, dtype=bool)
     for m in masks:
@@ -124,6 +127,7 @@ def threshold_structure(k: int, labels) -> AccessStructure:
     n = participants.n
     if not 1 <= k <= n:
         raise ValueError(f"threshold must be in 1..{n}, got {k}")
+    check_dense(participants)
     return AccessStructure(participants, qualified=lattice.sizes(n) >= k)
 
 
@@ -147,7 +151,7 @@ def dual_structure(A: AccessStructure) -> AccessStructure:
 def _table(A: AccessStructure) -> np.ndarray:
     if not A.is_explicit:
         raise ValueError(
-            f"structures on more than {MAX_EXPLICIT} participants cannot be enumerated"
+            f"structures on more than {MAX_DENSE_ELEMENTS} participants cannot be enumerated"
         )
     return A.qualified
 
@@ -279,10 +283,10 @@ class ImportantBoundReport:
         return {"ok": self.ok, "margins": dict(self.margins)}
 
 
-def important_bound_check(M: Polymatroid, A: AccessStructure, secret: str, tolerance=None) -> ImportantBoundReport:
+def important_bound_check(M: Polymatroid, A: AccessStructure, secret: str) -> ImportantBoundReport:
     """Margins f(i) - f(secret) for every important participant; all must be
     non-negative when M realizes A."""
-    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
+    tol = default_decision_tol(M.mode)
     fs = M.rank_of(secret)
     important, _ = important_participants(A)
     margins = {}

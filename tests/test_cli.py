@@ -8,6 +8,7 @@ import io
 import json
 import math
 import operator
+import time
 
 import numpy as np
 import pytest
@@ -312,6 +313,24 @@ class TestPortCommands:
         assert code == 0
         assert out.strip() == "realizes"
 
+    def test_expanded_port_on_stdout_names_an_absolute_base(self, capsys, tmp_path, monkeypatch):
+        """port --in base.json --expanded > sub/port.json, then read sub/port.json."""
+        monkeypatch.chdir(tmp_path)
+        base = pm({"a": 2, "b": 2, "a,b": 3})
+        save_rank_vector(base.rank, "base.json")
+        save_rank_vector(split_fully(base, ("a", "b")).rank, "dense.json")
+        code, out, _ = run(capsys, "port", "--in", "base.json", "--secret", "a_1", "--expanded")
+        assert code == 0
+        assert json.loads(out)["port"]["expanded"]["base_file"] == str(tmp_path / "base.json")
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "port.json").write_text(out)
+        code, out, _ = run(capsys, "realizes", "--in", "dense.json", "--secret", "a_1",
+                           "--access", "sub/port.json")
+        assert (code, out) == (0, "realizes\n")
+        code, out, _ = run(capsys, "access-dual", "--in", "sub/port.json")
+        assert code == 0
+        assert json.loads(out) == expanded_port_doc(str(tmp_path / "base.json"), True, "a_1")
+
     def test_expanded_access_dual_flips_the_flag(self, capsys, tmp_path):
         base_file = tmp_path / "base.json"
         save_rank_vector(pm({"a": 2, "b": 2, "a,b": 3}).rank, base_file)
@@ -496,6 +515,48 @@ class TestTolerance:
         assert run(capsys, *argv, "--tolerance", "1e-3") == (0, "realizes\n", "")
 
 
+# valid, but its dual's elemental inequalities hold only up to float rounding
+# (3920408.4959999993 < 3920408.496000001), beyond the default 1e-9
+FLOAT_DOC = {
+    "ground": ["a", "b", "c"],
+    "mode": "float",
+    "ranks": {"a": 993121.278, "b": 967082.97, "c": 2887735.995, "a,b": 1960204.2480000001,
+              "a,c": 2887735.995, "b,c": 2887735.995, "a,b,c": 2887735.995},
+}
+
+
+class TestClosedOperations:
+    @pytest.mark.parametrize("command", ["dual", "tighten"])
+    def test_valid_float_input_is_not_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(FLOAT_DOC))
+        assert run(capsys, "validate", "--in", str(path))[0] == 0
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ground"] == ["a", "b", "c"]
+
+
+class TestDenseCap:
+    def test_entropy_of_21_variables_refused_at_once(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        rows = [{"values": [v] * 21, "prob": 0.5} for v in (0, 1)]
+        path.write_text(json.dumps({"variables": [f"x{i}" for i in range(21)], "rows": rows}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "entropy", "--in", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "capped at 20 elements" in err
+
+    def test_access_dual_of_64_participants(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        participants = [f"p{i}" for i in range(64)]
+        path.write_text(json.dumps({"participants": participants,
+                                    "minimal_qualified": [["p0", "p1"]]}))
+        code, out, err = run(capsys, "access-dual", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "capped at 20 elements" in err
+
+
 class TestIntMode:
     def test_big_ranks_tighten_exactly(self, capsys, tmp_path):
         path = tmp_path / "big.json"
@@ -544,6 +605,7 @@ def _entries(doc, path=()):
 # name: (document, commands reading it from {doc}); other paths are under {dir}
 FUZZ_DOCS = {
     "table2_middle": (fixture_doc("table2_middle.json"), [["dual", "--in", "{doc}"]]),
+    "float ranks": (FLOAT_DOC, [["dual", "--in", "{doc}"], ["tighten", "--in", "{doc}"]]),
     "table1": (fixture_doc("table1.json"), [["entropy", "--in", "{doc}"]]),
     "access": (
         {"participants": ["b", "c"], "minimal_qualified": [["b", "c"]]},
@@ -561,6 +623,34 @@ FUZZ_DOCS = {
          ["realizes", "--in", "{dir}/dense.json", "--secret", "a_1", "--access", "{doc}"]],
     ),
 }
+
+
+def _label_mutations():
+    """A duplicate label, an empty label, and 21 labels in each label list."""
+    lists = {"table2_middle": "ground", "float ranks": "ground", "table1": "variables",
+             "access": "participants"}
+    cases = {
+        "duplicate": lambda labels: labels.append(labels[0]),
+        "empty": lambda labels: labels.append(""),
+        "21": lambda labels: labels.extend(f"x{i}" for i in range(21 - len(labels))),
+    }
+    for name, key in lists.items():
+        for case, mutate in cases.items():
+            yield pytest.param(name, lambda doc, k=key, m=mutate: m(doc[k]),
+                               id=f"{name}-{key}-{case}")
+
+
+def _ranks_mutations():
+    """A dropped, an unknown and a repeated subset key in each rank vector."""
+    cases = {
+        "dropped": lambda ranks: ranks.popitem(),
+        "unknown": lambda ranks: ranks.update({"a,z": 1}),
+        "repeated": lambda ranks: ranks.update({"b,a": ranks["a,b"]}),
+    }
+    for name in ("table2_middle", "float ranks"):
+        for case, mutate in cases.items():
+            yield pytest.param(name, lambda doc, m=mutate: m(doc["ranks"]),
+                               id=f"{name}-ranks-{case}")
 
 
 class TestMalformedDocuments:
@@ -604,6 +694,25 @@ class TestMalformedDocuments:
                 parent[path[-1]] = swap
             else:
                 doc = swap
+        self.assert_refused(fuzz_dir, name, doc)
+
+    def assert_refused(self, fuzz_dir, name, doc):
         for argv, code, out, err in self.outcomes(fuzz_dir, name, doc):
             assert (code, out) == (2, ""), (argv, doc)
             assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, mutate", [*_label_mutations(), *_ranks_mutations()])
+    def test_bad_labels_or_ranks_keys_exit_two(self, fuzz_dir, name, mutate):
+        doc = copy.deepcopy(FUZZ_DOCS[name][0])
+        mutate(doc)
+        self.assert_refused(fuzz_dir, name, doc)
+
+    @pytest.mark.parametrize("name", ["table2_middle", "float ranks", "table1"])
+    def test_every_number_out_of_range_exits_two(self, fuzz_dir, name):
+        """Ranks, outcome values and probabilities, each in turn set to 10**400."""
+        paths = [p for p, value in _entries(FUZZ_DOCS[name][0]) if _kind(value) == "number"]
+        assert paths
+        for path in paths:
+            doc = copy.deepcopy(FUZZ_DOCS[name][0])
+            functools.reduce(operator.getitem, path[:-1], doc)[path[-1]] = 10**400
+            self.assert_refused(fuzz_dir, name, doc)

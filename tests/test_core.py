@@ -9,12 +9,15 @@ import pytest
 from polyshare import (
     DuplicateLabel,
     GroundSet,
+    JointDistribution,
     ModeError,
     NonFiniteRank,
     NonNumericRank,
     RankOverflow,
     RankVector,
     UnknownLabel,
+    basis_r,
+    entropy_vector,
     load_rank_vector,
     mu,
     rank_vector_from_json,
@@ -22,11 +25,14 @@ from polyshare import (
     save_rank_vector,
     subset_format,
     subset_parse,
+    threshold_structure,
     tighten,
     uniform_matroid,
     validate_polymatroid,
 )
+from polyshare import lattice
 from polyshare.lattice import additive, by_size
+from polyshare.secret_sharing import from_minimal, from_qualified_masks
 
 from generators import pm
 
@@ -132,6 +138,12 @@ class TestRankVector:
         text = '{"ground": ["a", "b"], "mode": "%s", "ranks": {"a": %s, "b": 1, "a,b": 1}}'
         with pytest.raises(NonFiniteRank, match="must be finite"):
             rank_vector_from_json(json.loads(text % (mode, bad)))
+
+    @pytest.mark.parametrize("bad", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_float_overflow_is_non_finite(self, bad):
+        doc = {"ground": ["a", "b"], "mode": "float", "ranks": {"a": 1, "b": bad, "a,b": 1}}
+        with pytest.raises(NonFiniteRank, match="'b' is too large for a float"):
+            rank_vector_from_json(doc)
 
     @pytest.mark.parametrize("mode", ["int", "float"])
     @pytest.mark.parametrize(
@@ -244,6 +256,37 @@ class TestIntMode:
         ground = GroundSet(f"x{i}" for i in range(21))
         with pytest.raises(ValueError, match="capped at 20"):
             RankVector.from_ranks(ground, {"x0": 1}, "int")
+
+
+WIDE = tuple(f"x{i}" for i in range(64))  # numpy refuses an array of 2^64 entries at once
+
+
+@pytest.fixture()
+def no_lattice(monkeypatch):
+    """Building a per-subset lattice array fails the test instead of filling memory."""
+    def refuse(n):
+        raise AssertionError(f"a lattice array on {n} elements was built")
+
+    monkeypatch.setattr(lattice, "masks", refuse)
+    monkeypatch.setattr(lattice, "sizes", refuse)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: entropy_vector(JointDistribution(GroundSet(WIDE), [[0] * 64], [1.0])),
+        lambda: from_minimal(GroundSet(WIDE), [1]),
+        lambda: from_qualified_masks(GroundSet(WIDE), [GroundSet(WIDE).full_mask]),
+        lambda: threshold_structure(2, WIDE),
+        lambda: uniform_matroid(2, WIDE),
+        lambda: basis_r(GroundSet(WIDE), 1),
+    ],
+    ids=["entropy_vector", "from_minimal", "from_qualified_masks", "threshold_structure",
+         "uniform_matroid", "basis_r"],
+)
+def test_dense_cap_checked_first(no_lattice, build):
+    with pytest.raises(ValueError, match="capped at 20 elements"):
+        build()
 
 
 class TestMu:

@@ -194,6 +194,9 @@ class TestJointDistribution:
         ({"variables": ["a"], "rows": [{"values": [0], "prob": "1"}]}, "'prob' must be a number"),
         ({"variables": ["a"], "rows": [{"values": [0], "prob": True}]}, "'prob' must be a number"),
         ({"variables": ["a"], "rows": [{"values": [0.5], "prob": 1}]}, "must hold integers"),
+        ({"variables": ["a"], "rows": [{"values": [0], "prob": 10**400}]}, "must be finite"),
+        ({"variables": ["a"], "rows": [{"values": [2**63], "prob": 1}]}, "64-bit signed"),
+        ({"variables": ["a"], "rows": [{"values": [-(2**63) - 1], "prob": 1}]}, "64-bit signed"),
     ])
     def test_malformed_document_names_the_field(self, doc, field):
         with pytest.raises(ValueError, match=field):

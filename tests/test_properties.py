@@ -5,32 +5,45 @@ failures reproduce.  The seeded high-volume sweeps live in the acceptance
 suite; these runs go for input variety instead.
 """
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyshare import (
+    FactorMap,
     GroundSet,
     JointDistribution,
+    Polymatroid,
     RankVector,
+    basis_r,
+    block_collapse,
+    check_polymatroid,
     collapse_pair,
     conditional_product,
     dual,
     entropy_vector,
+    expanded_mmrv,
+    factor,
     helgason_expand,
+    inequalities,
     is_connected,
     is_tight,
     marginal,
     mmrv_identity_residual,
     principal_extension,
+    product_power,
     split_atom,
     subset_format,
     subset_parse,
     tighten,
+    uniform_matroid,
     validate_polymatroid,
 )
 from polyshare.core import mu
 
-from generators import assert_polymatroids_equal, ground
+from generators import LETTERS, assert_polymatroids_equal, ground
 from test_entropy import assert_matches_references
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -40,26 +53,38 @@ SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 # strategies
 
 @st.composite
-def int_polymatroids(draw, min_n=2, max_n=4, truncate=True):
-    """Weighted coverage functions, optionally truncated by a constant cap."""
+def coverage_polymatroids(draw, mode, min_n=2, max_n=4, truncate=True):
+    """Weighted coverage functions, optionally truncated by a constant cap.
+
+    Int mode draws weights 1..3 and caps 1..6; float mode draws real weights
+    in [0.01, 2] and caps in [0.01, 10], so every value is at most 10.
+    """
+    weights, caps = {
+        "int": (st.integers(1, 3), st.integers(1, 6)),
+        "float": (st.floats(0.01, 2.0), st.floats(0.01, 10.0)),
+    }[mode]
     n = draw(st.integers(min_n, max_n))
     g = ground(n)
     full = g.full_mask
     terms = draw(
         st.lists(
-            st.tuples(st.integers(1, full), st.integers(1, 3)),
+            st.tuples(st.integers(1, full), weights),
             min_size=1,
             max_size=5,
         )
     )
     masks = np.arange(full + 1)
-    values = np.zeros(full + 1, dtype=np.int64)
+    values = np.zeros(full + 1, dtype=np.int64 if mode == "int" else np.float64)
     for hit, weight in terms:
         values += np.where(masks & hit, weight, 0)
     if truncate and draw(st.booleans()):
-        cap = draw(st.integers(1, 6))
+        cap = draw(caps)
         values = np.minimum(values, cap)
-    return validate_polymatroid(RankVector(g, values, "int"))
+    return validate_polymatroid(RankVector(g, values, mode))
+
+
+def int_polymatroids(**kwargs):
+    return coverage_polymatroids("int", **kwargs)
 
 
 @st.composite
@@ -188,9 +213,100 @@ class TestSplitting:
         a = data.draw(st.sampled_from(list(M.ground)))
         alpha = data.draw(st.integers(0, 4))
         ext = principal_extension(M, a, alpha, "t")
+        assert check_polymatroid(ext.rank) == []
         for mask in range(M.ground.full_mask + 1):
             assert ext.value(mask) == M.value(mask)
         assert ext.rank_of("t") == min(alpha, M.rank_of(a))
+
+
+# ---------------------------------------------------------------------------
+# closure: these operations build their results without validating them, so
+# the tests check every output against the elemental inequalities, exactly in
+# int mode and within the float default on values of at most 10
+
+def assert_valid(P):
+    assert isinstance(P, Polymatroid)
+    assert check_polymatroid(P.rank) == []
+
+
+def _factor(M, data):
+    n = M.ground.n
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    block = {label: f"t{t}" for label, t in zip(M.ground.labels, targets)}
+    return factor(M, FactorMap(M.ground, GroundSet(sorted(set(block.values()))), block))
+
+
+def _collapse_pair(M, data):
+    i = data.draw(st.integers(0, M.ground.n - 2))
+    return collapse_pair(M, M.ground.labels[i], M.ground.labels[i + 1], "z")
+
+
+def _principal_extension(M, data):
+    a = data.draw(st.sampled_from(M.ground.labels))
+    alpha = data.draw(st.integers(0, 10) if M.mode == "int" else st.floats(0.0, 10.0))
+    return principal_extension(M, a, alpha, "t")
+
+
+def _split_atom(M, data):
+    a = data.draw(st.sampled_from(M.ground.labels))
+    ha = M.rank_of(a)
+    if M.mode == "int":
+        a1 = data.draw(st.integers(0, ha))
+    else:
+        a1 = ha * data.draw(st.floats(0.0, 1.0))
+    return split_atom(M, a, a1, ha - a1, ("x1", "x2"))
+
+
+# name: operation on a polymatroid of either mode, drawing its other arguments
+CLOSED_OPERATIONS = {
+    "dual": lambda M, data: dual(M),
+    "tighten": lambda M, data: tighten(M),
+    "factor": _factor,
+    "collapse_pair": _collapse_pair,
+    "principal_extension": _principal_extension,
+    "split_atom": _split_atom,
+}
+
+
+class TestClosure:
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize("name", sorted(CLOSED_OPERATIONS))
+    @SETTINGS
+    @given(data=st.data())
+    def test_operation_returns_a_polymatroid(self, name, mode, data):
+        M = data.draw(coverage_polymatroids(mode))
+        assert_valid(CLOSED_OPERATIONS[name](M, data))
+
+    @SETTINGS
+    @given(distributions(), st.integers(1, 4))
+    def test_product_power(self, d, copies):
+        assert_valid(product_power(d, copies))  # float mode only
+
+    @SETTINGS
+    @given(st.integers(1, 6), st.data())
+    def test_basis_r(self, n, data):
+        assert_valid(basis_r(ground(n), data.draw(st.integers(1, (1 << n) - 1))))
+
+    @SETTINGS
+    @given(st.integers(1, 6), st.data())
+    def test_uniform_matroid(self, n, data):
+        assert_valid(uniform_matroid(data.draw(st.integers(0, n + 1)), LETTERS[:n]))
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    @SETTINGS
+    @given(int_polymatroids(min_n=1, max_n=4))
+    def test_block_collapse(self, dualized, M):
+        assert_valid(block_collapse(helgason_expand(M, dualized)))
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    @SETTINGS
+    @given(int_polymatroids(min_n=5, max_n=5))
+    def test_expanded_mmrv(self, dualized, M):
+        """The five-block polymatroid that expanded_mmrv evaluates."""
+        with mock.patch("polyshare.inequalities.mmrv", wraps=inequalities.mmrv) as spy:
+            expanded_mmrv(helgason_expand(M, dualized))
+        (evaluated,), _ = spy.call_args
+        assert_valid(evaluated)
 
 
 # ---------------------------------------------------------------------------
