@@ -6,6 +6,7 @@ inequality, lazy Helgason expansions, and matroid-port access structures.
 """
 
 from .core import (
+    CommaInLabel,
     DuplicateLabel,
     GroundSet,
     GroundSetMismatch,

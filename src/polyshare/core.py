@@ -31,6 +31,10 @@ class DuplicateLabel(ValueError):
     """A label repeated where distinct labels are required."""
 
 
+class CommaInLabel(ValueError):
+    """A label containing ",", which separates the labels of a subset key."""
+
+
 class ModeError(ValueError):
     """Numeric modes mixed without an explicit conversion."""
 
@@ -93,10 +97,13 @@ class GroundSet:
         for lbl in self.labels:
             if not isinstance(lbl, str) or not lbl:
                 raise ValueError(f"labels must be non-empty strings, got {lbl!r}")
+            if "," in lbl:
+                raise CommaInLabel(f"label {lbl!r} contains ',', which separates subset labels")
             if lbl in seen:
                 raise DuplicateLabel(f"duplicate label {lbl!r}")
             seen.add(lbl)
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
+        object.__setattr__(self, "_keys", None)
 
     @property
     def n(self) -> int:
@@ -128,6 +135,14 @@ class GroundSet:
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(l for i, l in enumerate(self.labels) if mask >> i & 1)
 
+    def subset_keys(self) -> list[str]:
+        """``subset_format`` of every mask, indexed by mask; built on first
+        use (within the dense cap) and kept for the life of the ground set."""
+        if self._keys is None:
+            check_dense(self)
+            object.__setattr__(self, "_keys", _key_table(self.labels))
+        return self._keys
+
     def __contains__(self, label) -> bool:
         return label in self._index
 
@@ -136,6 +151,16 @@ class GroundSet:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+def _key_table(labels) -> list[str]:
+    """Subset keys of all masks: those with bit i set are the keys below
+    2^i, each extended by "," + label i."""
+    keys = [""]
+    for lbl in labels:
+        tail = "," + lbl
+        keys += [lbl] + [k + tail for k in keys[1:]]
+    return keys
 
 
 def subset_parse(ground: GroundSet, key) -> int:
@@ -210,33 +235,28 @@ class RankVector:
 
     @classmethod
     def from_ranks(cls, ground: GroundSet, ranks: dict, mode: str = "float") -> "RankVector":
-        """Build from a {subset key: value} mapping covering every nonempty subset."""
-        check_dense(ground)
-        int_mode = mode == "int"
-        values = [0] * (1 << ground.n)  # Python numbers, so big ints stay exact
-        seen = set()
-        for key, val in ranks.items():
-            mask = subset_parse(ground, key)
-            if mask == 0:
-                raise ValueError("rank of the empty set is implicit; drop the '' key")
-            if mask in seen:
-                raise ValueError(f"subset {key!r} given twice")
-            seen.add(mask)
-            # plain ints and floats skip the slower abstract-base-class check
-            if type(val) not in (int, float) and (
-                isinstance(val, bool) or not isinstance(val, numbers.Real)
-            ):
-                raise NonNumericRank(
-                    f"rank of subset {key!r} is {val!r}; ranks must be real numbers"
-                )
-            if int_mode and type(val) is not int and float(val).is_integer():
-                val = int(val)  # 2.0 in int mode, kept exact beside big ints
-            values[mask] = val
-        missing = [m for m in range(1, 1 << ground.n) if m not in seen]
-        if missing:
-            keys = ", ".join(subset_format(ground, m) for m in missing[:5])
-            raise ValueError(f"{len(missing)} subset(s) missing, first: {keys}")
-        return cls(ground, values, mode)
+        """Build from a {subset key: value} mapping covering every nonempty subset.
+
+        Keys as ``to_ranks`` writes them are looked up in the ground set's key
+        table; any other key (labels out of order, stray commas, a label
+        iterable) goes through ``subset_parse``."""
+        keys = ground.subset_keys()  # checks the dense cap first
+        masks = list(map(dict(zip(keys, range(len(keys)))).get, ranks))
+        values = list(ranks.values())
+        types = set(map(type, values))
+        if None in masks or 0 in masks or not types <= {int, float} or (
+            mode == "int" and float in types
+        ):
+            masks, values = _checked_items(ground, ranks, masks, mode == "int")
+        dense = [0] * (1 << ground.n)  # Python numbers, so big ints stay exact
+        for mask, val in zip(masks, values):
+            dense[mask] = val
+        if len(masks) != ground.full_mask:  # masks are distinct and non-empty here
+            seen = set(masks)
+            missing = [m for m in range(1, 1 << ground.n) if m not in seen]
+            first = ", ".join(keys[m] for m in missing[:5])
+            raise ValueError(f"{len(missing)} subset(s) missing, first: {first}")
+        return cls(ground, dense, mode)
 
     def value(self, mask: int):
         """Rank of a subset as a Python number (int in int mode)."""
@@ -245,10 +265,9 @@ class RankVector:
 
     def to_ranks(self) -> dict:
         """Ordered {subset key: value} dict, smallest subsets first."""
-        out = {}
-        for m in lattice.by_size(self.ground.n).tolist():
-            out[subset_format(self.ground, m)] = self.value(m)
-        return out
+        keys = self.ground.subset_keys()
+        order = lattice.by_size(self.ground.n)
+        return dict(zip([keys[m] for m in order.tolist()], self.values[order].tolist()))
 
     def to_float(self) -> "RankVector":
         return RankVector(self.ground, np.asarray(self.values, dtype=np.float64), "float")
@@ -264,6 +283,33 @@ class RankVector:
 
     def __hash__(self):
         return hash((self.ground.labels, self.mode, self.values.tobytes()))
+
+
+def _checked_items(ground: GroundSet, ranks: dict, masks: list, int_mode: bool):
+    """(masks, values) of ``ranks`` checked key by key, in order: ``masks``
+    holds the key-table lookups, None where a key must be parsed.  Raises on
+    the first empty, repeated or unparsable key and on the first value that
+    is not a real number; integral floats become ints in int mode."""
+    seen = set()
+    out_masks, out_values = [], []
+    for key, mask, val in zip(ranks, masks, ranks.values()):
+        if mask is None:
+            mask = subset_parse(ground, key)
+        if mask == 0:
+            raise ValueError("rank of the empty set is implicit; drop the '' key")
+        if mask in seen:
+            raise ValueError(f"subset {key!r} given twice")
+        seen.add(mask)
+        # plain ints and floats skip the slower abstract-base-class check
+        if type(val) not in (int, float) and (
+            isinstance(val, bool) or not isinstance(val, numbers.Real)
+        ):
+            raise NonNumericRank(f"rank of subset {key!r} is {val!r}; ranks must be real numbers")
+        if int_mode and type(val) is not int and float(val).is_integer():
+            val = int(val)  # 2.0 in int mode, kept exact beside big ints
+        out_masks.append(mask)
+        out_values.append(val)
+    return out_masks, out_values
 
 
 def mu(rank: RankVector, mask: int):
@@ -293,6 +339,6 @@ def load_rank_vector(path) -> RankVector:
 
 
 def save_rank_vector(rank: RankVector, path) -> None:
+    text = json.dumps(rank_vector_to_json(rank), indent=1)  # one write, not one per token
     with open(path, "w") as fh:
-        json.dump(rank_vector_to_json(rank), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

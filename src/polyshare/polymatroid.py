@@ -8,6 +8,7 @@ directly; re-checking it could fail only through float rounding, and would
 then reject a valid input.  Property tests check each operation's output.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,13 +257,21 @@ def factor(M: Polymatroid, fmap: FactorMap) -> Polymatroid:
 
 
 def _require_mode_value(mode: str, alpha, name: str):
-    if alpha < 0:
+    """alpha as a number of the given mode: finite, within the float range,
+    >= 0, and integral in int mode."""
+    try:
+        value = float(alpha)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and within the float range, got {alpha!s:.40}")
+    if value < 0:
         raise ValueError(f"{name} must be >= 0, got {alpha}")
     if mode == "int":
-        if float(alpha) != int(alpha):
+        if not value.is_integer():
             raise ModeError(f"{name}={alpha} is not an integer; convert to float mode first")
         return int(alpha)
-    return float(alpha)
+    return value
 
 
 def principal_extension(M: Polymatroid, a: str, alpha, new_label: str) -> Polymatroid:
@@ -270,6 +279,8 @@ def principal_extension(M: Polymatroid, a: str, alpha, new_label: str) -> Polyma
     alpha = _require_mode_value(M.mode, alpha, "alpha")
     ground = M.ground
     abit = ground.bit(a)
+    if M.mode == "int":  # f(aA) <= f(A) + f(a), so a larger alpha only risks int64 wrap
+        alpha = min(alpha, M.value(abit))
     new_ground = GroundSet(ground.labels + (new_label,))
     old = M.values
     size_old = old.shape[0]

@@ -219,6 +219,59 @@ class TestRewriting:
         assert doc["ranks"]["t"] == 1
 
 
+@pytest.fixture()
+def u23_float_file(tmp_path):
+    path = tmp_path / "u23f.json"
+    save_rank_vector(U23.rank.to_float(), path)
+    return str(path)
+
+
+class TestNumericArguments:
+    """Non-finite and unrepresentable numbers are usage errors naming the argument."""
+
+    def assert_refused(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name} must be finite") and "Traceback" not in err
+
+    def test_extend_alpha_inf_on_int_file(self, capsys, u23_file):
+        argv = ["extend", "--in", u23_file, "--element", "a", "--alpha", "inf", "--label", "t"]
+        self.assert_refused(capsys, argv, "alpha")
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_extend_alpha_beyond_float_range(self, capsys, u23_file, u23_float_file, mode):
+        path = u23_file if mode == "int" else u23_float_file
+        argv = ["extend", "--in", path, "--element", "a", "--alpha", "1" + "0" * 400,
+                "--label", "t"]
+        self.assert_refused(capsys, argv, "alpha")
+
+    def test_split_alphas_with_inf(self, capsys, u23_file):
+        argv = ["split", "--in", u23_file, "--element", "a", "--alphas", "1,inf",
+                "--labels", "a1,a2"]
+        self.assert_refused(capsys, argv, "alpha2")
+
+    def test_huge_int_alpha_is_exact_in_int_mode(self, capsys, u23_file):
+        # any alpha >= f(a) gives the free extension; 2^70 must not reach int64
+        argv = ["extend", "--in", u23_file, "--element", "a", "--label", "t", "--format", "table"]
+        assert run(capsys, *argv, "--alpha", str(2**70)) == run(capsys, *argv, "--alpha", "1")
+
+
+class TestCommaLabels:
+    def test_comma_label_in_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "comma.json"
+        path.write_text(json.dumps({"ground": ["a", "b", "a,b"], "mode": "int",
+                                    "ranks": {"a": 1}}))
+        code, out, err = run(capsys, "validate", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: label 'a,b' contains ',', which separates subset labels\n"
+
+    def test_comma_label_for_extend_exits_two(self, capsys, u23_file):
+        code, out, err = run(capsys, "extend", "--in", u23_file, "--element", "a",
+                             "--alpha", "1", "--label", "x,y")
+        assert (code, out) == (2, "")
+        assert "'x,y' contains ','" in err
+
+
 class TestExpand:
     def test_summary_table(self, capsys, tight_file):
         code, out, _ = run(capsys, "expand", "--in", tight_file)

@@ -2,11 +2,14 @@
 
 
 import json
+import numbers
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyshare import (
+    CommaInLabel,
     DuplicateLabel,
     GroundSet,
     JointDistribution,
@@ -18,7 +21,10 @@ from polyshare import (
     UnknownLabel,
     basis_r,
     entropy_vector,
+    helgason_expand,
+    is_qualified,
     load_rank_vector,
+    matroid_port,
     mu,
     rank_vector_from_json,
     rank_vector_to_json,
@@ -30,7 +36,7 @@ from polyshare import (
     uniform_matroid,
     validate_polymatroid,
 )
-from polyshare import lattice
+from polyshare import core, lattice
 from polyshare.lattice import additive, by_size
 from polyshare.secret_sharing import from_minimal, from_qualified_masks
 
@@ -66,6 +72,21 @@ class TestGroundSet:
             GroundSet(("a", 3))
         with pytest.raises(ValueError):
             GroundSet(("a", ""))
+
+    @pytest.mark.parametrize("label", ["a,b", ",", "a,", ",b"])
+    def test_comma_rejected(self, label):
+        # "a,b" would share its key with the pair {a, b}
+        with pytest.raises(CommaInLabel, match="contains ','"):
+            GroundSet(("a", "b", label))
+
+    def test_subset_keys_indexed_by_mask(self):
+        assert ABC.subset_keys() == ["", "a", "b", "a,b", "c", "a,c", "b,c", "a,b,c"]
+        assert ABC.subset_keys() is ABC.subset_keys()
+
+    def test_subset_keys_within_the_dense_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "_key_table", refuse_key_table)
+        with pytest.raises(ValueError, match="capped at 20"):
+            GroundSet(f"x{i}" for i in range(21)).subset_keys()
 
 
 class TestSubsetKeys:
@@ -287,6 +308,141 @@ def no_lattice(monkeypatch):
 def test_dense_cap_checked_first(no_lattice, build):
     with pytest.raises(ValueError, match="capped at 20 elements"):
         build()
+
+
+def refuse_key_table(labels):
+    raise AssertionError(f"a subset key table on {len(labels)} labels was built")
+
+
+def test_expansion_and_its_port_build_no_key_table(monkeypatch, tight_fixture):
+    monkeypatch.setattr(core, "_key_table", refuse_key_table)
+    for dualized in (False, True):
+        port = matroid_port(helgason_expand(tight_fixture, dualized=dualized), "a_1")
+        assert port.participants.n == 174
+        full = port.participants.full_mask
+        assert is_qualified(port, full) != is_qualified(port, 0)
+
+
+# The reference codec: one subset_format or subset_parse call per subset.
+
+def reference_to_ranks(rank: RankVector) -> dict:
+    return {subset_format(rank.ground, m): rank.value(m) for m in by_size(rank.ground.n).tolist()}
+
+
+def reference_from_ranks(ground: GroundSet, ranks: dict, mode: str) -> RankVector:
+    values = [0] * (1 << ground.n)
+    seen = set()
+    for key, val in ranks.items():
+        mask = subset_parse(ground, key)
+        if mask == 0:
+            raise ValueError("rank of the empty set is implicit; drop the '' key")
+        if mask in seen:
+            raise ValueError(f"subset {key!r} given twice")
+        seen.add(mask)
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):
+            raise NonNumericRank(f"rank of subset {key!r} is {val!r}; ranks must be real numbers")
+        if mode == "int" and type(val) is not int and float(val).is_integer():
+            val = int(val)
+        values[mask] = val
+    missing = [m for m in range(1, 1 << ground.n) if m not in seen]
+    if missing:
+        keys = ", ".join(subset_format(ground, m) for m in missing[:5])
+        raise ValueError(f"{len(missing)} subset(s) missing, first: {keys}")
+    return RankVector(ground, values, mode)
+
+
+def outcome(build):
+    """("ok", values, their Python types, mode) or ("error", type, message)."""
+    try:
+        rv = build()
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return "ok", rv.values.tolist(), [type(v) for v in rv.values.tolist()], rv.mode
+
+
+LABEL = st.one_of(
+    st.sampled_from(["a", "b", "b c", " ", "α", "日本", "x_1"]),
+    st.text(st.characters(blacklist_characters=",", blacklist_categories=("Cs",)),
+            min_size=1, max_size=4),
+)
+
+
+@st.composite
+def rank_dicts(draw):
+    """(ground, mode, {key: value}) in to_ranks order, with keys the codec
+    writes and values of every type it reads in that mode."""
+    labels = draw(st.lists(LABEL, min_size=1, max_size=8, unique=True))
+    ground = GroundSet(labels)
+    mode = draw(st.sampled_from(["int", "float"]))
+    ints = st.integers(-(2**59), 2**59) | st.integers(-3, 3)
+    value = ints if mode == "int" else st.floats(-1e6, 1e6) | ints
+    if mode == "int":
+        value = value | st.integers(-3, 3).map(float)  # 2.0 is read as 2
+    values = draw(st.lists(value, min_size=ground.full_mask, max_size=ground.full_mask))
+    keys = [subset_format(ground, m) for m in by_size(ground.n).tolist()]
+    return ground, mode, dict(zip(keys, values))
+
+
+class TestCodecAgainstReference:
+    """to_ranks and from_ranks agree with the per-subset reference codec."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_dicts(), st.data())
+    def test_round_trip_shuffled_and_non_canonical(self, case, data):
+        ground, mode, ranks = case
+        rv = RankVector.from_ranks(ground, ranks, mode)
+        assert outcome(lambda: rv) == outcome(lambda: reference_from_ranks(ground, ranks, mode))
+        written = rv.to_ranks()
+        expected = reference_to_ranks(rv)
+        assert list(written) == list(expected)
+        assert list(written.values()) == list(expected.values())
+        assert [type(v) for v in written.values()] == [type(v) for v in expected.values()]
+        items = data.draw(st.permutations(list(ranks.items())))
+        # a key in reverse label order, or with a trailing comma, is parsed
+        rewrite = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+        items = [(",".join(reversed(k.split(","))) if flip and "," in k else
+                  (k + "," if flip else k), v) for (k, v), flip in zip(items, rewrite)]
+        shuffled = dict(items)
+        assert outcome(lambda: RankVector.from_ranks(ground, shuffled, mode)) == \
+            outcome(lambda: reference_from_ranks(ground, shuffled, mode))
+        assert RankVector.from_ranks(ground, shuffled, mode) == rv
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rank_dicts(), st.data())
+    def test_same_errors(self, case, data):
+        ground, mode, ranks = case
+        keys = list(ranks)
+        fault = data.draw(st.sampled_from(["twice", "empty", "missing", "unknown", "non-numeric"]))
+        bad = dict(ranks)
+        if fault == "twice" and ground.n >= 2:  # "a,b" together with "b,a"
+            pair = data.draw(st.sampled_from([k for k in keys if k.count(",") == 1]))
+            bad[",".join(reversed(pair.split(",")))] = bad[pair]
+        elif fault == "twice":  # "a" together with "a,"
+            bad[keys[0] + ","] = 1
+        elif fault == "empty":
+            bad[""] = 0
+        elif fault == "missing":
+            for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)):
+                del bad[key]
+        elif fault == "unknown":
+            bad[keys[-1] + "," + "\N{SNOWMAN}" * 5] = 1  # labels are at most four characters
+        else:
+            bad[data.draw(st.sampled_from(keys))] = data.draw(
+                st.sampled_from(["1", True, None, [1], 1j]))
+        bad = dict(data.draw(st.permutations(list(bad.items()))))
+        got = outcome(lambda: RankVector.from_ranks(ground, bad, mode))
+        assert got[0] == "error"
+        assert got == outcome(lambda: reference_from_ranks(ground, bad, mode))
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_saved_bytes_match_the_reference(self, mode, tmp_path):
+        ground = GroundSet(f"x{i}" for i in range(10))
+        values = np.random.default_rng(5).integers(0, 50, size=1 << 10)
+        values[0] = 0
+        rv = RankVector(ground, values if mode == "int" else values / 7, mode)
+        save_rank_vector(rv, tmp_path / "r.json")
+        doc = {"ground": list(ground.labels), "mode": mode, "ranks": reference_to_ranks(rv)}
+        assert (tmp_path / "r.json").read_text() == json.dumps(doc, indent=1) + "\n"
 
 
 class TestMu:
