@@ -119,7 +119,7 @@ def cmd_expand(args) -> tuple:
         "elements": expansion.n_elements,
         "dualized": expansion.dualized,
         "blocks": dict(zip(pm.ground.labels, expansion.block_sizes)),
-        "full_rank": expansion.block_rank(pm.ground.full_mask),
+        "full_rank": int(expansion.ranks_of_counts([expansion.block_sizes])[0]),
     }
     lines = [f"elements\t{doc['elements']}", f"dualized\t{doc['dualized']}"]
     lines += [f"block {k}\t{v}" for k, v in doc["blocks"].items()]

@@ -42,6 +42,13 @@ def split(a: np.ndarray, i: int):
     return view[:, 0], view[:, 1]
 
 
+def split_min(a: np.ndarray, i: int) -> np.ndarray:
+    """Least entry over the masks without i and least over the masks with i,
+    along the last axis of per-mask arrays (shape (..., 2)), in one
+    reduction over the ``split`` layout."""
+    return a.reshape(*a.shape[:-1], -1, 2, 1 << i).min(axis=(-3, -1))
+
+
 def pair(a: np.ndarray, i: int, j: int):
     """Views (A, A+i, A+j, A+i+j) over the masks A avoiding i < j."""
     view = a.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)

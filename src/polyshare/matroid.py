@@ -16,6 +16,7 @@ from .core import DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel
 from .polymatroid import Polymatroid
 
 MAX_CIRCUIT_ELEMENTS = 15
+_INT = frozenset((int,))
 
 
 def is_matroid(M: Polymatroid) -> bool:
@@ -81,6 +82,13 @@ class ExpandedMatroid:
     Block i contributes atoms "<label>_1" ... "<label>_k" with k the base rank
     of i.  With dualized=True the oracle answers for the dual matroid of the
     expansion instead: rank(S) = |S| + r(E - S) - r(E).
+
+    Both orientations are one min-formula over the base subsets A:
+    rank(C) = |C| + min_A h(A) - C(A), where C holds the per-block atom counts
+    and C(A) is the number of atoms it takes from the blocks of A.  h is the
+    base itself for the expansion and, for its dual,
+    h*(A) = h(E - A) + s(A) - r(E) with s the block sizes (put A -> E - A in
+    the formula for r(E - S)).  h(A) - C(A) is the slack of A.
     """
 
     def __init__(self, base: Polymatroid, dualized: bool = False):
@@ -102,8 +110,12 @@ class ExpandedMatroid:
             for i, label in enumerate(ground.labels)
             for name in self.blocks[label]
         }
-        masks = np.arange(1 << ground.n, dtype=np.int64)
-        self._membership = (masks[:, None] >> np.arange(ground.n) & 1).astype(np.int64)
+        self._sizes = np.array(self.block_sizes, dtype=np.int64)
+        self._in = lattice.masks(ground.n) >> np.arange(ground.n)[:, None] & 1  # [i, A]: is i in A
+        self._h = base.values
+        if self.dualized:
+            full_rank = self._sizes.sum() + self._slack(self._sizes).min()
+            self._h = base.values[::-1] + lattice.additive(self._sizes) - full_rank
         self._memo: dict[tuple[int, ...], int] = {}
 
     @property
@@ -118,17 +130,12 @@ class ExpandedMatroid:
             raise UnknownLabel(f"{name!r} is not an element of the expansion") from None
 
     def dual(self) -> "ExpandedMatroid":
-        flipped = ExpandedMatroid(self.base, not self.dualized)
-        flipped._memo = self._memo  # same underlying min-formula values
-        return flipped
+        return ExpandedMatroid(self.base, not self.dualized)
 
-    def _g(self, counts: tuple[int, ...]) -> int:
-        cached = self._memo.get(counts)
-        if cached is None:
-            c = np.asarray(counts, dtype=np.int64)
-            cached = int(c.sum() + (self.base.values - self._membership @ c).min())
-            self._memo[counts] = cached
-        return cached
+    def _slack(self, C) -> np.ndarray:
+        """h(A) - C(A) for every base subset A, for one count row or per row
+        of a (k, n) array."""
+        return self._h - C @ self._in
 
     def counts_of(self, S) -> tuple[int, ...]:
         """Per-block atom counts for a subset given as a dict {block: count},
@@ -137,7 +144,7 @@ class ExpandedMatroid:
         counts = [0] * n
         if isinstance(S, dict):
             for label, cnt in S.items():
-                counts[self.base.ground.index(label)] = int(cnt)
+                counts[self.base.ground.index(label)] = cnt
             return tuple(counts)
         if isinstance(S, str):
             tokens = [t.strip() for t in S.split(",") if t.strip()]
@@ -148,7 +155,13 @@ class ExpandedMatroid:
                     if label in seen:
                         raise DuplicateLabel(f"block {label!r} given twice")
                     seen.add(label)
-                    counts[self.base.ground.index(label)] = int(cnt)
+                    index = self.base.ground.index(label)
+                    try:
+                        counts[index] = int(cnt)
+                    except ValueError:
+                        raise ValueError(
+                            f"block {label!r} count must be an integer, got {cnt.strip()!r}"
+                        ) from None
                 return tuple(counts)
             S = tokens
         seen = set()
@@ -160,28 +173,66 @@ class ExpandedMatroid:
             counts[idx] += 1
         return tuple(counts)
 
-    def rank_of_counts(self, counts) -> int:
-        counts = tuple(int(c) for c in counts)
-        if len(counts) != self.base.ground.n:
-            raise ValueError(f"need {self.base.ground.n} block counts, got {len(counts)}")
-        for c, size, label in zip(counts, self.block_sizes, self.base.ground.labels):
-            if c < 0 or c > size:
+    def _checked(self, counts) -> tuple[int, ...]:
+        """The counts as Python ints, one per block, each an integer within
+        its block."""
+        counts = tuple(counts)
+        labels = self.base.ground.labels
+        if len(counts) != len(labels):
+            raise ValueError(f"need {len(labels)} block counts, got {len(counts)}")
+        for c, size, label in zip(counts, self.block_sizes, labels):
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"block {label!r} count must be an integer, got {c!r}")
+            if not 0 <= c <= size:
                 raise ValueError(f"block {label!r} holds {size} atoms, asked for {c}")
-        if not self.dualized:
-            return self._g(counts)
-        comp = tuple(s - c for s, c in zip(self.block_sizes, counts))
-        return self._g(comp) + sum(counts) - self._g(self.block_sizes)
+        return tuple(map(int, counts))
+
+    def rank_of_counts(self, counts) -> int:
+        """Rank of the subset with these per-block atom counts, memoised."""
+        try:
+            value = self._memo.get(counts)
+        except TypeError:  # counts that cannot be a key, such as a list
+            value = None
+        # 1 == 1.0 == True as keys, so a hit stands only for counts of type int
+        if value is None or not _INT.issuperset(map(type, counts)):
+            key = self._checked(counts)
+            value = self._memo.get(key)
+            if value is None:
+                value = self._memo[key] = sum(key) + int(self._slack(key).min())
+        return value
+
+    def ranks_of_counts(self, C) -> np.ndarray:
+        """Ranks of many subsets at once, one per row of the (k, n) array of
+        per-block atom counts C.  The memo is neither read nor filled."""
+        n = self.base.ground.n
+        shape = np.shape(C)
+        if len(shape) != 2 or shape[1] != n:
+            raise ValueError(f"need a (k, {n}) array of block counts, got shape {shape}")
+        if not (isinstance(C, np.ndarray) and C.dtype.kind in "iu"):
+            C = np.array([self._checked(row) for row in C], dtype=np.int64).reshape(shape)
+        bad = (C < 0) | (C > self._sizes)
+        if bad.any():
+            row, i = np.argwhere(bad)[0]
+            raise ValueError(
+                f"block {self.base.ground.labels[i]!r} holds {self.block_sizes[i]} atoms, "
+                f"asked for {C[row, i]}"
+            )
+        C = C.astype(np.int64, copy=False)
+        return C.sum(axis=1) + self._slack(C).min(axis=1)
+
+    def spans(self, C, block: int):
+        """Does the subset with per-block atom counts C span the atoms of
+        ``block`` it leaves out, that is, does one more add no rank?  One
+        flag for one count row, one per row of a (k, n) array.  Nothing is
+        checked or memoised: each row must leave an atom of the block out."""
+        # with m1 and m0 the least slack over the A that hold the block and
+        # over the rest, one more atom takes the rank from |C| + min(m0, m1)
+        # to |C| + min(m0 + 1, m1): no gain exactly when m1 <= m0
+        least = lattice.split_min(self._slack(C), block)
+        return least[..., 1] <= least[..., 0]
 
     def rank(self, S) -> int:
         return self.rank_of_counts(self.counts_of(S))
-
-    def block_rank(self, block_mask: int) -> int:
-        """Rank of the union of whole blocks."""
-        counts = tuple(
-            size if block_mask >> i & 1 else 0
-            for i, size in enumerate(self.block_sizes)
-        )
-        return self.rank_of_counts(counts)
 
 
 def helgason_expand(M: Polymatroid, dualized: bool = False) -> ExpandedMatroid:
@@ -189,13 +240,16 @@ def helgason_expand(M: Polymatroid, dualized: bool = False) -> ExpandedMatroid:
     return ExpandedMatroid(M, dualized)
 
 
+def _block_unions(E: ExpandedMatroid, masks: np.ndarray) -> np.ndarray:
+    """Count rows of the unions of whole blocks, one per base mask."""
+    return E._in.T[masks] * E._sizes
+
+
 def block_collapse(E: ExpandedMatroid) -> Polymatroid:
     """Dense polymatroid of block-union ranks; recovers the base when not
     dualized, and the base's dual when the base is tight."""
     ground = E.base.ground
-    values = np.fromiter(
-        (E.block_rank(m) for m in range(1 << ground.n)), dtype=np.int64, count=1 << ground.n
-    )
+    values = E.ranks_of_counts(_block_unions(E, lattice.masks(ground.n)))
     return Polymatroid(RankVector(ground, values, "int"))
 
 
@@ -210,6 +264,6 @@ def expanded_mmrv(E: ExpandedMatroid, roles=None) -> int:
     if len(labels) != 5 or len(set(labels)) != 5:
         raise ValueError(f"roles must pick five distinct blocks, got {labels}")
     block_masks = lattice.additive([base_ground.bit(lbl) for lbl in labels])
-    values = [E.block_rank(m) for m in block_masks.tolist()]
+    values = E.ranks_of_counts(_block_unions(E, block_masks))
     ground5 = GroundSet(labels)
     return mmrv(Polymatroid(RankVector(ground5, values, "int")))

@@ -182,6 +182,19 @@ def _secret_gaps(M: Polymatroid, secret: str):
     return participants, (with_secret - without).ravel()
 
 
+def _port_table(E: ExpandedMatroid, n: int, block_masks, block: int) -> np.ndarray:
+    """Port flags of every subset of n participants, through the batch
+    kernel about 2^18 slack entries at a time.  A subset takes from each
+    block the popcount of its mask under the block's participant bits."""
+    masks = lattice.masks(n)
+    popcount = lattice.sizes(n)
+    step = max(1, (1 << 18) >> E.base.ground.n)
+    return np.concatenate([
+        E.spans(popcount[masks[start : start + step, None] & block_masks], block)
+        for start in range(0, len(masks), step)
+    ])
+
+
 def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
     """Access structure {S : f(secret + S) = f(S)}.
 
@@ -194,17 +207,18 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
         sblock = M.block_of(secret)
         if M.rank([secret]) == 0:
             raise ValueError(f"secret {secret!r} is a loop")
-        names = tuple(n for n in M.element_names if n != secret)
-        participants = GroundSet(names)
+        if M.dualized:  # the port of the dual is the dual of the port
+            return dual_structure(matroid_port(M.dual(), secret))
+        participants = GroundSet(tuple(n for n in M.element_names if n != secret))
         block_masks = [0] * M.base.ground.n
-        for i, name in enumerate(names):
+        for i, name in enumerate(participants.labels):
             block_masks[M.block_of(name)] |= 1 << i
+        if participants.n <= MAX_DENSE_ELEMENTS:
+            table = _port_table(M, participants.n, block_masks, sblock)
+            return AccessStructure(participants, qualified=table)
 
         def member(mask: int) -> bool:
-            counts = [(mask & bm).bit_count() for bm in block_masks]
-            plain = M.rank_of_counts(counts)
-            counts[sblock] += 1
-            return M.rank_of_counts(counts) == plain
+            return bool(M.spans([(mask & bm).bit_count() for bm in block_masks], sblock))
 
         return AccessStructure(participants, oracle=member)
 
@@ -243,20 +257,15 @@ def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
     if isinstance(M, ExpandedMatroid):
         sblock = M.block_of(secret)
-        n = M.base.ground.n
-
-        def atom_rank(block: int) -> int:
-            counts = [0] * n
-            counts[block] = 1
-            return M.rank_of_counts(counts)
-
-        fs = atom_rank(sblock)
+        blocks = [i for i, size in enumerate(M.block_sizes) if size > 0]
+        units = np.eye(M.base.ground.n, dtype=np.int64)[blocks]  # one atom of a block each
+        atom_rank = dict(zip(blocks, M.ranks_of_counts(units).tolist()))
+        fs = atom_rank[sblock]
         if fs == 0:
             raise ValueError(f"secret {secret!r} has rank zero")
         tops = [
-            atom_rank(i)
-            for i, size in enumerate(M.block_sizes)
-            if size > 0 and not (i == sblock and size == 1)
+            rank for i, rank in atom_rank.items()
+            if not (i == sblock and M.block_sizes[i] == 1)
         ]
         if not tops:
             raise ValueError("no participants besides the secret")

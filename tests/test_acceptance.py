@@ -117,9 +117,14 @@ def test_criterion_6_expansion(tight_fixture):
     expansion = helgason_expand(tight_fixture)
     assert expansion.n_elements == 175
 
+    masks = range(1, tight_fixture.ground.full_mask + 1)
+    unions = [
+        [size if mask >> i & 1 else 0 for i, size in enumerate(expansion.block_sizes)]
+        for mask in masks
+    ]
     checked = 0
-    for mask in range(1, tight_fixture.ground.full_mask + 1):
-        assert expansion.block_rank(mask) == tight_fixture.value(mask)
+    for mask, rank in zip(masks, expansion.ranks_of_counts(unions)):
+        assert rank == tight_fixture.value(mask)
         checked += 1
     assert checked == 31
 

@@ -304,6 +304,12 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "--in", tight_file, "--query", "a:99")
         assert code == 2
 
+    def test_fractional_query_is_usage_error(self, capsys, tight_file):
+        code, out, err = run(capsys, "expand", "--in", tight_file, "--query", "a:1.5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: block 'a' count must be an integer, got '1.5'\n"
+
 
 class TestCircuits:
     def test_u13_circuit_listing(self, capsys, tmp_path):

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from polyshare import FactorMap, GroundSet, factor, matroid_port, realizes
-from polyshare.lattice import additive, by_size, masks, minimal, pair, sizes, split, up_closure
+from polyshare.lattice import (
+    additive,
+    by_size,
+    masks,
+    minimal,
+    pair,
+    sizes,
+    split,
+    split_min,
+    up_closure,
+)
 from polyshare.secret_sharing import from_minimal
 
 from generators import coverage_polymatroid, ground, random_matroid
@@ -75,6 +85,15 @@ class TestPerMaskReferences:
             assert with_i.ravel().tolist() == a[[m | 1 << i for m in lower]].tolist()
             assert np.shares_memory(with_i, a)
             assert split(masks(n), i)[0].ravel().tolist() == lower
+
+    def test_split_min(self, n):
+        rows = np.random.default_rng(n).integers(-9, 9, size=(3, 1 << n))
+        for i in range(n):
+            lower = [m for m in range(1 << n) if not m >> i & 1]
+            upper = [m | 1 << i for m in lower]
+            want = [[min(a[lower]), min(a[upper])] for a in rows]
+            assert split_min(rows, i).tolist() == want
+            assert split_min(rows[0], i).tolist() == want[0]
 
     def test_pair_views(self, n):
         a = np.random.default_rng(n).random(1 << n)

@@ -1,6 +1,8 @@
 """Matroid predicate, circuits, and the lazy unit-atom expansion."""
 
 import itertools
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from polyshare import (
     ExpandedMatroid,
     GroundSet,
     ModeError,
+    Polymatroid,
     RankVector,
     UnknownLabel,
     block_collapse,
@@ -20,7 +23,10 @@ from polyshare import (
     helgason_expand,
     is_connected,
     is_matroid,
+    is_qualified,
+    matroid_port,
     mmrv,
+    sigma,
     uniform_matroid,
     validate_polymatroid,
 )
@@ -33,6 +39,85 @@ from generators import (
     random_matroid,
     split_fully,
 )
+
+
+# ---------------------------------------------------------------------------
+# the expansion oracle as it was before the batch kernel: the min-formula
+# evaluated once per query, the dual through complements, and a port query
+# as two rank queries
+
+
+def reference_g(E, counts) -> int:
+    """sum(C) + min over base subsets A of h(A) - C(A), on the base itself."""
+    c = np.asarray(counts, dtype=np.int64)
+    n = E.base.ground.n
+    membership = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    return int(c.sum() + (E.base.values - membership @ c).min())
+
+
+def reference_rank(E, counts) -> int:
+    if not E.dualized:
+        return reference_g(E, counts)
+    comp = [size - c for size, c in zip(E.block_sizes, counts)]
+    return reference_g(E, comp) + sum(counts) - reference_g(E, E.block_sizes)
+
+
+def reference_member(E, secret, mask) -> bool:
+    """r(S + secret) == r(S) for the subset ``mask`` of the other atoms."""
+    names = [name for name in E.element_names if name != secret]
+    counts = [0] * E.base.ground.n
+    for i, name in enumerate(names):
+        if mask >> i & 1:
+            counts[E.block_of(name)] += 1
+    plain = reference_rank(E, counts)
+    counts[E.block_of(secret)] += 1
+    return reference_rank(E, counts) == plain
+
+
+def reference_port(E, secret):
+    """Qualified flags of every subset of the other atoms, or None when the
+    secret is a loop (small expansions only)."""
+    if reference_rank(E, E.counts_of([secret])) == 0:
+        return None
+    return [reference_member(E, secret, m) for m in range(1 << (E.n_elements - 1))]
+
+
+def block_union_counts(E, mask):
+    return [size if mask >> i & 1 else 0 for i, size in enumerate(E.block_sizes)]
+
+
+def reference_block_collapse(E) -> list[int]:
+    return [reference_rank(E, block_union_counts(E, m)) for m in range(1 << E.base.ground.n)]
+
+
+def reference_expanded_mmrv(E, roles) -> int:
+    bits = [E.base.ground.bit(label) for label in roles]
+    values = [
+        reference_rank(E, block_union_counts(E, sum(b for j, b in enumerate(bits) if m >> j & 1)))
+        for m in range(1 << 5)
+    ]
+    return mmrv(Polymatroid(RankVector(GroundSet(roles), values, "int")))
+
+
+def reference_sigma(E, secret):
+    """Fraction, or the start of the ValueError message sigma raises."""
+    n = E.base.ground.n
+    sblock = E.block_of(secret)
+
+    def atom_rank(block):
+        counts = [0] * n
+        counts[block] = 1
+        return reference_rank(E, counts)
+
+    fs = atom_rank(sblock)
+    if fs == 0:
+        return "secret"
+    tops = [
+        atom_rank(i)
+        for i, size in enumerate(E.block_sizes)
+        if size > 0 and not (i == sblock and size == 1)
+    ]
+    return Fraction(max(tops), fs) if tops else "no participants"
 
 
 def brute_force_circuits(vectors):
@@ -209,6 +294,226 @@ class TestExpansion:
     def test_float_base_rejected(self, m_xi):
         with pytest.raises(ModeError):
             helgason_expand(m_xi)
+
+
+class TestOracleAgainstReferences:
+    """The bundled expansion, both orientations, against the per-query
+    references above."""
+
+    @pytest.fixture(params=[False, True], ids=["primal", "dual"])
+    def E(self, request, tight_pm):
+        return helgason_expand(tight_pm, dualized=request.param)
+
+    def random_counts(self, E, k, seed):
+        rng = np.random.default_rng(seed)
+        return np.stack([rng.integers(0, size + 1, size=k) for size in E.block_sizes], axis=1)
+
+    def test_rank_of_counts_and_each_batch_row(self, E):
+        C = self.random_counts(E, 300, 5)
+        want = [reference_rank(E, row) for row in C.tolist()]
+        assert [E.rank_of_counts(tuple(row)) for row in C.tolist()] == want
+        assert [E.rank_of_counts(tuple(row)) for row in C.tolist()] == want  # from the memo
+        assert E.ranks_of_counts(C).tolist() == want
+        assert E.ranks_of_counts(C.astype(np.uint8)).tolist() == want
+        assert E.ranks_of_counts(C.tolist()).tolist() == want
+
+    def test_numpy_integer_counts(self, E):
+        row = tuple(np.array([1, 2, 3, 4, 5]))
+        assert E.rank_of_counts(row) == reference_rank(E, [1, 2, 3, 4, 5])
+
+    def test_empty_batch(self, E):
+        assert E.ranks_of_counts(np.zeros((0, 5), dtype=np.int64)).tolist() == []
+
+    @pytest.mark.parametrize("secret", ["a_1", "c_7", "e_38"])
+    def test_port_queries(self, E, secret):
+        A = matroid_port(E, secret)
+        rng = np.random.default_rng(11)
+        n = A.participants.n
+        for _ in range(60):
+            keep = rng.random() ** 2
+            mask = sum(1 << i for i in range(n) if rng.random() < keep)
+            assert is_qualified(A, mask) == reference_member(E, secret, mask), mask
+
+    def test_port_queries_never_call_rank_of_counts(self, E):
+        ports = [matroid_port(E, "b_3"), matroid_port(E.dual(), "b_3")]
+        rng = np.random.default_rng(3)
+        masks = [int(rng.integers(0, 1 << 62)) << int(rng.integers(0, 112)) for _ in range(20)]
+        failing = mock.Mock(side_effect=AssertionError("rank_of_counts called"))
+        with mock.patch.object(ExpandedMatroid, "rank_of_counts", failing):
+            for A in ports:
+                for mask in masks:
+                    is_qualified(A, mask & A.participants.full_mask)
+        failing.assert_not_called()
+
+    def test_block_collapse_expanded_mmrv_and_sigma(self, E):
+        assert block_collapse(E).values.tolist() == reference_block_collapse(E)
+        assert expanded_mmrv(E) == reference_expanded_mmrv(E, E.base.ground.labels)
+        for secret in ("a_1", "d_38"):
+            assert sigma(E, secret) == reference_sigma(E, secret)
+
+    def test_dual_shares_no_state(self, E):
+        flipped = E.dual()
+        assert flipped.dualized != E.dualized
+        assert flipped._memo is not E._memo
+        E.rank_of_counts((1, 2, 3, 4, 5))
+        assert flipped._memo == {}
+
+
+class TestPortsAtTheDenseCap:
+    """21 atoms leave 20 participants, a table built through the batch
+    kernel; 22 atoms leave 21, a membership oracle."""
+
+    @pytest.mark.parametrize("atoms", [21, 22])
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_sampled_subsets(self, atoms, dualized):
+        g = GroundSet(("a", "b", "c"))
+        m = np.arange(8)
+        sizes = (7, 7, atoms - 14)
+        values = sum(size * (m >> i & 1) for i, size in enumerate(sizes))
+        base = validate_polymatroid(RankVector(g, np.minimum(values, 12), "int"))
+        E = helgason_expand(base, dualized)
+        A = matroid_port(E, "c_2")
+        assert A.is_explicit == (atoms == 21)
+        rng = np.random.default_rng(atoms)
+        for _ in range(150):
+            keep = rng.random()
+            mask = sum(1 << i for i in range(atoms - 1) if rng.random() < keep)
+            assert is_qualified(A, mask) == reference_member(E, "c_2", mask), mask
+
+
+class TestLoopBlocks:
+    """A base element of rank zero gives an empty block."""
+
+    BASE = {"a": 0, "b": 2, "c": 1, "a,b": 2, "a,c": 1, "b,c": 2, "a,b,c": 2}
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_sigma_skips_the_empty_block(self, dualized):
+        E = helgason_expand(pm(self.BASE), dualized)
+        for secret in E.element_names:
+            want = reference_sigma(E, secret)
+            if isinstance(want, Fraction):
+                assert sigma(E, secret) == want
+            else:
+                with pytest.raises(ValueError, match=want):
+                    sigma(E, secret)
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_ranks_and_block_collapse(self, dualized):
+        E = helgason_expand(pm(self.BASE), dualized)
+        rows = list(itertools.product(range(1), range(3), range(2)))
+        want = [reference_rank(E, row) for row in rows]
+        assert [E.rank_of_counts(row) for row in rows] == want
+        assert E.ranks_of_counts(np.array(rows)).tolist() == want
+        assert block_collapse(E).values.tolist() == reference_block_collapse(E)
+        with pytest.raises(ValueError, match="block 'a' holds 0 atoms, asked for 1"):
+            E.ranks_of_counts([[1, 0, 0]])
+
+
+class TestCountValidation:
+    @pytest.fixture(scope="class")
+    def E(self, tight_pm):
+        return helgason_expand(tight_pm)
+
+    @pytest.mark.parametrize(
+        "counts, block",
+        [
+            ((3.7, 0, 0, 0, 0), "a"),
+            (("3", 0, 0, 0, 0), "a"),
+            ((0, True, 0, 0, 0), "b"),
+            ((0, 0, 0, 0, 2.0), "e"),
+            ((0, 0, np.float64(1), 0, 0), "c"),
+            ((0, 0, 0, np.bool_(True), 0), "d"),
+        ],
+    )
+    def test_non_integer_counts_name_the_block(self, E, counts, block):
+        match = f"block '{block}' count must be an integer"
+        with pytest.raises(ValueError, match=match):
+            E.rank_of_counts(counts)
+        with pytest.raises(ValueError, match=match):
+            E.ranks_of_counts([counts])
+
+    def test_non_integer_arrays(self, E):
+        with pytest.raises(ValueError, match="block 'a' count must be an integer"):
+            E.ranks_of_counts(np.full((2, 5), 1.5))
+        with pytest.raises(ValueError, match="block 'a' count must be an integer"):
+            E.ranks_of_counts(np.ones((2, 5), dtype=bool))
+
+    def test_a_memo_hit_does_not_admit_equal_keys(self, E):
+        assert E.rank_of_counts((1, 0, 0, 0, 0)) == 1
+        for counts in ((True, 0, 0, 0, 0), (1.0, 0, 0, 0, 0)):
+            with pytest.raises(ValueError, match="block 'a' count must be an integer"):
+                E.rank_of_counts(counts)
+
+    def test_fractional_dict_query(self, E):
+        with pytest.raises(ValueError, match="block 'a' count must be an integer"):
+            E.rank({"a": 2.9})
+
+    def test_out_of_range_rows_name_the_block(self, E):
+        C = np.zeros((3, 5), dtype=np.int64)
+        C[2, 3] = 39
+        with pytest.raises(ValueError, match="block 'd' holds 38 atoms, asked for 39"):
+            E.ranks_of_counts(C)
+        C[2, 3] = -1
+        with pytest.raises(ValueError, match="block 'd' holds 38 atoms, asked for -1"):
+            E.ranks_of_counts(C)
+
+    @pytest.mark.parametrize("C", [np.zeros(5, dtype=np.int64), np.zeros((2, 4), dtype=np.int64), [[0] * 6]])
+    def test_batch_shape(self, E, C):
+        with pytest.raises(ValueError, match=r"need a \(k, 5\) array"):
+            E.ranks_of_counts(C)
+
+    def test_wrong_number_of_counts(self, E):
+        with pytest.raises(ValueError, match="need 5 block counts, got 4"):
+            E.rank_of_counts([0, 0, 0, 0])
+
+
+@pytest.mark.slow
+def test_count_space_sweep(tight_pm):
+    """Every count vector of the bundled expansion (38*32*32*39*39, about
+    6e7) through ranks_of_counts in both orientations, a few MB at a time.
+
+    Over the whole space: the dual ranks are |C| + r(s - C) - r(s); for
+    every secret block, the port of the dual computed from the dual ranks is
+    the complement rule applied to the primal ranks; and the block unions
+    give block_collapse and the -1 MMRV of the dual.
+    """
+    E = helgason_expand(tight_pm)
+    Ed = E.dual()
+    sizes = np.array(E.block_sizes)
+    shape = tuple(sizes + 1)
+    R = np.empty(shape, dtype=np.uint8)  # every rank is at most 175
+    Rd = np.empty(shape, dtype=np.uint8)
+    rest = np.stack(np.meshgrid(*map(np.arange, shape[2:]), indexing="ij"), axis=-1)
+    rows = np.empty((rest[..., 0].size, 5), dtype=np.int64)
+    rows[:, 2:] = rest.reshape(-1, 3)
+    rest_total = rest.sum(axis=-1)
+    full = E.rank_of_counts(E.block_sizes)
+    R_rev = R[::-1, ::-1, ::-1, ::-1, ::-1]  # R_rev[C] = r(s - C)
+    for a, b in itertools.product(range(shape[0]), range(shape[1])):
+        rows[:, 0], rows[:, 1] = a, b
+        R[a, b] = E.ranks_of_counts(rows).reshape(shape[2:])
+        Rd[a, b] = Ed.ranks_of_counts(rows).reshape(shape[2:])
+    for a, b in itertools.product(range(shape[0]), range(shape[1])):
+        want = a + b + rest_total + R_rev[a, b].astype(np.int64) - full
+        assert np.array_equal(Rd[a, b], want), (a, b)
+
+    for block in range(5):
+        # the secret is an atom of ``block``: S takes at most s_b - 1 of its
+        # atoms, S + secret one more, and the complement of S among the
+        # participants is s - e_b - C, whose primal port test compares
+        # r(s - C) with r(s - C - e_b)
+        dual_ranks = np.moveaxis(Rd, block, 0)
+        primal_rev = np.moveaxis(R_rev, block, 0)
+        for j in range(dual_ranks.shape[1]):
+            dual_port = dual_ranks[1:, j] == dual_ranks[:-1, j]
+            complement_rule = primal_rev[:-1, j] != primal_rev[1:, j]
+            assert np.array_equal(dual_port, complement_rule), (block, j)
+
+    unions = tuple((np.arange(32)[:, None] >> np.arange(5) & 1).T * sizes[:, None])
+    assert R[unions].tolist() == block_collapse(E).values.tolist() == tight_pm.values.tolist()
+    assert Rd[unions].tolist() == block_collapse(Ed).values.tolist()
+    dual_blocks = Polymatroid(RankVector(tight_pm.ground, Rd[unions].astype(np.int64), "int"))
+    assert mmrv(dual_blocks) == expanded_mmrv(Ed) == -1
 
 
 class TestExpansionSubsetSyntax:

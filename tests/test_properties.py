@@ -28,12 +28,15 @@ from polyshare import (
     factor,
     helgason_expand,
     inequalities,
+    is_qualified,
     is_connected,
     is_tight,
     marginal,
+    matroid_port,
     mmrv_identity_residual,
     principal_extension,
     product_power,
+    sigma,
     split_atom,
     subset_format,
     subset_parse,
@@ -45,6 +48,13 @@ from polyshare.core import mu
 
 from generators import LETTERS, assert_polymatroids_equal, ground
 from test_entropy import assert_matches_references
+from test_matroid import (
+    reference_block_collapse,
+    reference_expanded_mmrv,
+    reference_port,
+    reference_rank,
+    reference_sigma,
+)
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -90,6 +100,20 @@ def int_polymatroids(**kwargs):
 @st.composite
 def tight_polymatroids(draw, **kwargs):
     return tighten(draw(int_polymatroids(**kwargs)))
+
+
+@st.composite
+def expansion_bases(draw, min_n=1, max_n=3, max_cap=3):
+    """Int polymatroids capped at a small constant, so that their expansions
+    have few atoms, and at times with a loop (an empty block) put in."""
+    M = draw(int_polymatroids(min_n=min_n, max_n=max_n))
+    values = np.minimum(M.values, draw(st.integers(1, max_cap)))
+    n = M.ground.n
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n))
+        values = np.repeat(values.reshape(-1, 1, 1 << i), 2, axis=1).ravel()
+        n += 1
+    return validate_polymatroid(RankVector(ground(n), values, "int"))
 
 
 VALUE_ALPHABETS = ((0, 1, 2), (-1, 0, 1), (-(1 << 41), 0, (1 << 40) + 3))
@@ -338,6 +362,48 @@ class TestExpansion:
             data.draw(st.integers(0, size)) for size in Ed.block_sizes
         )
         assert Ed.rank_of_counts(counts) == E_of_dual.rank_of_counts(counts)
+
+
+    @SETTINGS
+    @given(expansion_bases(), st.data())
+    def test_oracle_matches_the_references(self, M, data):
+        """Ranks one at a time and in a batch, ports, sigma and block_collapse
+        of both orientations against the per-query references."""
+        for E in (helgason_expand(M), helgason_expand(M).dual()):
+            rows = data.draw(
+                st.lists(st.tuples(*[st.integers(0, s) for s in E.block_sizes]), min_size=1)
+            )
+            want = [reference_rank(E, row) for row in rows]
+            assert [E.rank_of_counts(row) for row in rows] == want
+            assert E.ranks_of_counts(np.array(rows)).tolist() == want
+            assert block_collapse(E).values.tolist() == reference_block_collapse(E)
+            secret = data.draw(st.sampled_from(E.element_names))
+            want_sigma = reference_sigma(E, secret)
+            if isinstance(want_sigma, str):
+                with pytest.raises(ValueError, match=want_sigma):
+                    sigma(E, secret)
+            else:
+                assert sigma(E, secret) == want_sigma
+            flags = reference_port(E, secret)
+            if flags is None:
+                with pytest.raises(ValueError, match="is a loop"):
+                    matroid_port(E, secret)
+            elif E.n_elements == 1:
+                with pytest.raises(ValueError, match="at least one element"):
+                    matroid_port(E, secret)
+            elif not flags[-1]:
+                with pytest.raises(ValueError, match="full participant set must be qualified"):
+                    matroid_port(E, secret)
+            else:
+                A = matroid_port(E, secret)
+                assert [is_qualified(A, m) for m in range(len(flags))] == flags
+
+    @SETTINGS
+    @given(expansion_bases(min_n=5, max_n=5, max_cap=9), st.data())
+    def test_expanded_mmrv_matches_the_reference(self, M, data):
+        roles = tuple(data.draw(st.permutations(M.ground.labels))[:5])
+        for E in (helgason_expand(M), helgason_expand(M).dual()):
+            assert expanded_mmrv(E, roles) == reference_expanded_mmrv(E, roles)
 
 
 # ---------------------------------------------------------------------------
