@@ -8,6 +8,7 @@ every produced file feeds back into the other commands.
 
 Each ``cmd_*`` returns ``(exit code, JSON document, table lines)``; the lines
 are None for commands that write JSON only, and ``main`` writes one of the two.
+Each command imports the modules it runs, so a command loads only those.
 """
 
 import argparse
@@ -15,34 +16,11 @@ import json
 import os
 import sys
 
-from .core import load_rank_vector, rank_vector_to_json, subset_format
-from .entropy import entropy_vector, load_distribution
-from .inequalities import mmrv
-from .matroid import circuits, helgason_expand
-from .polymatroid import (
-    ValidationError,
-    check_polymatroid,
-    dual,
-    principal_extension,
-    split_atom,
-    tighten,
-    validate_polymatroid,
-)
-from .reproduce import run_reproduction
-from .secret_sharing import (
-    access_structure_from_json,
-    access_structure_to_json,
-    dual_structure,
-    expanded_port_doc,
-    expanded_port_spec,
-    load_access_structure,
-    matroid_port,
-    realizes,
-    sigma,
-)
-
 
 def _load_pm(path: str):
+    from .core import load_rank_vector
+    from .polymatroid import validate_polymatroid
+
     return validate_polymatroid(load_rank_vector(path))
 
 
@@ -62,11 +40,16 @@ def _split_list(text: str, count: int, what: str) -> list[str]:
 
 def _ranks(rank) -> tuple:
     """A rank-vector result; its table has one "subset<TAB>value" line per subset."""
+    from .core import rank_vector_to_json
+
     doc = rank_vector_to_json(rank)
     return 0, doc, (f"{key}\t{value}" for key, value in doc["ranks"].items())
 
 
 def cmd_validate(args) -> tuple:
+    from .core import load_rank_vector
+    from .polymatroid import check_polymatroid
+
     violations = check_polymatroid(load_rank_vector(args.infile), args.tolerance)
     if not violations:
         return 0, {"valid": True}, ["valid"]
@@ -79,18 +62,26 @@ def cmd_validate(args) -> tuple:
 
 
 def cmd_dual(args) -> tuple:
+    from .polymatroid import dual
+
     return _ranks(dual(_load_pm(args.infile)).rank)
 
 
 def cmd_tighten(args) -> tuple:
+    from .polymatroid import tighten
+
     return _ranks(tighten(_load_pm(args.infile)).rank)
 
 
 def cmd_entropy(args) -> tuple:
+    from .entropy import entropy_vector, load_distribution
+
     return _ranks(entropy_vector(load_distribution(args.infile)).rank)
 
 
 def cmd_mmrv(args) -> tuple:
+    from .inequalities import mmrv
+
     pm = _load_pm(args.infile)
     roles = _split_list(args.roles, 5, "role labels") if args.roles else None
     value = mmrv(pm, roles)
@@ -98,6 +89,8 @@ def cmd_mmrv(args) -> tuple:
 
 
 def cmd_split(args) -> tuple:
+    from .polymatroid import split_atom
+
     pm = _load_pm(args.infile)
     alphas = [_number(a) for a in _split_list(args.alphas, 2, "alphas")]
     labels = _split_list(args.labels, 2, "labels")
@@ -105,11 +98,15 @@ def cmd_split(args) -> tuple:
 
 
 def cmd_extend(args) -> tuple:
+    from .polymatroid import principal_extension
+
     pm = _load_pm(args.infile)
     return _ranks(principal_extension(pm, args.element, _number(args.alpha), args.label).rank)
 
 
 def cmd_expand(args) -> tuple:
+    from .matroid import helgason_expand
+
     pm = _load_pm(args.infile)
     expansion = helgason_expand(pm, dualized=args.dual)
     if args.query is not None:
@@ -127,6 +124,9 @@ def cmd_expand(args) -> tuple:
 
 
 def cmd_circuits(args) -> tuple:
+    from .core import subset_format
+    from .matroid import circuits
+
     pm = _load_pm(args.infile)
     found = circuits(pm)
     doc = {"circuits": [list(pm.ground.labels_of(m)) for m in found]}
@@ -142,6 +142,10 @@ def _relative_to_out(in_path: str, out: str | None) -> str:
 
 
 def cmd_port(args) -> tuple:
+    from .matroid import helgason_expand
+    from .polymatroid import dual
+    from .secret_sharing import access_structure_to_json, expanded_port_doc, matroid_port
+
     pm = _load_pm(args.infile)
     if args.expanded:
         matroid_port(helgason_expand(pm, dualized=args.dual), args.secret)  # raises if unusable
@@ -153,6 +157,14 @@ def cmd_port(args) -> tuple:
 
 
 def cmd_access_dual(args) -> tuple:
+    from .secret_sharing import (
+        access_structure_from_json,
+        access_structure_to_json,
+        dual_structure,
+        expanded_port_doc,
+        expanded_port_spec,
+    )
+
     with open(args.infile) as fh:
         doc = json.load(fh)
     base_dir = os.path.dirname(os.path.abspath(args.infile))
@@ -166,6 +178,9 @@ def cmd_access_dual(args) -> tuple:
 
 
 def cmd_realizes(args) -> tuple:
+    from .core import subset_format
+    from .secret_sharing import load_access_structure, realizes
+
     pm = _load_pm(args.infile)
     structure = load_access_structure(args.access)
     ok, witness = realizes(pm, structure, args.secret, args.tolerance)
@@ -177,11 +192,15 @@ def cmd_realizes(args) -> tuple:
 
 
 def cmd_sigma(args) -> tuple:
+    from .secret_sharing import sigma
+
     value = sigma(_load_pm(args.infile), args.secret)
     return 0, {"sigma": str(value), "value": float(value)}, [str(value)]
 
 
 def cmd_reproduce(args) -> tuple:
+    from .reproduce import run_reproduction
+
     report = run_reproduction(args.step)
     return (0 if report.passed else 1), report.as_dict(), [report.format_table()]
 
@@ -254,9 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from .core import dumps  # every command loads these modules anyway
+    from .polymatroid import ValidationError
+
     try:
         code, doc, table = args.func(args)
-        text = "\n".join(table) if args.format == "table" else json.dumps(doc, indent=1)
+        text = "\n".join(table) if args.format == "table" else dumps(doc)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text if text.endswith("\n") else text + "\n")

@@ -20,6 +20,7 @@ from .core import (
     GroundSet,
     GroundSetMismatch,
     check_dense,
+    dumps,
     json_field,
     load_rank_vector,
 )
@@ -368,6 +369,6 @@ def load_access_structure(path) -> AccessStructure:
 
 
 def save_access_structure(A: AccessStructure, path) -> None:
+    text = dumps(access_structure_to_json(A))
     with open(path, "w") as fh:
-        json.dump(access_structure_to_json(A), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")

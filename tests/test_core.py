@@ -28,6 +28,8 @@ from polyshare import (
     mu,
     rank_vector_from_json,
     rank_vector_to_json,
+    save_access_structure,
+    save_distribution,
     save_rank_vector,
     subset_format,
     subset_parse,
@@ -503,3 +505,47 @@ class TestJsonFiles:
         save_rank_vector(u23.rank, p1)
         save_rank_vector(u23.rank, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+json_scalars = (
+    st.none() | st.booleans() | st.floats() | st.integers()
+    | st.integers(2**63, 2**200) | st.integers(-(2**200), -(2**63))
+    | st.text() | st.text(st.characters(max_codepoint=0x1F)) | st.text(st.characters(min_codepoint=0x80))
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=6) | st.tuples(inner, inner)
+    | st.dictionaries(json_keys, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    """core.dumps writes the text of json.dumps(doc, indent=1)."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(json_documents)
+    def test_same_text_as_json_indent_1(self, doc):
+        assert core.dumps(doc) == json.dumps(doc, indent=1)
+
+    @pytest.mark.parametrize("doc", [{(1, 2): 0}, {(1, 2): [0]}, [object()], {"a": [{1j: 0}]}])
+    def test_same_errors(self, doc):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(doc, indent=1)
+        with pytest.raises(TypeError) as got:
+            core.dumps(doc)
+        assert str(got.value) == str(expected.value)
+
+    def test_saved_files_use_only_the_c_encoder(self, tmp_path, monkeypatch):
+        """The pure-Python encoder (what ``indent`` turns on) is never called."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder used")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        rank = uniform_matroid(3, [f"x{i}" for i in range(8)]).rank
+        save_rank_vector(rank, tmp_path / "u38.json")
+        assert load_rank_vector(tmp_path / "u38.json") == rank
+        save_access_structure(threshold_structure(2, ["p", "q", "r"]), tmp_path / "t23.json")
+        dist = JointDistribution(GroundSet(["x", "y"]), np.array([[0, 1], [1, 0]]), np.array([0.25, 0.75]))
+        save_distribution(dist, tmp_path / "d.json")

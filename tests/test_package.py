@@ -1,0 +1,61 @@
+"""The package's lazy exports, and what the CLI loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import polyshare
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(polyshare.__file__)))
+MIDDLE = os.path.join(SRC, "polyshare", "data", "table2_middle.json")
+MODULES = ("core", "lattice", "polymatroid", "entropy", "inequalities", "matroid",
+           "secret_sharing", "reproduce")
+EXPORTS = [(module, name) for module, names in polyshare._EXPORTS.items() for name in names]
+
+
+def loaded_after(code: str) -> set[str]:
+    """Names in sys.modules once a fresh interpreter has run ``code``."""
+    probe = f"{code}\nimport sys\nprint(*sys.modules, file=sys.stderr)"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+@pytest.mark.parametrize("code", ["import polyshare", "import polyshare.cli"])
+def test_import_loads_no_module_and_no_numpy(code):
+    loaded = loaded_after(code)
+    assert "numpy" not in loaded
+    assert not {f"polyshare.{m}" for m in MODULES} & loaded
+
+
+def test_dual_loads_only_what_it_runs():
+    loaded = loaded_after(f"from polyshare.cli import main\nassert main(['dual', '--in', {MIDDLE!r}]) == 0")
+    assert {"polyshare.core", "polyshare.polymatroid"} <= loaded
+    skipped = {"entropy", "inequalities", "matroid", "secret_sharing", "reproduce"}
+    assert not {f"polyshare.{m}" for m in skipped} & loaded
+
+
+@pytest.mark.parametrize("module, name", EXPORTS)
+def test_export_is_the_object_of_its_module(module, name):
+    value = getattr(polyshare, name)
+    assert value is getattr(importlib.import_module(f"polyshare.{module}"), name)
+    assert vars(polyshare)[name] is value  # kept after the first lookup
+
+
+def test_dir_and_star_import_list_exactly_the_table():
+    names = sorted(name for _, name in EXPORTS)
+    assert len(set(names)) == len(names)
+    assert dir(polyshare) == names
+    namespace = {}
+    exec("from polyshare import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == names
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        polyshare.no_such_name
+    assert not hasattr(polyshare, "distribution_to_json")  # in a module, not exported
