@@ -15,6 +15,12 @@ from .polymatroid import Polymatroid, validate_polymatroid
 
 SUM_TOL = 1e-9
 MARGINAL_TOL = 1e-9
+INT64_MAX = np.iinfo(np.int64).max
+# _dense_ranks counts keys whose span is at most this many per key, else sorts
+COUNT_SPAN = 4
+# entropy_vector expands a batch of subsets into at most this many label
+# cells (children x rows) at a time
+BATCH_CELLS = 1 << 14
 
 
 class MarginalMismatch(ValueError):
@@ -49,7 +55,7 @@ class JointDistribution:
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if len({tuple(r) for r in rows.tolist()}) != rows.shape[0]:
+        if _labels(rows)[1] != rows.shape[0]:
             raise ValueError("duplicate outcome row")
         rows = rows.copy()
         rows.setflags(write=False)
@@ -102,28 +108,56 @@ def _columns(d: JointDistribution, mask: int) -> list[int]:
     return [i for i in range(d.variables.n) if mask >> i & 1]
 
 
+def _dense_ranks(keys: np.ndarray, span: int):
+    """``np.unique(keys, return_inverse=True)[1]`` in the shape of ``keys``,
+    and the number of distinct keys.
+
+    The keys lie in [0, span), or span is too wide to count.  A span of at
+    most COUNT_SPAN values per key is counted (an occupancy array, then its
+    cumulative sum); a wider one is sorted.
+    """
+    if span <= COUNT_SPAN * keys.size:
+        ranks = np.zeros(span, dtype=np.int64)
+        ranks[keys] = 1
+        np.cumsum(ranks, out=ranks)  # in int64 throughout: no cast from bool
+        count = int(ranks[-1])
+        ranks -= 1
+        return ranks[keys], count
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return inverse.reshape(keys.shape), uniq.shape[0]
+
+
 def _codes(column: np.ndarray):
     """Rank of each value in the sorted distinct values, and their count."""
-    uniq, codes = np.unique(column, return_inverse=True)
-    return codes, uniq.shape[0]
+    low = int(column.min())
+    span = int(column.max()) - low + 1  # Python ints: no wrap near ±2^63
+    if span > INT64_MAX:  # column - low would wrap; so wide a span is sorted
+        return _dense_ranks(column, span)
+    return _dense_ranks(column - low, span)
 
 
-def _refine(labels: np.ndarray, codes: np.ndarray, card: int) -> np.ndarray:
-    """Labels of the rows extended by one column whose values rank last.
+def _labels(rows: np.ndarray):
+    """Lexicographic rank of each row among the distinct rows, and their count.
 
-    If ``labels`` rank the restricted rows lexicographically, so do the
-    result's: the new column breaks ties within each existing label.
+    A row is read as a mixed-radix number, first column most significant,
+    each digit its value less the column's least.  Where the next digit
+    would take the number past int64, the labels so far are replaced by
+    their ranks, and a column too wide even then by its value codes.
     """
-    _, inverse = np.unique(labels * card + codes, return_inverse=True)
-    return inverse
-
-
-def _labels(rows: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each row among the distinct rows."""
-    labels = np.zeros(rows.shape[0], dtype=np.int64)
-    for k in range(rows.shape[1]):
-        labels = _refine(labels, *_codes(rows[:, k]))
-    return labels
+    labels, count = np.zeros(rows.shape[0], dtype=np.int64), 1
+    lows, highs = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
+    for column, low, high in zip(rows.T, lows, highs):
+        span = high - low + 1
+        if count * span > INT64_MAX and count > 1:
+            labels, count = _dense_ranks(labels, count)
+        if count * span > INT64_MAX:
+            digits, span = _codes(column)
+        else:
+            digits = column - low
+        labels *= span
+        labels += digits
+        count *= span
+    return _dense_ranks(labels, count)
 
 
 def marginal(d: JointDistribution, A: int) -> JointDistribution:
@@ -131,37 +165,72 @@ def marginal(d: JointDistribution, A: int) -> JointDistribution:
     if A == 0:
         raise ValueError("marginal over the empty set is not defined")
     rows = d.outcomes[:, _columns(d, A)]
-    labels = _labels(rows)
+    labels, _ = _labels(rows)
     summed = np.bincount(labels, weights=d.probs)
     first = np.empty(summed.shape[0], dtype=np.int64)
     first[labels] = np.arange(d.n_rows)  # any row of a label gives its values
     return JointDistribution(GroundSet(d.variables.labels_of(A)), rows[first], summed)
 
 
-def _entropy_bits(probs: np.ndarray) -> float:
-    p = probs[probs > 0]
-    return float(-(p * np.log2(p)).sum())
-
-
 def entropy_vector(d: JointDistribution) -> Polymatroid:
     """H of every marginal, as a float-mode polymatroid (always valid).
 
-    One depth-first pass over the subsets: a child adds a column above its
-    parent's highest one, and its rows are labelled from the parent's
-    labels, so only the labels along the current path are held.
+    Depth first over batches of subsets.  A batch is expanded into all of
+    its children at once, each child adding one column above its parent's
+    highest, and one _dense_ranks call labels every child's rows from its
+    parent's labels.  A batch expands into at most BATCH_CELLS label cells
+    (children x rows), or into one subset's children where those alone take
+    more, and the stack holds one batch's children per level, so the labels
+    held at any time take O(n * (BATCH_CELLS + n * rows)) cells.
     """
     check_dense(d.variables)
-    n = d.variables.n
+    n, rows = d.variables.n, d.n_rows
     values = np.zeros(1 << n, dtype=np.float64)
-    columns = [_codes(d.outcomes[:, j]) for j in range(n)]
+    coded = [_codes(d.outcomes[:, j]) for j in range(n)]
+    codes = np.array([c for c, _ in coded], dtype=np.int64)
+    cards = np.array([k for _, k in coded], dtype=np.int64)
+    # a batch has at most max(BATCH_CELLS // rows, n) children
+    weights = np.tile(d.probs, max(BATCH_CELLS // rows, n))
 
-    def visit(mask: int, labels: np.ndarray, start: int) -> None:
-        for j in range(start, n):
-            child = _refine(labels, *columns[j])
-            values[mask | 1 << j] = _entropy_bits(np.bincount(child, weights=d.probs))
-            visit(mask | 1 << j, child, j + 1)
+    def expand(masks, tops, labels, counts):
+        """Write the entropies of a batch's children; return the children."""
+        fan = n - 1 - tops
+        parent = np.repeat(np.arange(masks.shape[0]), fan)
+        column = np.arange(parent.shape[0]) - np.repeat(np.cumsum(fan) - fan - tops - 1, fan)
+        spans = counts[parent] * cards[column]
+        # the children's keys occupy disjoint ranges, in child order
+        keys = labels[parent]
+        keys *= cards[column, None]
+        keys += codes[column]
+        keys += (np.cumsum(spans) - spans)[:, None]
+        ranks, total = _dense_ranks(keys, int(spans.sum()))
+        del keys
+        masses = np.bincount(ranks.ravel(), weights=weights[: ranks.size])
+        # each child's labels are a run of ranks from its least one on
+        first = ranks.min(axis=1)
+        ranks -= first[:, None]
+        first = np.append(first, total)
+        # each child's entropy sums its own positive terms in label order
+        positive = np.flatnonzero(masses > 0)
+        terms = masses[positive]
+        terms *= np.log2(terms)
+        bounds = np.searchsorted(positive, first).tolist()
+        children = masks[parent] | np.left_shift(1, column)
+        values[children] = np.negative([np.add.reduce(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
+        return children, column, ranks, np.diff(first)
 
-    visit(0, np.zeros(d.n_rows, dtype=np.int64), 0)
+    # each entry: subsets' masks, highest columns, row labels and label counts
+    stack = [(np.zeros(1, np.int64), np.full(1, -1), np.zeros((1, rows), np.int64), np.ones(1, np.int64))]
+    while stack:
+        masks, tops, labels, counts = stack.pop()
+        # the batch is the longest run of subsets, at least one, whose
+        # children take at most BATCH_CELLS cells; the rest waits its turn
+        reach = np.cumsum(n - 1 - tops) * rows
+        take = max(1, int(np.searchsorted(reach, BATCH_CELLS, side="right")))
+        if take < masks.shape[0]:
+            stack.append((masks[take:], tops[take:], labels[take:], counts[take:]))
+        if reach[take - 1]:
+            stack.append(expand(masks[:take], tops[:take], labels[:take], counts[:take]))
     return validate_polymatroid(RankVector(d.variables, values, "float"))
 
 
@@ -184,8 +253,7 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
 
     # one label per overlap value, shared by the rows of both inputs
     keys = np.concatenate([d1.outcomes[:, cols1], d2.outcomes[:, cols2]])
-    labels = _labels(keys)
-    n_keys = int(labels.max()) + 1
+    labels, n_keys = _labels(keys)
     l1, l2 = labels[: d1.n_rows], labels[d1.n_rows :]
     overlap = np.bincount(l1, weights=d1.probs, minlength=n_keys)
     check = np.bincount(l2, weights=d2.probs, minlength=n_keys)

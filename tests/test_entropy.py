@@ -1,7 +1,10 @@
 """Distributions, entropy vectors, and the max-entropy gluing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyshare import (
     GroundSet,
@@ -17,7 +20,16 @@ from polyshare import (
     save_distribution,
     subset_parse,
 )
-from polyshare.entropy import distribution_from_json, distribution_to_json
+from polyshare import entropy
+from polyshare.entropy import (
+    BATCH_CELLS,
+    COUNT_SPAN,
+    _codes,
+    _dense_ranks,
+    _labels,
+    distribution_from_json,
+    distribution_to_json,
+)
 
 from generators import ground, random_distribution
 
@@ -145,6 +157,19 @@ def sweep_distribution(rng, n, case):
     return JointDistribution(ground(n), rows, probs / probs.sum())
 
 
+def wide_distribution(rng, n, rows):
+    """rows distinct outcome rows on n variables, some of probability zero:
+    small-valued columns, one all-distinct column of values near -2^62 and
+    one column of values 2^60 apart."""
+    out = rng.integers(0, 3, size=(rows, n))
+    out[:, 0] = rng.permutation(rows) - (1 << 62)
+    out[:, n // 2] = rng.integers(-3, 4, size=rows) << 60
+    probs = rng.random(rows) + 0.05
+    probs[rng.random(rows) < 0.2] = 0.0
+    labels = tuple(f"x{i}" for i in range(n))
+    return JointDistribution(GroundSet(labels), out, probs / probs.sum())
+
+
 class TestJointDistribution:
     def test_table1_shape_and_total(self, table1):
         assert table1.variables.labels == ("a", "b", "c", "d", "e")
@@ -259,6 +284,30 @@ class TestAgainstReferences:
     def test_table1(self, table1):
         assert_matches_references(table1, np.random.default_rng(5))
 
+    def test_split_batches_and_sorted_keys(self, monkeypatch):
+        """n=10 with an all-distinct last column: the levels split into
+        several batches, and batches below the top level whose children add
+        that column to many labels are relabelled by sorting."""
+        rng = np.random.default_rng(77)
+        rows = 500  # the 10 top-level children fit one batch, the 45 below do not
+        assert 10 * rows <= BATCH_CELLS < 45 * rows
+        out = rng.integers(0, 3, size=(rows, 10))
+        out[:, 9] = rng.permutation(rows) * 7 - 1000
+        probs = rng.random(rows) + 0.05
+        probs[rng.random(rows) < 0.1] = 0.0
+        d = JointDistribution(ground(10), out, probs / probs.sum())
+        batches = []
+
+        def spy(keys, span):
+            if keys.ndim == 2:
+                batches.append(span > COUNT_SPAN * keys.size)
+            return _dense_ranks(keys, span)
+
+        monkeypatch.setattr(entropy, "_dense_ranks", spy)
+        assert_matches_references(d, rng)
+        assert len(batches) > 10  # more batches than levels
+        assert not batches[0] and any(batches[1:])
+
     def test_mismatch_message_names_value_and_masses(self):
         d1 = JointDistribution(GroundSet("ab"), [[0, 0], [1, 1]], [0.5, 0.5])
         d2 = JointDistribution(GroundSet("bc"), [[0, 0], [1, 1]], [0.3, 0.7])
@@ -271,6 +320,68 @@ class TestAgainstReferences:
         glued = conditional_product(d1, d2)
         assert_same_distribution(glued, reference_conditional_product(d1, d2))
         assert glued.outcomes.tolist() == [[1, 5], [1, -5], [1, 0], [0, 5], [0, -5], [0, 0]]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [13, 14])
+def test_entropy_vector_sweep_wide(n):
+    """n=13 and n=14 against the per-subset reference, exactly, with
+    zero-probability rows and wide-valued columns."""
+    d = wide_distribution(np.random.default_rng(n), n, 300)
+    assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+
+
+class TestDenseRanks:
+    """The relabelling kernel against np.unique, on both of its branches."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), st.sampled_from(["count", "sort"]))
+    def test_matches_unique(self, data, branch):
+        shape = tuple(data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)))
+        size = int(np.prod(shape))
+        if branch == "count":
+            span = data.draw(st.integers(1, COUNT_SPAN * size))
+        else:
+            span = data.draw(st.integers(COUNT_SPAN * size + 1, 1 << 62))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        keys = np.random.default_rng(seed).integers(0, span, size=shape, dtype=np.int64)
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        ranks, count = _dense_ranks(keys, span)
+        assert ranks.shape == keys.shape
+        assert np.array_equal(ranks, inverse.reshape(keys.shape))
+        assert count == uniq.shape[0]
+
+    @pytest.mark.parametrize("values", [
+        [2**63 - 1, -(2**63), 0, -(2**63), 2**63 - 2, 5],  # span past int64: sorted
+        [2**63 - 1, 2**63 - 3, 2**63 - 1, 2**63 - 2],  # near the top: counted
+        [-(2**63), -(2**63) + 2, -(2**63) + 1, -(2**63)],  # near the bottom: counted
+    ])
+    def test_codes_near_int64_limits(self, values):
+        column = np.array(values, dtype=np.int64)
+        uniq, inverse = np.unique(column, return_inverse=True)
+        codes, card = _codes(column)
+        assert np.array_equal(codes, inverse) and card == uniq.shape[0]
+        rows = np.stack([column, column[::-1], np.zeros_like(column)], axis=1)
+        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+        labels, count = _labels(rows)
+        assert np.array_equal(labels, inverse.ravel()) and count == uniq.shape[0]
+
+
+def test_entropy_vector_memory_is_bounded():
+    """At n=16 and 300 rows a single level's labels would take
+    C(16, 8) * 300 * 8 B, about 31 MB.  The batched walk holds the values,
+    one batch's children per level and a few batch-sized temporaries."""
+    n, rows = 16, 300
+    d = wide_distribution(np.random.default_rng(16), n, rows)
+    batch = 8 * max(BATCH_CELLS, n * rows)
+    tracemalloc.start()
+    try:
+        entropy_vector(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (1 << n) + (n + 10) * batch  # about 3.9 MB
+    assert peak < 31e6 / 8  # an eighth of one level's labels
 
 
 class TestMarginal:
