@@ -49,11 +49,6 @@ class InfoExpression:
     def __add__(self, other: "InfoExpression") -> "InfoExpression":
         return InfoExpression(self.terms + other.terms)
 
-    def scaled(self, factor) -> "InfoExpression":
-        return InfoExpression(
-            InfoTerm(t.kind, t.args, t.given, t.coeff * factor) for t in self.terms
-        )
-
 
 def conditional_entropy(A: int, C: int = 0, coeff=1) -> InfoTerm:
     return InfoTerm("H", (A,), C, coeff)

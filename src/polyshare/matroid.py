@@ -7,8 +7,6 @@ how many atoms S takes from each block, which collapses both the memo table
 and the query syntax to per-block counts.
 """
 
-from itertools import combinations
-
 import numpy as np
 
 from . import lattice
@@ -16,6 +14,8 @@ from .core import DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel
 from .polymatroid import Polymatroid
 
 MAX_CIRCUIT_ELEMENTS = 15
+# at about 123 B per entry, the rank_of_counts memo stays under ~8 MB
+MEMO_ENTRIES = 2**16
 _INT = frozenset((int,))
 
 
@@ -26,7 +26,8 @@ def is_matroid(M: Polymatroid) -> bool:
     return all(M.value(1 << i) <= 1 for i in range(M.ground.n))
 
 
-def _require_matroid(M: Polymatroid):
+def circuits(M: Polymatroid) -> list[int]:
+    """All minimal dependent sets, ordered by size then mask."""
     if not is_matroid(M):
         raise ValueError("not a matroid: some singleton rank exceeds 1")
     if M.ground.n > MAX_CIRCUIT_ELEMENTS:
@@ -34,45 +35,21 @@ def _require_matroid(M: Polymatroid):
             f"circuit enumeration capped at {MAX_CIRCUIT_ELEMENTS} elements, "
             f"got {M.ground.n}"
         )
-
-
-def circuits(M: Polymatroid) -> list[int]:
-    """All minimal dependent sets, ordered by size then mask."""
-    _require_matroid(M)
     return lattice.minimal(M.values < lattice.sizes(M.ground.n))
 
 
-def _is_circuit(vals: np.ndarray, mask: int) -> bool:
-    size = mask.bit_count()
-    if vals[mask] >= size:
-        return False
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        sub = mask ^ bit
-        if vals[sub] < size - 1:
-            return False
-    return True
-
-
 def circuit_connected(M: Polymatroid, x: str, y: str):
-    """(True, circuit mask) for the smallest circuit through both, else (False, None)."""
-    _require_matroid(M)
+    """(True, circuit mask) for the smallest circuit through both, ties broken
+    by the lower mask, else (False, None)."""
+    found = circuits(M)
     bx = M.ground.bit(x)
     by = M.ground.bit(y)
     if bx == by:
         raise ValueError(f"need two distinct elements, got {x!r} twice")
     pair = bx | by
-    others = [1 << i for i in range(M.ground.n) if not (1 << i) & pair]
-    vals = M.values
-    for r in range(len(others) + 1):
-        for extra in combinations(others, r):
-            mask = pair
-            for b in extra:
-                mask |= b
-            if _is_circuit(vals, mask):
-                return True, mask
+    for c in found:
+        if c & pair == pair:
+            return True, c
     return False, None
 
 
@@ -188,7 +165,8 @@ class ExpandedMatroid:
         return tuple(map(int, counts))
 
     def rank_of_counts(self, counts) -> int:
-        """Rank of the subset with these per-block atom counts, memoised."""
+        """Rank of the subset with these per-block atom counts, memoised up
+        to MEMO_ENTRIES distinct counts."""
         try:
             value = self._memo.get(counts)
         except TypeError:  # counts that cannot be a key, such as a list
@@ -198,7 +176,9 @@ class ExpandedMatroid:
             key = self._checked(counts)
             value = self._memo.get(key)
             if value is None:
-                value = self._memo[key] = sum(key) + int(self._slack(key).min())
+                value = sum(key) + int(self._slack(key).min())
+                if len(self._memo) < MEMO_ENTRIES:
+                    self._memo[key] = value
         return value
 
     def ranks_of_counts(self, C) -> np.ndarray:

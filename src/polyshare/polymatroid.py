@@ -9,7 +9,7 @@ then reject a valid input.  Property tests check each operation's output.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,13 +54,7 @@ class Violation:
     rhs: float
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "elements": list(self.elements),
-            "subset": self.subset,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
+        return asdict(self)
 
 
 class ValidationError(ValueError):

@@ -7,7 +7,7 @@ execute, so a broken fixture yields a full report rather than a stack trace.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import numpy as np
@@ -49,15 +49,7 @@ class StepRecord:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ oracles answering one subset at a time.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -46,17 +46,23 @@ class AccessStructure:
         full = participants.full_mask
         if oracle is not None and participants.n <= MAX_DENSE_ELEMENTS:
             qualified = np.fromiter(map(oracle, range(full + 1)), dtype=bool, count=full + 1)
+            oracle = None
+        self.qualified = None
+        self.oracle = oracle
         if qualified is not None:
             check_dense(participants)
-            q = np.asarray(qualified, dtype=bool)
+            q = np.array(qualified, dtype=bool)
             if q.shape != (full + 1,):
                 raise ValueError(f"need one flag per subset, got shape {q.shape}")
-            if q[0]:
-                raise ValueError("the empty set must not be qualified")
-            if not q[full]:
-                raise ValueError("the full participant set must be qualified")
+            q.setflags(write=False)
+            self.qualified = q
+        if is_qualified(self, 0):
+            raise ValueError("the empty set must not be qualified")
+        if not is_qualified(self, full):
+            raise ValueError("the full participant set must be qualified")
+        if self.is_explicit:
             for i in range(participants.n):
-                without, with_i = lattice.split(q, i)
+                without, with_i = lattice.split(self.qualified, i)
                 bad = without & ~with_i
                 if bad.any():
                     worst = int(lattice.split(lattice.masks(participants.n), i)[0][bad][0])
@@ -64,17 +70,6 @@ class AccessStructure:
                         f"not upward closed: {participants.labels_of(worst)} qualified "
                         f"but adding {participants.labels[i]!r} loses qualification"
                     )
-            q = q.copy()
-            q.setflags(write=False)
-            self.qualified = q
-            self.oracle = None
-        else:
-            if oracle(0):
-                raise ValueError("the empty set must not be qualified")
-            if not oracle(full):
-                raise ValueError("the full participant set must be qualified")
-            self.qualified = None
-            self.oracle = oracle
 
     @property
     def is_explicit(self) -> bool:
@@ -93,33 +88,18 @@ class AccessStructure:
         return hash(self.participants.labels)
 
 
-def _flags(participants: GroundSet, masks) -> np.ndarray:
-    """One flag per subset, set on the given masks."""
+def from_minimal(participants: GroundSet, minimal_masks) -> AccessStructure:
+    """Explicit structure as the upward closure of the given sets."""
     check_dense(participants)
     full = participants.full_mask
     q = np.zeros(full + 1, dtype=bool)
-    for m in masks:
+    for m in minimal_masks:
         if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= full:
             raise ValueError(
                 f"mask {m!r} is not a subset of the participants (valid: integers 0..{full})"
             )
         q[m] = True
-    return q
-
-
-def from_qualified_masks(participants: GroundSet, masks) -> AccessStructure:
-    return AccessStructure(participants, qualified=_flags(participants, masks))
-
-
-def from_minimal(participants: GroundSet, minimal_masks) -> AccessStructure:
-    """Explicit structure as the upward closure of the given sets."""
-    return AccessStructure(
-        participants, qualified=lattice.up_closure(_flags(participants, minimal_masks))
-    )
-
-
-def from_oracle(participants: GroundSet, fn) -> AccessStructure:
-    return AccessStructure(participants, oracle=fn)
+    return AccessStructure(participants, qualified=lattice.up_closure(q))
 
 
 def threshold_structure(k: int, labels) -> AccessStructure:
@@ -290,7 +270,7 @@ class ImportantBoundReport:
     margins: dict
 
     def as_dict(self) -> dict:
-        return {"ok": self.ok, "margins": dict(self.margins)}
+        return asdict(self)
 
 
 def important_bound_check(M: Polymatroid, A: AccessStructure, secret: str) -> ImportantBoundReport:

@@ -40,7 +40,7 @@ from polyshare import (
 )
 from polyshare import core, lattice
 from polyshare.lattice import additive, by_size
-from polyshare.secret_sharing import from_minimal, from_qualified_masks
+from polyshare.secret_sharing import from_minimal
 
 from generators import pm
 
@@ -299,13 +299,11 @@ def no_lattice(monkeypatch):
     [
         lambda: entropy_vector(JointDistribution(GroundSet(WIDE), [[0] * 64], [1.0])),
         lambda: from_minimal(GroundSet(WIDE), [1]),
-        lambda: from_qualified_masks(GroundSet(WIDE), [GroundSet(WIDE).full_mask]),
         lambda: threshold_structure(2, WIDE),
         lambda: uniform_matroid(2, WIDE),
         lambda: basis_r(GroundSet(WIDE), 1),
     ],
-    ids=["entropy_vector", "from_minimal", "from_qualified_masks", "threshold_structure",
-         "uniform_matroid", "basis_r"],
+    ids=["entropy_vector", "from_minimal", "threshold_structure", "uniform_matroid", "basis_r"],
 )
 def test_dense_cap_checked_first(no_lattice, build):
     with pytest.raises(ValueError, match="capped at 20 elements"):

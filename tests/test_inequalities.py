@@ -80,7 +80,6 @@ class TestEval:
             [conditional_entropy(0b001), conditional_entropy(0b010, coeff=2)]
         )
         assert eval_expression(expr, u23) == 3
-        assert eval_expression(expr.scaled(2), u23) == 6
 
     def test_every_shannon_term_nonnegative_on_random_polymatroids(self):
         rng = np.random.default_rng(31)

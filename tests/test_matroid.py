@@ -30,6 +30,7 @@ from polyshare import (
     uniform_matroid,
     validate_polymatroid,
 )
+from polyshare import matroid
 
 from generators import (
     all_split_schedules,
@@ -219,15 +220,16 @@ class TestCircuitConnected:
         rng = np.random.default_rng(71)
         for _ in range(20):
             m, _ = random_matroid(rng, 6, allow_loops=False)
-            all_circuits = set(circuits(m))
+            all_circuits = circuits(m)
             for x, y in itertools.combinations(m.ground, 2):
                 ok, witness = circuit_connected(m, x, y)
+                pair = m.ground.bit(x) | m.ground.bit(y)
                 if ok:
                     assert witness in all_circuits
                     assert witness & m.ground.bit(x)
                     assert witness & m.ground.bit(y)
+                    assert witness == next(c for c in all_circuits if c & pair == pair)
                 else:
-                    pair = m.ground.bit(x) | m.ground.bit(y)
                     assert not any(c & pair == pair for c in all_circuits)
 
     def test_connected_matroid_joins_all_pairs(self):
@@ -357,6 +359,15 @@ class TestOracleAgainstReferences:
         assert flipped._memo is not E._memo
         E.rank_of_counts((1, 2, 3, 4, 5))
         assert flipped._memo == {}
+
+    def test_memo_stops_growing_at_its_cap(self, E, monkeypatch):
+        monkeypatch.setattr(matroid, "MEMO_ENTRIES", 8)
+        C = self.random_counts(E, 40, 9)
+        assert len({tuple(row) for row in C.tolist()}) > 8
+        want = E.ranks_of_counts(C).tolist()
+        for _ in range(2):  # past the cap, hits and uncached misses alike
+            assert [E.rank_of_counts(tuple(row)) for row in C.tolist()] == want
+            assert len(E._memo) <= 8
 
 
 class TestPortsAtTheDenseCap:

@@ -1,5 +1,7 @@
-"""The package's lazy exports, and what the CLI loads."""
+"""The package's lazy exports, what the CLI loads, and no dead definitions."""
 
+import ast
+import glob
 import importlib
 import os
 import subprocess
@@ -59,3 +61,28 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         polyshare.no_such_name
     assert not hasattr(polyshare, "distribution_to_json")  # in a module, not exported
+
+
+def test_every_public_definition_is_exported_or_used():
+    """A public module-level function or class is exported or referenced
+    elsewhere in the package: by name, attribute, import or string."""
+    defined, used = [], set()
+    for path in sorted(glob.glob(os.path.join(SRC, "polyshare", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        defined += [
+            (os.path.basename(path), node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    exported = {name for _, name in EXPORTS}
+    assert [(f, name) for f, name in defined if name not in exported | used] == []

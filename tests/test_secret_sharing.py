@@ -38,8 +38,6 @@ from polyshare.secret_sharing import (
     expanded_port_doc,
     expanded_port_spec,
     from_minimal,
-    from_oracle,
-    from_qualified_masks,
     load_access_structure,
     save_access_structure,
 )
@@ -69,16 +67,16 @@ class TestAccessStructure:
     def test_empty_set_must_be_unqualified(self):
         g = GroundSet(("p", "q"))
         with pytest.raises(ValueError, match="empty set"):
-            from_qualified_masks(g, [0b00, 0b01, 0b11])
+            AccessStructure(g, qualified=[True, True, False, True])
         with pytest.raises(ValueError, match="empty set"):
-            from_oracle(g, lambda m: True)
+            AccessStructure(g, oracle=lambda m: True)
 
     def test_full_set_must_be_qualified(self):
         g = GroundSet(("p", "q"))
         with pytest.raises(ValueError, match="full participant set"):
-            from_qualified_masks(g, [0b01])
+            AccessStructure(g, qualified=[False, True, False, False])
         with pytest.raises(ValueError, match="full participant set"):
-            from_oracle(g, lambda m: False)
+            AccessStructure(g, oracle=lambda m: False)
 
     def test_upward_closure_enforced(self):
         g = GroundSet(("p", "q", "r"))
@@ -109,33 +107,27 @@ class TestAccessStructure:
         with pytest.raises(ValueError, match=rf"mask {mask} is not a subset.*0\.\.3"):
             from_minimal(g, [0b01, mask])
 
-    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40, 2.5, True])
-    def test_from_qualified_masks_rejects_bad_masks(self, mask):
-        g = GroundSet(("p", "q"))
-        with pytest.raises(ValueError, match=rf"mask {mask} is not a subset.*0\.\.3"):
-            from_qualified_masks(g, [0b11, mask])
-
     def test_oracle_side_skips_the_cap(self):
-        A = from_oracle(P21, lambda m: m.bit_count() >= 3)
+        A = AccessStructure(P21, oracle=lambda m: m.bit_count() >= 3)
         assert not A.is_explicit
         assert is_qualified(A, 0b111)
         assert not is_qualified(A, 0b011)
 
     def test_small_oracle_is_materialised_and_checked(self):
         g = GroundSet(("p", "q", "r"))
-        A = from_oracle(g, lambda m: m.bit_count() >= 2)
+        A = AccessStructure(g, oracle=lambda m: m.bit_count() >= 2)
         assert A.is_explicit
         assert A == threshold_structure(2, g.labels)
         with pytest.raises(ValueError, match="not upward closed"):
-            from_oracle(g, lambda m: m in (0b001, 0b111))
+            AccessStructure(g, oracle=lambda m: m in (0b001, 0b111))
 
     def test_equality_is_explicit_only(self):
         t = threshold_structure(2, BC)
         assert t == threshold_structure(2, BC)
         assert t != threshold_structure(1, BC)
         assert t != threshold_structure(2, ("x", "y"))
-        lazy = from_oracle(P21, lambda m: m.bit_count() >= 2)
-        twin = from_oracle(P21, lambda m: m.bit_count() >= 2)
+        lazy = AccessStructure(P21, oracle=lambda m: m.bit_count() >= 2)
+        twin = AccessStructure(P21, oracle=lambda m: m.bit_count() >= 2)
         assert (lazy == twin) is False  # NotImplemented on both sides
 
     def test_bad_qualified_shape(self):
@@ -185,7 +177,7 @@ class TestMinimalQualified:
         assert minimal_qualified(A) == [0b001, 0b110]  # 0b101 absorbed by 0b001
 
     def test_oracle_rejected(self):
-        A = from_oracle(P21, lambda m: m.bit_count() >= 1)
+        A = AccessStructure(P21, oracle=lambda m: m.bit_count() >= 1)
         with pytest.raises(ValueError, match="more than 20 participants cannot be enumerated"):
             minimal_qualified(A)
 
@@ -213,10 +205,10 @@ class TestDualStructure:
 
     def test_oracle_dual_matches_explicit_dual(self):
         g = GroundSet(("p", "q", "r"))
-        oracle = from_oracle(g, lambda m: m.bit_count() >= 2)
+        oracle = AccessStructure(g, oracle=lambda m: m.bit_count() >= 2)
         assert dual_structure(oracle) == dual_structure(threshold_structure(2, g.labels))
         # past the cap the dual stays lazy: at least 2 of 21 dualizes to at least 20 of 21
-        dual_lazy = dual_structure(from_oracle(P21, lambda m: m.bit_count() >= 2))
+        dual_lazy = dual_structure(AccessStructure(P21, oracle=lambda m: m.bit_count() >= 2))
         assert not dual_lazy.is_explicit
         full = P21.full_mask
         for m in (0, 0b1, 0b11, full ^ 0b11, full ^ 0b1, full):
@@ -419,7 +411,7 @@ class TestRealizes:
         M = uniform_matroid(8, labels)
         participants = GroundSet(labels[1:])
         X = participants.mask_of([f"p{i}" for i in range(4, 11)])
-        A = from_oracle(participants, lambda S: S.bit_count() >= 8 or S & X == X)
+        A = AccessStructure(participants, oracle=lambda S: S.bit_count() >= 8 or S & X == X)
         assert X == 1016
         assert realizes(M, A, "p0") == (False, X)
         assert realizes(M, matroid_port(M, "p0"), "p0") == (True, None)
@@ -487,7 +479,7 @@ class TestImportantParticipants:
         assert connected
 
     def test_oracle_rejected(self):
-        A = from_oracle(P21, lambda m: m.bit_count() >= 1)
+        A = AccessStructure(P21, oracle=lambda m: m.bit_count() >= 1)
         with pytest.raises(ValueError, match="more than 20 participants cannot be enumerated"):
             important_participants(A)
 
