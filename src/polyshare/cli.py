@@ -281,7 +281,7 @@ def main(argv=None) -> int:
         text = "\n".join(table) if args.format == "table" else dumps(doc)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
+                fh.write(text + "\n")
         else:
             print(text)
         return code

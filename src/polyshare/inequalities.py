@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .core import GroundSet
 from .polymatroid import Polymatroid
 
-ROLE_NAMES = ("a", "b", "c", "d", "e")
-
 
 @dataclass(frozen=True)
 class InfoTerm:
@@ -78,24 +76,23 @@ def eval_expression(expr: InfoExpression, M: Polymatroid):
     return sum(eval_term(t, M) for t in expr.terms)
 
 
-def _role_masks(ground: GroundSet, roles=None) -> dict[str, int]:
-    """Map the five role names onto ground-set bits.
+def _role_masks(ground: GroundSet, roles=None) -> tuple[int, ...]:
+    """The bits of the labels playing a, b, c, d, e, in that order.
 
-    roles lists the labels playing a, b, c, d, e in that order; default is the
-    ground set's own order.
+    roles names them on any ground set; without roles the ground set must
+    have five elements, which play the roles in their own order.
     """
-    if ground.n != 5:
+    if roles is None and ground.n != 5:
         raise ValueError(f"need a five-element ground set, got {ground.n} elements")
     labels = tuple(roles) if roles is not None else ground.labels
     if len(labels) != 5 or len(set(labels)) != 5:
         raise ValueError(f"roles must be five distinct labels, got {labels}")
-    return {name: ground.bit(lbl) for name, lbl in zip(ROLE_NAMES, labels)}
+    return tuple(ground.bit(lbl) for lbl in labels)
 
 
 def mmrv_expression(ground: GroundSet, roles=None) -> InfoExpression:
     """I(a,b|c) + I(b,c|a) + I(c,a|b) + I(b,c|d) + I(b,c|e) + I(d,e) - I(b,c)."""
-    m = _role_masks(ground, roles)
-    a, b, c, d, e = (m[r] for r in ROLE_NAMES)
+    a, b, c, d, e = _role_masks(ground, roles)
     return InfoExpression(
         [
             mutual_information(a, b, c),
@@ -116,8 +113,7 @@ def mmrv(M: Polymatroid, roles=None):
 
 def mmrv_slack_expression(ground: GroundSet, roles=None) -> InfoExpression:
     """MMRV plus 3*I(a, de|bc), which is non-negative on every polymatroid."""
-    m = _role_masks(ground, roles)
-    a, b, c, d, e = (m[r] for r in ROLE_NAMES)
+    a, b, c, d, e = _role_masks(ground, roles)
     return mmrv_expression(ground, roles) + InfoExpression(
         [mutual_information(a, d | e, b | c, coeff=3)]
     )
@@ -125,8 +121,7 @@ def mmrv_slack_expression(ground: GroundSet, roles=None) -> InfoExpression:
 
 def mmrv_decomposition(ground: GroundSet, roles=None) -> InfoExpression:
     """Ten plainly non-negative terms summing to mmrv_slack_expression."""
-    m = _role_masks(ground, roles)
-    a, b, c, d, e = (m[r] for r in ROLE_NAMES)
+    a, b, c, d, e = _role_masks(ground, roles)
     return InfoExpression(
         [
             mutual_information(a, d, b),

@@ -49,6 +49,19 @@ def split_min(a: np.ndarray, i: int) -> np.ndarray:
     return a.reshape(*a.shape[:-1], -1, 2, 1 << i).min(axis=(-3, -1))
 
 
+def least_over(values, weights) -> np.ndarray:
+    """For every mask B, the least values[A] - weights(A & B) over all masks
+    A, with weights(X) the sum of weights[i] over the bits i of X.  Bit by
+    bit, index i stops meaning "i in A" and starts meaning "i in B"."""
+    out = np.array(values)
+    for i, w in enumerate(weights):
+        without, with_i = split(out, i)
+        least = np.minimum(without, with_i)
+        np.minimum(without, with_i - w, out=with_i)
+        without[...] = least
+    return out
+
+
 def pair(a: np.ndarray, i: int, j: int):
     """Views (A, A+i, A+j, A+i+j) over the masks A avoiding i < j."""
     view = a.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)

@@ -10,10 +10,9 @@ and the query syntax to per-block counts.
 import numpy as np
 
 from . import lattice
-from .core import DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel
+from .core import DuplicateLabel, ModeError, RankVector, UnknownLabel
 from .polymatroid import Polymatroid
 
-MAX_CIRCUIT_ELEMENTS = 15
 # at about 123 B per entry, the rank_of_counts memo stays under ~8 MB
 MEMO_ENTRIES = 2**16
 _INT = frozenset((int,))
@@ -30,11 +29,6 @@ def circuits(M: Polymatroid) -> list[int]:
     """All minimal dependent sets, ordered by size then mask."""
     if not is_matroid(M):
         raise ValueError("not a matroid: some singleton rank exceeds 1")
-    if M.ground.n > MAX_CIRCUIT_ELEMENTS:
-        raise ValueError(
-            f"circuit enumeration capped at {MAX_CIRCUIT_ELEMENTS} elements, "
-            f"got {M.ground.n}"
-        )
     return lattice.minimal(M.values < lattice.sizes(M.ground.n))
 
 
@@ -220,30 +214,18 @@ def helgason_expand(M: Polymatroid, dualized: bool = False) -> ExpandedMatroid:
     return ExpandedMatroid(M, dualized)
 
 
-def _block_unions(E: ExpandedMatroid, masks: np.ndarray) -> np.ndarray:
-    """Count rows of the unions of whole blocks, one per base mask."""
-    return E._in.T[masks] * E._sizes
-
-
 def block_collapse(E: ExpandedMatroid) -> Polymatroid:
     """Dense polymatroid of block-union ranks; recovers the base when not
-    dualized, and the base's dual when the base is tight."""
-    ground = E.base.ground
-    values = E.ranks_of_counts(_block_unions(E, lattice.masks(ground.n)))
-    return Polymatroid(RankVector(ground, values, "int"))
+    dualized, and the base's dual when the base is tight.  The union of the
+    blocks in B takes s(B) atoms, so its rank is
+    s(B) + min over A of h(A) - s(A & B)."""
+    values = lattice.least_over(E._h, E.block_sizes) + lattice.additive(E._sizes)
+    return Polymatroid(RankVector(E.base.ground, values, "int"))
 
 
 def expanded_mmrv(E: ExpandedMatroid, roles=None) -> int:
-    """MMRV evaluated on the ranks of unions of five blocks."""
+    """MMRV evaluated on the ranks of unions of blocks: the five of roles,
+    or all of a five-block base in ground order."""
     from .inequalities import mmrv
 
-    base_ground = E.base.ground
-    if base_ground.n < 5:
-        raise ValueError(f"need at least five blocks, got {base_ground.n}")
-    labels = tuple(roles) if roles is not None else base_ground.labels
-    if len(labels) != 5 or len(set(labels)) != 5:
-        raise ValueError(f"roles must pick five distinct blocks, got {labels}")
-    block_masks = lattice.additive([base_ground.bit(lbl) for lbl in labels])
-    values = E.ranks_of_counts(_block_unions(E, block_masks))
-    ground5 = GroundSet(labels)
-    return mmrv(Polymatroid(RankVector(ground5, values, "int")))
+    return mmrv(block_collapse(E), roles=roles)

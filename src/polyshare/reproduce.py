@@ -8,6 +8,7 @@ execute, so a broken fixture yields a full report rather than a stack trace.
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -77,45 +78,34 @@ class ReproductionReport:
         return "\n".join(lines)
 
 
-class _Context:
-    """Lazily built shared artifacts; a failed prerequisite fails its dependents."""
+class _Artifacts:
+    """Shared artifacts, each built on first use.  A failed build raises in
+    every step that uses it, so each of those steps records the failure."""
 
-    def __init__(self):
-        self._cache = {}
+    @cached_property
+    def m_xi(self):
+        return entropy_vector(distribution_from_json(fixture_doc("table1.json")))
 
-    def get(self, key: str):
-        if key not in self._cache:
-            try:
-                self._cache[key] = ("ok", _BUILDERS[key](self))
-            except Exception as exc:  # step records the failure, pipeline continues
-                self._cache[key] = ("err", exc)
-        status, value = self._cache[key]
-        if status == "err":
-            raise RuntimeError(f"prerequisite {key!r} failed: {value}") from value
-        return value
+    @cached_property
+    def combo(self):
+        doc = fixture_doc("coefficients.json")
+        g = self.m_xi.ground
+        terms = [(doc["entropy_scale"], self.m_xi)]
+        for key, coeff in doc["terms"].items():
+            terms.append((coeff, basis_r(g, subset_parse(g, key))))
+        return linear_combine(terms)
 
+    @cached_property
+    def middle(self):
+        return validate_polymatroid(rank_vector_from_json(fixture_doc("table2_middle.json")))
 
-def _build_combination(ctx):
-    m_xi = ctx.get("m_xi")
-    doc = fixture_doc("coefficients.json")
-    terms = [(doc["entropy_scale"], m_xi)]
-    for key, coeff in doc["terms"].items():
-        terms.append((coeff, basis_r(m_xi.ground, subset_parse(m_xi.ground, key))))
-    return linear_combine(terms)
+    @cached_property
+    def N(self):
+        return tighten(self.middle)
 
-
-_BUILDERS = {
-    "dist": lambda ctx: distribution_from_json(fixture_doc("table1.json")),
-    "m_xi": lambda ctx: entropy_vector(ctx.get("dist")),
-    "combo": _build_combination,
-    "middle": lambda ctx: validate_polymatroid(
-        rank_vector_from_json(fixture_doc("table2_middle.json"))
-    ),
-    "tight_expected": lambda ctx: rank_vector_from_json(fixture_doc("table2_tight.json")),
-    "left": lambda ctx: rank_vector_from_json(fixture_doc("table2_left.json")),
-    "N": lambda ctx: tighten(ctx.get("middle")),
-    "E": lambda ctx: helgason_expand(ctx.get("N")),
-}
+    @cached_property
+    def E(self):
+        return helgason_expand(self.N)
 
 
 def _vector_match(got, want, ground):
@@ -131,23 +121,23 @@ def _vector_match(got, want, ground):
 
 
 def _step_entropy_valid(ctx):
-    m_xi = ctx.get("m_xi")  # entropy_vector validates on construction
+    m_xi = ctx.m_xi  # entropy_vector validates on construction
     return f"valid polymatroid on {m_xi.ground.n} elements", True, ""
 
 
 def _step_mmrv_entropy(ctx):
-    value = mmrv(ctx.get("m_xi"))
+    value = mmrv(ctx.m_xi)
     return f"{value:.7f}", abs(value - MMRV_ENTROPY_EXPECTED) <= MMRV_ENTROPY_TOL, ""
 
 
 def _step_mmrv_dual(ctx):
-    value = mmrv(dual(ctx.get("m_xi")))
+    value = mmrv(dual(ctx.m_xi))
     return f"{value:.8f}", abs(value - MMRV_DUAL_EXPECTED) <= MMRV_DUAL_TOL, ""
 
 
 def _step_combination(ctx):
-    combo = ctx.get("combo")
-    middle = ctx.get("middle")
+    combo = ctx.combo
+    middle = ctx.middle
     rounded = round_to_integer(combo, ROUNDING_TOL)
     residual = float(np.abs(combo.values - rounded.values).max())
     mismatch = _vector_match(rounded, middle.rank, middle.ground)
@@ -161,48 +151,47 @@ def _step_combination(ctx):
 
 
 def _step_tighten(ctx):
-    tight = ctx.get("N")
-    expected = ctx.get("tight_expected")
+    tight = ctx.N
+    expected = rank_vector_from_json(fixture_doc("table2_tight.json"))
     mismatch = _vector_match(tight.rank, expected, tight.ground)
     if mismatch:
         return mismatch, False, ""
-    spot = ctx.get("middle").rank_of("a") - (
-        ctx.get("middle").rank_of("a,b,c,d,e") - ctx.get("middle").rank_of("b,c,d,e")
-    )
+    middle = ctx.middle
+    spot = middle.rank_of("a") - (middle.rank_of("a,b,c,d,e") - middle.rank_of("b,c,d,e"))
     return "all 31 integers match the fixture", spot == tight.rank_of("a"), ""
 
 
 def _step_dual_mmrv(ctx):
-    value = mmrv(dual(ctx.get("middle")))
+    value = mmrv(dual(ctx.middle))
     return str(value), value == -1, ""
 
 
 def _step_expansion_size(ctx):
-    E = ctx.get("E")
+    E = ctx.E
     sizes = ",".join(str(s) for s in E.block_sizes)
     return f"{E.n_elements} atoms (blocks {sizes})", E.n_elements == EXPANSION_SIZE, ""
 
 
 def _step_block_recovery(ctx):
-    E = ctx.get("E")
+    E = ctx.E
     recovered = block_collapse(E)
-    mismatch = _vector_match(recovered.rank, ctx.get("N").rank, recovered.ground)
+    mismatch = _vector_match(recovered.rank, ctx.N.rank, recovered.ground)
     if mismatch:
         return mismatch, False, ""
     return "all 31 block unions match the tight polymatroid", True, ""
 
 
 def _step_dual_expansion_mmrv(ctx):
-    value = expanded_mmrv(ctx.get("E").dual())
+    value = expanded_mmrv(ctx.E.dual())
     return str(value), value == -1, ""
 
 
 def _step_scaled_entropy(ctx):
     doc = fixture_doc("coefficients.json")
-    scaled = linear_combine([(doc["entropy_scale"], ctx.get("m_xi"))])
-    left = ctx.get("left")
+    scaled = linear_combine([(doc["entropy_scale"], ctx.m_xi)])
+    left = rank_vector_from_json(fixture_doc("table2_left.json"))
     gap = float(np.abs(scaled.values - left.values).max())
-    gap51 = float(np.abs(51.0 * np.asarray(ctx.get("m_xi").values) - left.values).max())
+    gap51 = float(np.abs(51.0 * np.asarray(ctx.m_xi.values) - left.values).max())
     note = (
         f"left column matches scale {doc['entropy_scale']}; the source table's "
         f"caption scale 51 is off by up to {gap51:.2f}"
@@ -228,7 +217,7 @@ def run_reproduction(step: int | None = None) -> ReproductionReport:
     """Run all ten steps (or just one, 1-based) and collect the records."""
     if step is not None and not 1 <= step <= len(_STEPS):
         raise ValueError(f"step must be in 1..{len(_STEPS)}, got {step}")
-    ctx = _Context()
+    ctx = _Artifacts()
     records = []
     for index, (name, expected, tolerance, fn) in enumerate(_STEPS, start=1):
         if step is not None and index != step:

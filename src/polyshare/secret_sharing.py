@@ -188,8 +188,6 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
         sblock = M.block_of(secret)
         if M.rank([secret]) == 0:
             raise ValueError(f"secret {secret!r} is a loop")
-        if M.dualized:  # the port of the dual is the dual of the port
-            return dual_structure(matroid_port(M.dual(), secret))
         participants = GroundSet(tuple(n for n in M.element_names if n != secret))
         block_masks = [0] * M.base.ground.n
         for i, name in enumerate(participants.labels):

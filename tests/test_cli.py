@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polyshare import RankVector, save_rank_vector, uniform_matroid
+from polyshare import RankVector, dual, principal_extension, save_rank_vector, uniform_matroid
 from polyshare.cli import build_parser, main
 from polyshare.reproduce import fixture_doc
 from polyshare.secret_sharing import expanded_port_doc
@@ -178,6 +178,13 @@ class TestPipelines:
         code, out, _ = run(capsys, "mmrv", "--in", vector, "--format", "json")
         doc = json.loads(out)
         assert doc["mmrv"] == pytest.approx(0.1084939586639172, abs=1e-12)
+
+    def test_mmrv_roles_on_six_elements(self, capsys, tmp_path, middle):
+        vector = tmp_path / "six.json"
+        save_rank_vector(principal_extension(dual(middle), "c", 3, "f").rank, vector)
+        assert run(capsys, "mmrv", "--in", str(vector), "--roles", "a,b,c,d,e") == (1, "-1\n", "")
+        code, _, err = run(capsys, "mmrv", "--in", str(vector))
+        assert code == 2 and "five-element" in err
 
     def test_bad_roles_count(self, capsys, tmp_path, table1_file):
         vector = str(tmp_path / "vector.json")
@@ -532,6 +539,24 @@ class TestFlags:
                 main(argv + ["--format", "table"])
             assert exc.value.code == 2
             assert "invalid choice: 'table'" in capsys.readouterr().err
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("name", sorted(subcommands()))
+    def test_out_bytes_are_the_stdout_bytes(self, capsys, tmp_path, valid_args, name):
+        argv = [name, *valid_args[name]]
+        code, out, _ = run(capsys, *argv)
+        path = tmp_path / "out.txt"
+        assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_bytes() == out.encode()
+
+    def test_text_ending_in_a_line_break(self, capsys, tmp_path):
+        matroid = tmp_path / "u12.json"
+        save_rank_vector(uniform_matroid(1, ("a", "b\n")).rank, matroid)
+        path = tmp_path / "out.txt"
+        assert run(capsys, "circuits", "--in", str(matroid)) == (0, "a,b\n\n", "")
+        assert run(capsys, "circuits", "--in", str(matroid), "--out", str(path))[0] == 0
+        assert path.read_bytes() == b"a,b\n\n"
 
 
 class TestTolerance:

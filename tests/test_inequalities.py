@@ -7,6 +7,8 @@ from polyshare import (
     GroundSet,
     InfoExpression,
     InfoTerm,
+    Polymatroid,
+    RankVector,
     conditional_entropy,
     dual,
     eval_expression,
@@ -14,6 +16,7 @@ from polyshare import (
     mmrv,
     mmrv_identity_residual,
     mutual_information,
+    principal_extension,
     subset_parse,
     uniform_matroid,
     validate_polymatroid,
@@ -114,6 +117,19 @@ class TestMmrv:
         u23 = uniform_matroid(2, ("a", "b", "c"))
         with pytest.raises(ValueError, match="five"):
             mmrv(u23)
+
+    def test_roles_on_six_elements_read_the_five_element_restriction(self, middle):
+        M6 = principal_extension(dual(middle), "c", 3, "f")
+        for roles in (("a", "b", "c", "d", "e"), ("f", "c", "a", "e", "b"), ("b", "f", "d", "a", "c")):
+            bits = [M6.ground.bit(label) for label in roles]
+            values = [
+                M6.value(sum(b for j, b in enumerate(bits) if m >> j & 1)) for m in range(32)
+            ]
+            restriction = Polymatroid(RankVector(GroundSet(roles), values, "int"))
+            assert mmrv(M6, roles) == mmrv(restriction)
+        assert mmrv(M6, ("a", "b", "c", "d", "e")) == -1
+        with pytest.raises(ValueError, match="five-element"):
+            mmrv(M6)
 
     def test_roles_default_is_ground_order(self, m_xi):
         assert mmrv(m_xi, roles=("a", "b", "c", "d", "e")) == mmrv(m_xi)

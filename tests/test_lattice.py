@@ -3,11 +3,13 @@ vectorised ports and factors against the per-subset loops they replaced."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyshare import FactorMap, GroundSet, factor, matroid_port, realizes
 from polyshare.lattice import (
     additive,
     by_size,
+    least_over,
     masks,
     minimal,
     pair,
@@ -106,6 +108,33 @@ class TestPerMaskReferences:
                     assert view.ravel().tolist() == a[[m | add for m in lower]].tolist()
                     assert np.shares_memory(view, a)
                 assert pair(masks(n), i, j)[0].ravel().tolist() == lower
+
+
+@st.composite
+def values_and_weights(draw):
+    """Per-mask values and per-element weights on n <= 6 elements; zero
+    weights come up often, so that masks B differing only there tie."""
+    n = draw(st.integers(0, 6))
+    values = draw(st.lists(st.integers(-20, 20), min_size=1 << n, max_size=1 << n))
+    weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=n, max_size=n))
+    return np.array(values, dtype=np.int64), weights
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values_and_weights())
+def test_least_over_is_the_min_over_every_mask(case):
+    values, weights = case
+    n = len(weights)
+    before = values.copy()
+    want = [
+        min(
+            int(values[A]) - sum(w for i, w in enumerate(weights) if (A & B) >> i & 1)
+            for A in range(1 << n)
+        )
+        for B in range(1 << n)
+    ]
+    assert least_over(values, weights).tolist() == want
+    assert np.array_equal(values, before)
 
 
 # ---------------------------------------------------------------------------

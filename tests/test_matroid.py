@@ -1,6 +1,7 @@
 """Matroid predicate, circuits, and the lazy unit-atom expansion."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -31,10 +32,12 @@ from polyshare import (
     validate_polymatroid,
 )
 from polyshare import matroid
+from polyshare.lattice import additive
 
 from generators import (
     all_split_schedules,
     assert_polymatroids_equal,
+    coverage_polymatroid,
     gf2_rank,
     pm,
     random_matroid,
@@ -190,10 +193,11 @@ class TestCircuits:
         with pytest.raises(ValueError, match="not a matroid"):
             circuits(pm({"a": 2, "b": 1, "a,b": 2}))
 
-    def test_enumeration_cutoff(self):
+    def test_sixteen_elements_enumerate(self):
         wide = uniform_matroid(1, tuple(f"e{i}" for i in range(16)))
-        with pytest.raises(ValueError, match="capped"):
-            circuits(wide)
+        pairs = sorted(1 << i | 1 << j for i, j in itertools.combinations(range(16), 2))
+        assert len(pairs) == 120
+        assert circuits(wide) == pairs
 
 
 class TestCircuitConnected:
@@ -390,6 +394,65 @@ class TestPortsAtTheDenseCap:
             keep = rng.random()
             mask = sum(1 << i for i in range(atoms - 1) if rng.random() < keep)
             assert is_qualified(A, mask) == reference_member(E, "c_2", mask), mask
+
+
+class TestDualPorts:
+    """A dualized expansion answers its port from its own oracle; by the
+    duality of matroid ports that is the dual of the primal port."""
+
+    @pytest.mark.parametrize("secret", ["a_1", "c_7", "e_38"])
+    def test_bundled_port_of_the_dual_is_the_dual_port(self, tight_pm, secret):
+        E = helgason_expand(tight_pm)
+        A = matroid_port(E, secret)
+        Ad = matroid_port(E.dual(), secret)
+        n = A.participants.n
+        rng = np.random.default_rng(int(secret.split("_")[1]))
+        seen = set()
+        for _ in range(200):
+            keep = rng.random()
+            mask = sum(1 << i for i in range(n) if rng.random() < keep)
+            want = not is_qualified(A, A.participants.full_mask ^ mask)
+            assert is_qualified(Ad, mask) == want, mask
+            seen.add(want)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("ranks", [None, {"a": 2, "b": 2, "a,b": 3}], ids=["oracle", "table"])
+    def test_a_dualized_port_builds_no_other_oracle(self, tight_pm, ranks):
+        Ed = helgason_expand(tight_pm if ranks is None else pm(ranks), dualized=True)
+        init = ExpandedMatroid.__init__
+        with mock.patch.object(ExpandedMatroid, "__init__", autospec=True, side_effect=init) as spy:
+            A = matroid_port(Ed, "a_1")
+            for mask in (0, 1, A.participants.full_mask):
+                is_qualified(A, mask)
+            assert spy.call_count == 0
+            Ed.dual()  # the spy does see a construction
+        assert spy.call_count == 1
+
+
+class TestBlockCollapseKernel:
+    """block_collapse in one lattice pass against the count rows of every
+    union of whole blocks through ranks_of_counts."""
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_matches_the_count_rows(self, n, dualized):
+        base = coverage_polymatroid(np.random.default_rng(n), n, truncate=True)
+        E = helgason_expand(base, dualized)
+        unions = np.array([block_union_counts(E, m) for m in range(1 << n)])
+        assert E.n_elements > n
+        assert block_collapse(E).values.tolist() == E.ranks_of_counts(unions).tolist()
+
+    def test_peak_memory_at_eleven_elements(self):
+        g = GroundSet(tuple(f"x{i}" for i in range(11)))
+        values = np.minimum(additive(np.arange(1, 12)), 40)  # a truncated modular function
+        E = helgason_expand(validate_polymatroid(RankVector(g, values, "int")))
+        tracemalloc.start()
+        try:
+            block_collapse(E)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # one count row per mask and its slack would be 64 MiB
 
 
 class TestLoopBlocks:

@@ -23,6 +23,7 @@ from polyshare import (
     collapse_pair,
     conditional_product,
     dual,
+    dual_structure,
     entropy_vector,
     expanded_mmrv,
     factor,
@@ -397,6 +398,19 @@ class TestExpansion:
             else:
                 A = matroid_port(E, secret)
                 assert [is_qualified(A, m) for m in range(len(flags))] == flags
+
+    @SETTINGS
+    @given(expansion_bases(), st.data())
+    def test_port_of_the_dual_is_the_dual_of_the_port(self, M, data):
+        E = helgason_expand(M)
+        secret = data.draw(st.sampled_from(E.element_names))
+        try:
+            A = matroid_port(E, secret)
+        except ValueError:  # a lone atom, or a coloop: a loop of the dual
+            with pytest.raises(ValueError):
+                matroid_port(E.dual(), secret)
+            return
+        assert matroid_port(E.dual(), secret) == dual_structure(A)
 
     @SETTINGS
     @given(expansion_bases(min_n=5, max_n=5, max_cap=9), st.data())
