@@ -170,10 +170,15 @@ def subset_parse(ground: GroundSet, key) -> int:
     return ground.mask_of(key)
 
 
-def subset_format(ground: GroundSet, mask: int) -> str:
-    """Subset key for a mask: labels joined by "," in ground-set order."""
+def check_mask(ground: GroundSet, mask: int) -> None:
+    """Raise unless ``mask`` is a subset of ``ground``, that is 0..full."""
     if mask < 0 or mask > ground.full_mask:
         raise ValueError(f"mask {mask:#x} out of range for {ground.n} elements")
+
+
+def subset_format(ground: GroundSet, mask: int) -> str:
+    """Subset key for a mask: labels joined by "," in ground-set order."""
+    check_mask(ground, mask)
     return ",".join(ground.labels_of(mask))
 
 
@@ -227,7 +232,9 @@ class RankVector:
             arr = cast
         if arr[0] != 0:
             raise ValueError(f"rank of the empty set must be 0, got {arr[0]}")
-        arr = arr.copy()
+        # a fresh array; in float mode + 0.0 also stores -0.0 as 0.0, so that
+        # equal vectors hash equal
+        arr = arr + 0.0 if mode == "float" else arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "values", arr)
@@ -260,6 +267,7 @@ class RankVector:
 
     def value(self, mask: int):
         """Rank of a subset as a Python number (int in int mode)."""
+        check_mask(self.ground, mask)
         v = self.values[mask]
         return int(v) if self.mode == "int" else float(v)
 
@@ -314,6 +322,7 @@ def _checked_items(ground: GroundSet, ranks: dict, masks: list, int_mode: bool):
 
 def mu(rank: RankVector, mask: int):
     """Additive measure: sum of singleton ranks over the subset."""
+    check_mask(rank.ground, mask)
     total = sum(rank.value(1 << i) for i in range(rank.ground.n) if mask >> i & 1)
     return total if rank.mode == "int" else float(total)
 

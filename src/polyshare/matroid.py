@@ -11,7 +11,7 @@ import numpy as np
 
 from . import lattice
 from .core import DuplicateLabel, ModeError, RankVector, UnknownLabel
-from .polymatroid import Polymatroid
+from .polymatroid import Polymatroid, dual
 
 # at about 123 B per entry, the rank_of_counts memo stays under ~8 MB
 MEMO_ENTRIES = 2**16
@@ -57,9 +57,11 @@ class ExpandedMatroid:
     Both orientations are one min-formula over the base subsets A:
     rank(C) = |C| + min_A h(A) - C(A), where C holds the per-block atom counts
     and C(A) is the number of atoms it takes from the blocks of A.  h is the
-    base itself for the expansion and, for its dual,
+    base itself for the expansion and, for its dual, the dual base
     h*(A) = h(E - A) + s(A) - r(E) with s the block sizes (put A -> E - A in
-    the formula for r(E - S)).  h(A) - C(A) is the slack of A.
+    the formula for r(E - S)).  The expansion loses no rank, r(E) = h(E), by
+    monotonicity and subadditivity, so h* is ``dual(base)``.  h(A) - C(A) is
+    the slack of A.
     """
 
     def __init__(self, base: Polymatroid, dualized: bool = False):
@@ -69,24 +71,15 @@ class ExpandedMatroid:
         self.dualized = bool(dualized)
         ground = base.ground
         self.block_sizes = tuple(base.value(1 << i) for i in range(ground.n))
-        self.blocks = {
-            label: tuple(f"{label}_{k}" for k in range(1, size + 1))
-            for label, size in zip(ground.labels, self.block_sizes)
-        }
-        self.element_names = tuple(
-            name for label in ground.labels for name in self.blocks[label]
-        )
         self._block_of = {
-            name: i
-            for i, label in enumerate(ground.labels)
-            for name in self.blocks[label]
+            f"{label}_{k}": i
+            for i, (label, size) in enumerate(zip(ground.labels, self.block_sizes))
+            for k in range(1, size + 1)
         }
+        self.element_names = tuple(self._block_of)
         self._sizes = np.array(self.block_sizes, dtype=np.int64)
         self._in = lattice.masks(ground.n) >> np.arange(ground.n)[:, None] & 1  # [i, A]: is i in A
-        self._h = base.values
-        if self.dualized:
-            full_rank = self._sizes.sum() + self._slack(self._sizes).min()
-            self._h = base.values[::-1] + lattice.additive(self._sizes) - full_rank
+        self._h = (dual(base) if self.dualized else base).values
         self._memo: dict[tuple[int, ...], int] = {}
 
     @property
@@ -182,15 +175,10 @@ class ExpandedMatroid:
         shape = np.shape(C)
         if len(shape) != 2 or shape[1] != n:
             raise ValueError(f"need a (k, {n}) array of block counts, got shape {shape}")
-        if not (isinstance(C, np.ndarray) and C.dtype.kind in "iu"):
+        if not (isinstance(C, np.ndarray) and C.dtype.kind in "iu") or (
+            (C < 0) | (C > self._sizes)
+        ).any():  # each row checked in turn, so the first bad count is reported
             C = np.array([self._checked(row) for row in C], dtype=np.int64).reshape(shape)
-        bad = (C < 0) | (C > self._sizes)
-        if bad.any():
-            row, i = np.argwhere(bad)[0]
-            raise ValueError(
-                f"block {self.base.ground.labels[i]!r} holds {self.block_sizes[i]} atoms, "
-                f"asked for {C[row, i]}"
-            )
         C = C.astype(np.int64, copy=False)
         return C.sum(axis=1) + self._slack(C).min(axis=1)
 

@@ -154,13 +154,18 @@ def important_participants(A: AccessStructure):
     return important, len(important) == A.participants.n
 
 
-def _secret_gaps(M: Polymatroid, secret: str):
-    """Participants (the ground set minus the secret) and f(secret + S) - f(S)
-    for every participant mask S."""
+def _secret_gaps(M: Polymatroid, secret: str, tolerance):
+    """(participants, gaps, f(secret), tolerance): the participants are the
+    ground set minus the secret, the gaps f(secret + S) - f(S) for every
+    participant mask S.  A secret of rank within the tolerance is rejected."""
+    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
+    fs = M.rank_of(secret)
+    if fs <= tol:
+        raise ValueError(f"secret {secret!r} is a loop (rank {fs}); the secret must be non-trivial")
     k = M.ground.index(secret)
     participants = GroundSet(M.ground.labels[:k] + M.ground.labels[k + 1 :])
     without, with_secret = lattice.split(M.values, k)
-    return participants, (with_secret - without).ravel()
+    return participants, (with_secret - without).ravel(), fs, tol
 
 
 def _port_table(E: ExpandedMatroid, n: int, block_masks, block: int) -> np.ndarray:
@@ -201,11 +206,7 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
 
         return AccessStructure(participants, oracle=member)
 
-    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
-    fs = M.rank_of(secret)
-    if fs <= tol:
-        raise ValueError(f"secret {secret!r} is a loop")
-    participants, gaps = _secret_gaps(M, secret)
+    participants, gaps, _, tol = _secret_gaps(M, secret, tolerance)
     return AccessStructure(participants, qualified=np.abs(gaps) <= tol)
 
 
@@ -216,11 +217,7 @@ def realizes(M: Polymatroid, A: AccessStructure, secret: str, tolerance=None):
     f(sS) = f(S) + f(s).  Every participant subset is checked, and the
     counterexample is the smallest failing mask.
     """
-    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
-    fs = M.rank_of(secret)
-    if fs <= tol:
-        raise ValueError(f"secret {secret!r} has rank {fs}; the secret must be non-trivial")
-    participants, gaps = _secret_gaps(M, secret)
+    participants, gaps, fs, tol = _secret_gaps(M, secret, tolerance)
     if participants.labels != A.participants.labels:
         raise GroundSetMismatch(
             f"structure participants {A.participants.labels} do not match "

@@ -54,6 +54,11 @@ def table1_file(tmp_path):
     return str(path)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -160,7 +165,7 @@ class TestPipelines:
     def test_tighten_output_matches_reference(self, capsys, tmp_path, middle_file, tight_pm):
         out_path = str(tmp_path / "tightened.json")
         run(capsys, "tighten", "--in", middle_file, "--format", "json", "--out", out_path)
-        doc = json.load(open(out_path))
+        doc = read_json(out_path)
         assert doc["ranks"] == fixture_doc("table2_tight.json")["ranks"]
 
     def test_entropy_then_mmrv(self, capsys, tmp_path, table1_file):
@@ -171,6 +176,17 @@ class TestPipelines:
         code, out, _ = run(capsys, "mmrv", "--in", vector, "--roles", "a,b,c,d,e")
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.1084939586639172, abs=1e-12)
+
+    def test_entropy_of_a_constant_writes_positive_zero(self, capsys, tmp_path):
+        path = tmp_path / "xy.json"
+        rows = [{"values": [x, 5], "prob": 0.5} for x in (0, 1)]
+        path.write_text(json.dumps({"variables": ["x", "y"], "rows": rows}))
+        vector = tmp_path / "vector.json"
+        code, out, _ = run(capsys, "entropy", "--in", str(path), "--format", "json")
+        assert code == 0 and '"y": 0.0,' in out and "-0.0" not in out
+        argv = ("entropy", "--in", str(path), "--format", "json", "--out", str(vector))
+        assert run(capsys, *argv)[0] == 0
+        assert vector.read_text() == out
 
     def test_mmrv_json_payload(self, capsys, tmp_path, table1_file):
         vector = str(tmp_path / "vector.json")
@@ -204,7 +220,7 @@ class TestRewriting:
                          "--format", "json", "--out", out_path)
         assert code == 0
         assert run(capsys, "validate", "--in", out_path)[0] == 0
-        doc = json.load(open(out_path))
+        doc = read_json(out_path)
         assert doc["ground"] == ["a1", "a2", "b"]
 
     def test_split_with_wrong_alpha_sum(self, capsys, tmp_path):
@@ -221,7 +237,7 @@ class TestRewriting:
                          "--alpha", "1", "--label", "t",
                          "--format", "json", "--out", out_path)
         assert code == 0
-        doc = json.load(open(out_path))
+        doc = read_json(out_path)
         assert doc["ground"] == ["a", "b", "c", "t"]
         assert doc["ranks"]["t"] == 1
 
@@ -356,7 +372,7 @@ class TestPortCommands:
         run(capsys, "port", "--in", u23_file, "--secret", "a", "--out", port_file)
         code, _, _ = run(capsys, "access-dual", "--in", port_file, "--out", dual_file)
         assert code == 0
-        assert json.load(open(dual_file))["minimal_qualified"] == [["b"], ["c"]]
+        assert read_json(dual_file)["minimal_qualified"] == [["b"], ["c"]]
         code, out, _ = run(capsys, "access-dual", "--in", dual_file)
         assert json.loads(out)["minimal_qualified"] == [["b", "c"]]
 
@@ -368,7 +384,7 @@ class TestPortCommands:
         code, _, _ = run(capsys, "port", "--in", str(base_file), "--secret", "a_1",
                          "--expanded", "--out", port_file)
         assert code == 0
-        doc = json.load(open(port_file))
+        doc = read_json(port_file)
         assert doc["port"]["expanded"]["base_file"] == "base.json"
         assert doc["port"]["expanded"]["dualized"] is False
 
@@ -406,7 +422,7 @@ class TestPortCommands:
         flipped_file = str(tmp_path / "flipped.json")
         code, _, _ = run(capsys, "access-dual", "--in", port_file, "--out", flipped_file)
         assert code == 0
-        doc = json.load(open(flipped_file))
+        doc = read_json(flipped_file)
         assert doc["port"]["expanded"]["dualized"] is True
         assert doc["port"]["secret"] == "a_1"
 

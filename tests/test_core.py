@@ -22,6 +22,7 @@ from polyshare import (
     basis_r,
     entropy_vector,
     helgason_expand,
+    is_independent_set,
     is_qualified,
     load_rank_vector,
     matroid_port,
@@ -229,6 +230,34 @@ class TestRankVector:
         assert r1 == r2
         assert hash(r1) == hash(r2)
         assert r1 != r1.to_float()
+
+    def test_negative_zero_is_stored_as_zero(self):
+        g = GroundSet(("x", "y"))
+        signed = RankVector(g, np.array([0.0, 1.0, -0.0, 1.0]))
+        plain = RankVector(g, np.array([0.0, 1.0, 0.0, 1.0]))
+        assert signed == plain
+        assert hash(signed) == hash(plain) and len({signed, plain}) == 1
+        assert not np.signbit(signed.values).any()
+        assert signed.to_ranks() == {"x": 1.0, "y": 0.0, "x,y": 1.0}
+
+
+class TestMaskRange:
+    """Masks outside 0..full are refused, not wrapped or clipped."""
+
+    @pytest.mark.parametrize("mask", [-1, -8, 8, 1 << 40])
+    def test_out_of_range_masks(self, mask):
+        u23 = uniform_matroid(2, ("a", "b", "c"))
+        for query in (u23.rank.value, u23.value, u23.rank_of,
+                      lambda m: mu(u23.rank, m), lambda m: is_independent_set(u23, m)):
+            with pytest.raises(ValueError, match="out of range for 3 elements"):
+                query(mask)
+
+    def test_edges_of_the_range(self):
+        u23 = uniform_matroid(2, ("a", "b", "c"))
+        assert [u23.rank_of(m) for m in (0, 7)] == [0, 2]
+        with pytest.raises(ValueError, match="out of range"):
+            u23.rank.value(np.int64(-1))
+        assert mu(u23.rank, 7) == 3 and is_independent_set(u23, 0)
 
 
 class TestIntMode:

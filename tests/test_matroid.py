@@ -531,6 +531,17 @@ class TestCountValidation:
         with pytest.raises(ValueError, match="block 'd' holds 38 atoms, asked for -1"):
             E.ranks_of_counts(C)
 
+    def test_first_bad_count_in_row_major_order(self, E):
+        C = np.zeros((3, 5), dtype=np.int64)
+        C[2, 0] = -5
+        C[1, 3] = 39
+        C[1, 1] = -1
+        for batch in (C, C.astype(np.int32), C.tolist()):
+            with pytest.raises(ValueError, match="block 'b' holds .* atoms, asked for -1$"):
+                E.ranks_of_counts(batch)
+        with pytest.raises(ValueError, match="block 'c' holds .* atoms, asked for 200$"):
+            E.ranks_of_counts(np.array([[0, 0, 200, 0, 0]], dtype=np.uint8))
+
     @pytest.mark.parametrize("C", [np.zeros(5, dtype=np.int64), np.zeros((2, 4), dtype=np.int64), [[0] * 6]])
     def test_batch_shape(self, E, C):
         with pytest.raises(ValueError, match=r"need a \(k, 5\) array"):
