@@ -6,8 +6,8 @@ failed reproduction), 2 = usage error.  Rank-vector output is JSON ordered by
 subset size then mask, so identical inputs give byte-identical output and
 every produced file feeds back into the other commands.
 
-Each ``cmd_*`` returns ``(exit code, JSON document, table lines)``; the lines
-are None for commands that write JSON only, and ``main`` writes one of the two.
+Each ``cmd_*`` returns ``(exit code, JSON document or its text, table lines)``;
+the lines are None for JSON-only commands, and ``main`` writes one of the two.
 Each command imports the modules it runs, so a command loads only those.
 """
 
@@ -39,11 +39,11 @@ def _split_list(text: str, count: int, what: str) -> list[str]:
 
 
 def _ranks(rank) -> tuple:
-    """A rank-vector result; its table has one "subset<TAB>value" line per subset."""
-    from .core import rank_vector_to_json
+    """A rank-vector result: its document's text; a "subset<TAB>value" line per subset."""
+    from .core import rank_document
 
-    doc = rank_vector_to_json(rank)
-    return 0, doc, (f"{key}\t{value}" for key, value in doc["ranks"].items())
+    keys, order = rank.ground.subset_keys()
+    return 0, rank_document(rank), map("{}\t{}".format, keys, rank.values[order].tolist())
 
 
 def cmd_validate(args) -> tuple:
@@ -278,7 +278,8 @@ def main(argv=None) -> int:
 
     try:
         code, doc, table = args.func(args)
-        text = "\n".join(table) if args.format == "table" else dumps(doc)
+        text = ("\n".join(table) if args.format == "table"
+                else doc if isinstance(doc, str) else dumps(doc))
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -10,6 +10,7 @@ oracles in :mod:`polyshare.matroid`.
 """
 
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -135,12 +136,11 @@ class GroundSet:
     def labels_of(self, mask: int) -> tuple[str, ...]:
         return tuple(l for i, l in enumerate(self.labels) if mask >> i & 1)
 
-    def subset_keys(self) -> list[str]:
-        """``subset_format`` of every mask, indexed by mask; built on first
-        use (within the dense cap) and kept for the life of the ground set."""
+    def subset_keys(self) -> tuple[list[str], np.ndarray]:
+        """(keys, masks) of the non-empty subsets in rank-file order, built once within the cap."""
         if self._keys is None:
             check_dense(self)
-            object.__setattr__(self, "_keys", _key_table(self.labels))
+            object.__setattr__(self, "_keys", (_key_table(self.labels), lattice.by_size(self.n)))
         return self._keys
 
     def __contains__(self, label) -> bool:
@@ -154,12 +154,16 @@ class GroundSet:
 
 
 def _key_table(labels) -> list[str]:
-    """Subset keys of all masks: those with bit i set are the keys below
-    2^i, each extended by "," + label i."""
-    keys = [""]
-    for lbl in labels:
-        tail = "," + lbl
-        keys += [lbl] + [k + tail for k in keys[1:]]
+    """Keys of the non-empty subsets by size, ties by mask: the size-k keys with highest
+    label j are the first C(j, k - 1) keys of size k - 1, each extended by "," + label j."""
+    level = list(labels)
+    keys = list(level)
+    for k in range(2, len(labels) + 1):
+        below, level = level, []
+        for j in range(k - 1, len(labels)):
+            tail = "," + labels[j]
+            level += [key + tail for key in below[:math.comb(j, k - 1)]]
+        keys += level
     return keys
 
 
@@ -171,9 +175,11 @@ def subset_parse(ground: GroundSet, key) -> int:
 
 
 def check_mask(ground: GroundSet, mask: int) -> None:
-    """Raise unless ``mask`` is a subset of ``ground``, that is 0..full."""
-    if mask < 0 or mask > ground.full_mask:
-        raise ValueError(f"mask {mask:#x} out of range for {ground.n} elements")
+    """Raise unless ``mask`` is a subset of ``ground``: an integer, not a bool, in 0..full."""
+    is_int = type(mask) is int or isinstance(mask, numbers.Integral) and not isinstance(mask, bool)
+    if not is_int or not 0 <= mask <= ground.full_mask:
+        raise ValueError(f"mask {mask!r} is not a subset: out of range for {ground.n} "
+                         f"elements (valid: integers 0..{ground.full_mask})")
 
 
 def subset_format(ground: GroundSet, mask: int) -> str:
@@ -244,25 +250,16 @@ class RankVector:
     def from_ranks(cls, ground: GroundSet, ranks: dict, mode: str = "float") -> "RankVector":
         """Build from a {subset key: value} mapping covering every nonempty subset.
 
-        Keys as ``to_ranks`` writes them are looked up in the ground set's key
-        table; any other key (labels out of order, stray commas, a label
-        iterable) goes through ``subset_parse``."""
-        keys = ground.subset_keys()  # checks the dense cap first
-        masks = list(map(dict(zip(keys, range(len(keys)))).get, ranks))
+        One comparison with the key table reads the keys of ``to_ranks`` in its
+        order, with plain int or float values the mode takes; others are checked."""
+        keys, order = ground.subset_keys()  # checks the dense cap first
         values = list(ranks.values())
         types = set(map(type, values))
-        if None in masks or 0 in masks or not types <= {int, float} or (
-            mode == "int" and float in types
-        ):
-            masks, values = _checked_items(ground, ranks, masks, mode == "int")
-        dense = [0] * (1 << ground.n)  # Python numbers, so big ints stay exact
-        for mask, val in zip(masks, values):
-            dense[mask] = val
-        if len(masks) != ground.full_mask:  # masks are distinct and non-empty here
-            seen = set(masks)
-            missing = [m for m in range(1, 1 << ground.n) if m not in seen]
-            first = ", ".join(keys[m] for m in missing[:5])
-            raise ValueError(f"{len(missing)} subset(s) missing, first: {first}")
+        if list(ranks) != keys or not types <= {int, float} or (mode == "int" and float in types):
+            return cls(ground, _checked_values(ground, ranks, mode == "int"), mode)
+        values = np.asarray(values)
+        dense = np.zeros(1 << ground.n, dtype=values.dtype)
+        dense[order] = values
         return cls(ground, dense, mode)
 
     def value(self, mask: int):
@@ -273,9 +270,8 @@ class RankVector:
 
     def to_ranks(self) -> dict:
         """Ordered {subset key: value} dict, smallest subsets first."""
-        keys = self.ground.subset_keys()
-        order = lattice.by_size(self.ground.n)
-        return dict(zip([keys[m] for m in order.tolist()], self.values[order].tolist()))
+        keys, order = self.ground.subset_keys()
+        return dict(zip(keys, self.values[order].tolist()))
 
     def to_float(self) -> "RankVector":
         return RankVector(self.ground, np.asarray(self.values, dtype=np.float64), "float")
@@ -293,14 +289,16 @@ class RankVector:
         return hash((self.ground.labels, self.mode, self.values.tobytes()))
 
 
-def _checked_items(ground: GroundSet, ranks: dict, masks: list, int_mode: bool):
-    """(masks, values) of ``ranks`` checked key by key, in order: ``masks``
-    holds the key-table lookups, None where a key must be parsed.  Raises on
-    the first empty, repeated or unparsable key and on the first value that
-    is not a real number; integral floats become ints in int mode."""
+def _checked_values(ground: GroundSet, ranks: dict, int_mode: bool) -> list:
+    """Values of ``ranks`` indexed by mask, checked key by key: raises on the first
+    empty, repeated or unparsable key or non-numeric value, then on missing
+    subsets; integral floats become ints in int mode."""
+    keys, order = ground.subset_keys()
+    table = dict(zip(keys, order.tolist()))
+    dense = [0] * (1 << ground.n)  # Python numbers, so big ints stay exact
     seen = set()
-    out_masks, out_values = [], []
-    for key, mask, val in zip(ranks, masks, ranks.values()):
+    for key, val in ranks.items():
+        mask = table.get(key)
         if mask is None:
             mask = subset_parse(ground, key)
         if mask == 0:
@@ -315,9 +313,12 @@ def _checked_items(ground: GroundSet, ranks: dict, masks: list, int_mode: bool):
             raise NonNumericRank(f"rank of subset {key!r} is {val!r}; ranks must be real numbers")
         if int_mode and type(val) is not int and float(val).is_integer():
             val = int(val)  # 2.0 in int mode, kept exact beside big ints
-        out_masks.append(mask)
-        out_values.append(val)
-    return out_masks, out_values
+        dense[mask] = val
+    if len(seen) != ground.full_mask:
+        missing = [m for m in range(1, 1 << ground.n) if m not in seen]
+        first = ", ".join(subset_format(ground, m) for m in missing[:5])
+        raise ValueError(f"{len(missing)} subset(s) missing, first: {first}")
+    return dense
 
 
 def mu(rank: RankVector, mask: int):
@@ -348,9 +349,25 @@ def load_rank_vector(path) -> RankVector:
 
 
 def save_rank_vector(rank: RankVector, path) -> None:
-    text = dumps(rank_vector_to_json(rank))  # one write, not one per token
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        print(rank_document(rank), file=fh)
+
+
+def rank_document(rank: RankVector) -> str:
+    """The text of ``json.dumps(rank_vector_to_json(rank), indent=1)``, from one
+    template, not a dict.  JSON escapes keys character by character, never ",",
+    so the quoted keys are the key table of the escaped labels: the ground
+    set's own table when no label needs escaping."""
+    keys, order = rank.ground.subset_keys()
+    labels = list(rank.ground.labels)
+    escaped = [json.dumps(label)[1:-1] for label in labels]
+    if escaped != labels:
+        keys = _key_table(escaped)
+    items = [None] * (2 * len(keys))
+    items[::2], items[1::2] = keys, rank.values[order].tolist()
+    body = ('"%s": %s' + ',\n  "%s": %s' * (len(keys) - 1)) % tuple(items)
+    head = dumps({"ground": labels, "mode": rank.mode})[:-2]  # still open: no "\n}"
+    return head + ',\n "ranks": {\n  ' + body + "\n }\n}"
 
 
 def dumps(doc) -> str:

@@ -9,6 +9,7 @@ then reject a valid input.  Property tests check each operation's output.
 """
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ class Polymatroid:
         return self.rank.value(mask)
 
     def rank_of(self, key):
-        """Rank of a subset given as a key string, label iterable, or mask."""
-        mask = key if isinstance(key, int) else subset_parse(self.ground, key)
+        """Rank of a subset given as a key string, label iterable, or mask (any number)."""
+        mask = key if isinstance(key, numbers.Number) else subset_parse(self.ground, key)
         return self.rank.value(mask)
 
 

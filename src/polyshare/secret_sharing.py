@@ -20,6 +20,7 @@ from .core import (
     GroundSet,
     GroundSetMismatch,
     check_dense,
+    check_mask,
     dumps,
     json_field,
     load_rank_vector,
@@ -91,13 +92,9 @@ class AccessStructure:
 def from_minimal(participants: GroundSet, minimal_masks) -> AccessStructure:
     """Explicit structure as the upward closure of the given sets."""
     check_dense(participants)
-    full = participants.full_mask
-    q = np.zeros(full + 1, dtype=bool)
+    q = np.zeros(participants.full_mask + 1, dtype=bool)
     for m in minimal_masks:
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= full:
-            raise ValueError(
-                f"mask {m!r} is not a subset of the participants (valid: integers 0..{full})"
-            )
+        check_mask(participants, m)
         q[m] = True
     return AccessStructure(participants, qualified=lattice.up_closure(q))
 
@@ -113,8 +110,7 @@ def threshold_structure(k: int, labels) -> AccessStructure:
 
 
 def is_qualified(A: AccessStructure, S: int) -> bool:
-    if S < 0 or S > A.participants.full_mask:
-        raise ValueError(f"mask {S:#x} outside the participant set")
+    check_mask(A.participants, S)
     if A.is_explicit:
         return bool(A.qualified[S])
     return bool(A.oracle(S))

@@ -1,8 +1,13 @@
 """Ground sets, masks, and rank vectors."""
 
 
+import contextlib
+import io
 import json
 import numbers
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from polyshare import (
     RankVector,
     UnknownLabel,
     basis_r,
+    dual,
     entropy_vector,
     helgason_expand,
     is_independent_set,
@@ -40,6 +46,7 @@ from polyshare import (
     validate_polymatroid,
 )
 from polyshare import core, lattice
+from polyshare.cli import main
 from polyshare.lattice import additive, by_size
 from polyshare.secret_sharing import from_minimal
 
@@ -82,9 +89,18 @@ class TestGroundSet:
         with pytest.raises(CommaInLabel, match="contains ','"):
             GroundSet(("a", "b", label))
 
-    def test_subset_keys_indexed_by_mask(self):
-        assert ABC.subset_keys() == ["", "a", "b", "a,b", "c", "a,c", "b,c", "a,b,c"]
+    def test_subset_keys_in_file_order(self):
+        keys, masks = ABC.subset_keys()
+        assert keys == ["a", "b", "c", "a,b", "a,c", "b,c", "a,b,c"]
+        assert masks.tolist() == [1, 2, 4, 3, 5, 6, 7]
         assert ABC.subset_keys() is ABC.subset_keys()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_subset_keys_match_subset_format(self, n):
+        ground = GroundSet(f"x{i}" for i in range(n))
+        keys, masks = ground.subset_keys()
+        assert masks.tolist() == by_size(n).tolist()
+        assert keys == [subset_format(ground, m) for m in masks.tolist()]
 
     def test_subset_keys_within_the_dense_cap(self, monkeypatch):
         monkeypatch.setattr(core, "_key_table", refuse_key_table)
@@ -259,6 +275,25 @@ class TestMaskRange:
             u23.rank.value(np.int64(-1))
         assert mu(u23.rank, 7) == 3 and is_independent_set(u23, 0)
 
+    def test_numpy_integers_are_masks(self):
+        u23 = uniform_matroid(2, ("a", "b", "c"))
+        assert u23.rank_of(np.int64(7)) == u23.rank.value(np.uint8(7)) == 2
+        assert u23.rank_of(np.int32(1)) == 1
+        assert is_qualified(threshold_structure(1, ("p", "q")), np.int64(2))
+
+    @pytest.mark.parametrize("mask", [True, False, 1.0, 2.5, np.float64(1), Fraction(1), "1", None])
+    def test_non_integer_masks(self, mask):
+        u23 = uniform_matroid(2, ("a", "b", "c"))
+        t12 = threshold_structure(1, ("p", "q"))
+        queries = [u23.rank.value, u23.value, lambda m: mu(u23.rank, m),
+                   lambda m: is_independent_set(u23, m), lambda m: subset_format(ABC, m),
+                   lambda m: is_qualified(t12, m), lambda m: from_minimal(t12.participants, [m])]
+        if isinstance(mask, numbers.Number):  # rank_of reads any other key as labels
+            queries.append(u23.rank_of)
+        for query in queries:
+            with pytest.raises(ValueError, match=r"is not a subset: out of range .*0\.\.[37]\)"):
+                query(mask)
+
 
 class TestIntMode:
     def test_big_ranks_stored_exactly(self):
@@ -396,6 +431,9 @@ LABEL = st.one_of(
 )
 
 
+ESCAPED_LABEL = st.sampled_from(['"', "\\", 'a"b', "\n", "\t\x00", "\x7f", "\u2028", "é", "😀"]) | LABEL
+
+
 @st.composite
 def rank_dicts(draw):
     """(ground, mode, {key: value}) in to_ranks order, with keys the codec
@@ -464,14 +502,101 @@ class TestCodecAgainstReference:
         assert got == outcome(lambda: reference_from_ranks(ground, bad, mode))
 
     @pytest.mark.parametrize("mode", ["int", "float"])
-    def test_saved_bytes_match_the_reference(self, mode, tmp_path):
-        ground = GroundSet(f"x{i}" for i in range(10))
-        values = np.random.default_rng(5).integers(0, 50, size=1 << 10)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(labels=st.lists(ESCAPED_LABEL, min_size=1, max_size=6, unique=True), data=st.data())
+    def test_saved_bytes_match_the_reference(self, mode, labels, data):
+        """save_rank_vector writes json.dumps(indent=1) of the reference
+        document, whatever the labels need escaped and the values look like."""
+        ground = GroundSet(labels)
+        ints = st.integers(-(2**40), 2**40) | st.integers(-3, 3)
+        floats = st.sampled_from([1e-07, 1e+16, -2.5e-300, -0.5, 1 / 3, 123456789.0]) | st.floats(
+            -1e300, 1e300)
+        values = data.draw(st.lists(ints if mode == "int" else floats | ints,
+                                    min_size=ground.full_mask, max_size=ground.full_mask))
+        rv = RankVector(ground, [0] + values, mode)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_rank_vector(rv, Path(tmp) / "r.json")
+            written = (Path(tmp) / "r.json").read_bytes()
+        doc = {"ground": labels, "mode": mode, "ranks": reference_to_ranks(rv)}
+        assert written == (json.dumps(doc, indent=1) + "\n").encode()
+        assert load_rank_vector_text(written) == rv
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.lists(ESCAPED_LABEL, min_size=1, max_size=5, unique=True),
+           st.sampled_from([1, 1e-07, 1e+16, 3.0]), st.integers(1, 5))
+    def test_cli_output_bytes_match_the_reference(self, labels, scale, rank):
+        """polyshare dual and tighten print json.dumps(indent=1) of the
+        reference document of the library's result."""
+        M = uniform_matroid(min(rank, len(labels)), labels)
+        mode = "int" if scale == 1 else "float"
+        M = validate_polymatroid(RankVector(M.ground, M.values * scale, mode))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "m.json")
+            save_rank_vector(M.rank, path)
+            for command, op in (("dual", dual), ("tighten", tighten)):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main([command, "--in", path]) == 0
+                result = op(M).rank
+                doc = {"ground": labels, "mode": mode, "ranks": reference_to_ranks(result)}
+                assert out.getvalue() == json.dumps(doc, indent=1) + "\n"
+
+
+def load_rank_vector_text(text: bytes) -> RankVector:
+    return rank_vector_from_json(json.loads(text))
+
+
+class TestFileOrderLoad:
+    """A file in to_ranks order is read by one comparison with the key table;
+    any other mapping is checked key by key, with the reference's errors."""
+
+    @pytest.fixture()
+    def no_checked_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the key-by-key path ran")
+
+        monkeypatch.setattr(core, "_checked_values", refuse)
+        monkeypatch.setattr(core, "subset_parse", refuse)
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_saved_file_skips_the_checked_path(self, mode, tmp_path, no_checked_path):
+        ground = GroundSet(["a", 'q"', "\\", "\n", "\u00e9", "x_1", "日本"])
+        values = np.random.default_rng(3).integers(0, 50, size=1 << ground.n)
         values[0] = 0
         rv = RankVector(ground, values if mode == "int" else values / 7, mode)
         save_rank_vector(rv, tmp_path / "r.json")
-        doc = {"ground": list(ground.labels), "mode": mode, "ranks": reference_to_ranks(rv)}
-        assert (tmp_path / "r.json").read_text() == json.dumps(doc, indent=1) + "\n"
+        assert load_rank_vector(tmp_path / "r.json") == rv
+
+    def test_reordered_keys_take_the_checked_path(self, monkeypatch):
+        ground = GroundSet(["a", "b", "c"])
+        ranks = reference_to_ranks(uniform_matroid(2, ground.labels).rank)
+        calls = []
+        checked = core._checked_values
+        monkeypatch.setattr(core, "_checked_values", lambda *a: calls.append(1) or checked(*a))
+        reordered = dict(reversed(list(ranks.items())))
+        assert RankVector.from_ranks(ground, reordered, "int") == \
+            RankVector.from_ranks(ground, ranks, "int")
+        assert calls == [1]
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    @pytest.mark.parametrize("bad", ["1", True, None, 2.0, 2.5, float("nan"), float("inf"),
+                                     2**63, 2**64 - 1, 2**70, 10**400, -(2**63) - 1])
+    def test_file_order_with_bad_values(self, mode, bad):
+        """Keys in file order with one unusual value: the same outcome as
+        the reference, whichever path reads it."""
+        ground = GroundSet(["a", "b", "c"])
+        for position in range(ground.full_mask):
+            ranks = reference_to_ranks(uniform_matroid(2, ground.labels).rank)
+            ranks[list(ranks)[position]] = bad
+            for values in (ranks, {k: bad for k in ranks}):
+                assert outcome(lambda: RankVector.from_ranks(ground, values, mode)) == \
+                    outcome(lambda: reference_from_ranks(ground, values, mode))
+
+    def test_missing_subsets_named_in_mask_order(self):
+        ground = GroundSet(["a", "b", "c"])
+        ranks = {"a": 1, "a,b,c": 2}
+        with pytest.raises(ValueError, match="5 subset\\(s\\) missing, first: b, a,b, c, a,c, b,c"):
+            RankVector.from_ranks(ground, ranks, "int")
 
 
 class TestMu:

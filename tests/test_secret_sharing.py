@@ -155,9 +155,9 @@ class TestThreshold:
 
     def test_mask_bounds_checked(self):
         A = threshold_structure(1, ("p", "q"))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="out of range for 2 elements"):
             is_qualified(A, 0b100)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="out of range for 2 elements"):
             is_qualified(A, -1)
 
 
