@@ -6,8 +6,11 @@ failed reproduction), 2 = usage error.  Rank-vector output is JSON ordered by
 subset size then mask, so identical inputs give byte-identical output and
 every produced file feeds back into the other commands.
 
-Each ``cmd_*`` returns ``(exit code, JSON document or its text, table lines)``;
-the lines are None for JSON-only commands, and ``main`` writes one of the two.
+Each ``cmd_*`` returns ``(exit code, document, table lines)``: the document
+is a RankVector or a JSON-ready object, never text, and the lines are None for
+JSON-only commands.  ``main`` alone turns the result into text: the lines for
+``--format table``, the rank file for a RankVector, ``json.dumps(doc,
+indent=1)`` for any other document.
 Each command imports the modules it runs, so a command loads only those.
 """
 
@@ -39,11 +42,12 @@ def _split_list(text: str, count: int, what: str) -> list[str]:
 
 
 def _ranks(rank) -> tuple:
-    """A rank-vector result: its document's text; a "subset<TAB>value" line per subset."""
-    from .core import rank_document
+    """A rank-vector result: the vector; a "subset<TAB>value" line per subset, made when read."""
+    def lines():
+        keys, order = rank.ground.subset_keys()
+        yield from map("{}\t{}".format, keys, rank.values[order].tolist())
 
-    keys, order = rank.ground.subset_keys()
-    return 0, rank_document(rank), map("{}\t{}".format, keys, rank.values[order].tolist())
+    return 0, rank, lines()
 
 
 def cmd_validate(args) -> tuple:
@@ -273,13 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .core import dumps  # every command loads these modules anyway
+    from .core import RankVector, rank_document  # every command loads these modules anyway
     from .polymatroid import ValidationError
 
     try:
         code, doc, table = args.func(args)
-        text = ("\n".join(table) if args.format == "table"
-                else doc if isinstance(doc, str) else dumps(doc))
+        if args.format == "table":
+            text = "\n".join(table)
+        elif isinstance(doc, RankVector):
+            text = rank_document(doc)
+        else:
+            text = json.dumps(doc, indent=1)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

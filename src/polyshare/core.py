@@ -366,61 +366,6 @@ def rank_document(rank: RankVector) -> str:
     items = [None] * (2 * len(keys))
     items[::2], items[1::2] = keys, rank.values[order].tolist()
     body = ('"%s": %s' + ',\n  "%s": %s' * (len(keys) - 1)) % tuple(items)
-    head = dumps({"ground": labels, "mode": rank.mode})[:-2]  # still open: no "\n}"
+    head = json.dumps({"ground": labels, "mode": rank.mode}, indent=1)[:-2]  # still open: no "\n}"
     return head + ',\n "ranks": {\n  ' + body + "\n }\n}"
 
-
-def dumps(doc) -> str:
-    """The text of ``json.dumps(doc, indent=1)``.
-
-    Any ``indent`` makes json fall back to its pure-Python encoder.  Here the
-    containers at each depth of ``doc`` go to the C encoder in one call, with
-    the line break and indent of their items as the item separator, and the
-    containers inside them written as null, to be replaced by their own
-    text.  JSON text has a raw line break only between items (strings escape
-    it), and no scalar ends with "]" or "}", so the text splits exactly."""
-    if not isinstance(doc, _CONTAINERS):
-        return json.dumps(doc)
-    levels = []
-    _collect(doc, levels, 0)
-    below = []  # texts of the containers one level down, in document order
-    for depth in reversed(range(len(levels))):
-        sep = ",\n" + " " * (depth + 1)
-        text = json.dumps([flat for flat, _ in levels[depth]], separators=(sep, ": "))
-        children = iter(below)
-        below = []
-        start = 1
-        for flat, nested in levels[depth]:
-            close = "}" if isinstance(flat, dict) else "]"
-            end = text.find(close + sep, start) + 1 or len(text) - 1  # the last one: before "]"
-            body = text[start + 1:end - 1]
-            if nested:
-                items = body.split(sep)
-                for i in nested:
-                    items[i] = items[i][:-4] + next(children)  # in place of "null"
-                body = sep.join(items)
-            below.append(text[start] + sep[1:] + body + sep[1:-1] + close if body else text[start:end])
-            start = end + len(sep)
-    return below[0]
-
-
-_CONTAINERS = (dict, list, tuple)
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _collect(obj, levels: list, depth: int) -> None:
-    """Append ``(obj with each container in it as None, the positions of
-    those containers)`` to ``levels[depth]``, then collect those containers
-    one level down."""
-    if depth == len(levels):
-        levels.append([])
-    values = list(obj.values()) if isinstance(obj, dict) else obj
-    nested = []
-    if not set(map(type, values)) <= _SCALARS:  # the exact scalar types skip this scan
-        nested = [i for i, v in enumerate(values) if isinstance(v, _CONTAINERS)]
-    if nested:
-        flat = [None if isinstance(v, _CONTAINERS) else v for v in values]
-        obj = dict(zip(obj, flat)) if isinstance(obj, dict) else flat
-    levels[depth].append((obj, nested))
-    for i in nested:
-        _collect(values[i], levels, depth + 1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundSet, RankVector, check_dense, dumps, json_field
+from .core import GroundSet, RankVector, check_dense, json_field
 from .polymatroid import Polymatroid, validate_polymatroid
 
 SUM_TOL = 1e-9
@@ -99,7 +99,7 @@ def load_distribution(path) -> JointDistribution:
 
 
 def save_distribution(d: JointDistribution, path) -> None:
-    text = dumps(distribution_to_json(d))
+    text = json.dumps(distribution_to_json(d), indent=1)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -21,7 +21,6 @@ from .core import (
     GroundSetMismatch,
     check_dense,
     check_mask,
-    dumps,
     json_field,
     load_rank_vector,
 )
@@ -340,6 +339,6 @@ def load_access_structure(path) -> AccessStructure:
 
 
 def save_access_structure(A: AccessStructure, path) -> None:
-    text = dumps(access_structure_to_json(A))
+    text = json.dumps(access_structure_to_json(A), indent=1)
     with open(path, "w") as fh:
         fh.write(text + "\n")

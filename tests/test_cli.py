@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import polyshare.core
 from polyshare import RankVector, dual, principal_extension, save_rank_vector, uniform_matroid
 from polyshare.cli import build_parser, main
 from polyshare.reproduce import fixture_doc
@@ -555,6 +556,25 @@ class TestFlags:
                 main(argv + ["--format", "table"])
             assert exc.value.code == 2
             assert "invalid choice: 'table'" in capsys.readouterr().err
+
+
+class TestTablePath:
+    @pytest.mark.parametrize("name", ["dual", "tighten", "entropy", "split", "extend"])
+    def test_table_does_not_write_the_rank_file(self, capsys, monkeypatch, valid_args, name):
+        """--format table prints a subset<TAB>value line per subset, and
+        builds no rank file on the way."""
+        argv = [name, *valid_args[name], "--format", "table"]
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+        assert all(line.count("\t") == 1 for line in expected[1].splitlines())
+
+        def refuse(rank):
+            raise AssertionError("rank file written")
+
+        monkeypatch.setattr(polyshare.core, "rank_document", refuse)
+        assert run(capsys, *argv) == expected
+        with pytest.raises(AssertionError, match="rank file written"):
+            main(argv[:-2])  # the patch holds: --format json needs the rank file
 
 
 class TestOutFile:
