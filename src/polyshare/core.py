@@ -9,6 +9,7 @@ storage is capped at 20 elements; larger ground sets must go through the lazy
 oracles in :mod:`polyshare.matroid`.
 """
 
+import functools
 import json
 import math
 import numbers
@@ -137,10 +138,10 @@ class GroundSet:
         return tuple(l for i, l in enumerate(self.labels) if mask >> i & 1)
 
     def subset_keys(self) -> tuple[list[str], np.ndarray]:
-        """(keys, masks) of the non-empty subsets in rank-file order, built once within the cap."""
+        """(keys, masks) of the non-empty subsets in rank-file order, within the cap (shared)."""
         if self._keys is None:
             check_dense(self)
-            object.__setattr__(self, "_keys", (_key_table(self.labels), lattice.by_size(self.n)))
+            object.__setattr__(self, "_keys", _subset_keys(self.labels))
         return self._keys
 
     def __contains__(self, label) -> bool:
@@ -151,6 +152,13 @@ class GroundSet:
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+@functools.lru_cache(maxsize=1)  # the last labels' table, so that a reload builds none
+def _subset_keys(labels: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
+    masks = lattice.by_size(len(labels))
+    masks.setflags(write=False)
+    return _key_table(labels), masks
 
 
 def _key_table(labels) -> list[str]:

@@ -1,7 +1,12 @@
 """Polymatroid algebra on dense rank vectors.
 
 Validation runs the elemental inequalities (enough to imply monotonicity and
-submodularity in full), so it costs O(n^2 * 2^n) instead of O(4^n).  It runs
+submodularity in full), so it costs O(n^2 * 2^n) instead of O(4^n).  It reads
+them off first differences: per element i, one subtraction gives the gain
+d_i(A) = f(A + i) - f(A) over the subsets A of the other elements.  Its last
+entry f(M) - f(M - i) is the monotone inequality for i, and f is submodular
+exactly when d_i(A) >= d_i(A + j) for every j, one more subtraction per pair,
+so a float tolerance bounds a difference of two differences.  It runs
 where data enters the program: files, fixtures, entropy vectors and rounding.
 The operations here map polymatroids to polymatroids and build their result
 directly; re-checking it could fail only through float rounding, and would
@@ -36,6 +41,15 @@ def default_validation_tol(mode: str):
 
 def default_decision_tol(mode: str):
     return 0 if mode == "int" else DECISION_TOL
+
+
+def resolve_tol(tolerance, default):
+    """``tolerance``, or ``default`` for None; a NaN, infinite or negative one is refused."""
+    if tolerance is None:
+        return default
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
+    return tolerance
 
 
 @dataclass(frozen=True)
@@ -109,43 +123,30 @@ class Polymatroid:
 
 
 def check_polymatroid(rank: RankVector, tolerance=None) -> list[Violation]:
-    """Every violated elemental inequality, empty list when rank is valid."""
-    tol = default_validation_tol(rank.mode) if tolerance is None else tolerance
-    ground = rank.ground
-    n = ground.n
-    full = ground.full_mask
-    vals = rank.values
-    violations = []
-    for i in range(n):
-        drop = full ^ (1 << i)
-        if vals[full] - vals[drop] < -tol:
-            violations.append(
-                Violation(
-                    "monotone",
-                    (ground.labels[i],),
-                    subset_format(ground, drop),
-                    rank.value(full),
-                    rank.value(drop),
-                )
-            )
-    masks = lattice.masks(n)
-    for i in range(n):
-        bi = 1 << i
-        for j in range(i + 1, n):
-            bj = 1 << j
-            f_a, f_ai, f_aj, f_aij = lattice.pair(vals, i, j)
-            bad = f_ai + f_aj - f_aij - f_a < -tol
-            for a in lattice.pair(masks, i, j)[0][bad].tolist():
-                violations.append(
-                    Violation(
-                        "submodular",
-                        (ground.labels[i], ground.labels[j]),
-                        subset_format(ground, a),
-                        rank.value(a | bi) + rank.value(a | bj),
-                        rank.value(a | bi | bj) + rank.value(a),
-                    )
-                )
-    return violations
+    """Every violated elemental inequality, empty list when rank is valid:
+    the monotone ones by element, then the submodular ones by pair and subset."""
+    tol = resolve_tol(tolerance, default_validation_tol(rank.mode))
+    g, full, f = rank.ground, rank.ground.full_mask, rank.value
+    monotone, submodular = [], []
+    for i in range(g.n):
+        without, with_i = lattice.split(rank.values, i)
+        gain = (with_i - without).ravel()  # f(A + i) - f(A), A over the other elements
+        if gain[-1] < -tol:
+            drop = full ^ (1 << i)
+            monotone.append(Violation("monotone", (g.labels[i],), subset_format(g, drop),
+                                      f(full), f(drop)))
+        for j in range(i + 1, g.n):
+            before, after = lattice.split(gain, j - 1)  # j is bit j - 1 of gain's index
+            bad = before - after < -tol
+            if bad.any():  # the masks are built only to name a violation
+                others = lattice.split(lattice.masks(g.n), i)[0].ravel()
+                bi, bj = 1 << i, 1 << j
+                submodular += [
+                    Violation("submodular", (g.labels[i], g.labels[j]), subset_format(g, a),
+                              f(a | bi) + f(a | bj), f(a | bi | bj) + f(a))
+                    for a in lattice.split(others, j - 1)[0][bad].tolist()
+                ]
+    return monotone + submodular
 
 
 def validate_polymatroid(rank: RankVector) -> Polymatroid:

@@ -25,7 +25,7 @@ from .core import (
     load_rank_vector,
 )
 from .matroid import ExpandedMatroid, helgason_expand
-from .polymatroid import Polymatroid, default_decision_tol, validate_polymatroid
+from .polymatroid import Polymatroid, default_decision_tol, resolve_tol, validate_polymatroid
 
 
 class AccessStructure:
@@ -153,7 +153,7 @@ def _secret_gaps(M: Polymatroid, secret: str, tolerance):
     """(participants, gaps, f(secret), tolerance): the participants are the
     ground set minus the secret, the gaps f(secret + S) - f(S) for every
     participant mask S.  A secret of rank within the tolerance is rejected."""
-    tol = default_decision_tol(M.mode) if tolerance is None else tolerance
+    tol = resolve_tol(tolerance, default_decision_tol(M.mode))
     fs = M.rank_of(secret)
     if fs <= tol:
         raise ValueError(f"secret {secret!r} is a loop (rank {fs}); the secret must be non-trivial")

@@ -634,6 +634,29 @@ class TestTolerance:
         assert run(capsys, *argv) == (1, "violated at 'b'\n", "")
         assert run(capsys, *argv, "--tolerance", "1e-3") == (0, "realizes\n", "")
 
+    @pytest.mark.parametrize("name", sorted(TOLERANT))
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf", "-inf"])
+    def test_bad_tolerance_exits_two(self, capsys, valid_args, name, bad):
+        """A NaN or infinite tolerance would accept every input, a negative one
+        refuse equalities: each is a usage error, before any verdict."""
+        code, out, err = run(capsys, name, *valid_args[name], f"--tolerance={bad}")
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance must be a finite number >= 0, got {float(bad)}\n"
+
+    @pytest.mark.parametrize("name", sorted(TOLERANT))
+    def test_zero_tolerance_accepted(self, capsys, valid_args, name):
+        assert run(capsys, name, *valid_args[name], "--tolerance", "0") == \
+            run(capsys, name, *valid_args[name])
+
+    def test_nan_no_longer_realizes(self, capsys, tmp_path, tight_file):
+        access = tmp_path / "access.json"
+        access.write_text(json.dumps(
+            {"participants": ["b", "c", "d", "e"], "minimal_qualified": [["b"]]}
+        ))
+        argv = ["realizes", "--in", tight_file, "--secret", "a", "--access", str(access)]
+        assert run(capsys, *argv) == (1, "violated at 'b'\n", "")
+        assert run(capsys, *argv, "--tolerance", "nan")[:2] == (2, "")
+
 
 # valid, but its dual's elemental inequalities hold only up to float rounding
 # (3920408.4959999993 < 3920408.496000001), beyond the default 1e-9

@@ -385,6 +385,36 @@ def test_expansion_and_its_port_build_no_key_table(monkeypatch, tight_fixture):
         assert is_qualified(port, full) != is_qualified(port, 0)
 
 
+class TestKeyTableCache:
+    """The key table of the last labels asked for is kept, so a ground set
+    with those labels, such as each load of the same file, reuses it."""
+
+    def test_equal_labels_share_one_table(self):
+        first, second = GroundSet(("p", "q", "r")), GroundSet(("p", "q", "r"))
+        keys, masks = first.subset_keys()
+        assert second.subset_keys()[0] is keys and second.subset_keys()[1] is masks
+        assert not masks.flags.writeable
+
+    def test_one_table_across_load_save_load(self, monkeypatch, tmp_path):
+        rank = uniform_matroid(2, ("s0", "s1", "s2", "s3")).rank
+        save_rank_vector(rank, tmp_path / "in.json")
+        core._subset_keys.cache_clear()
+        calls = []
+        key_table = core._key_table
+        monkeypatch.setattr(core, "_key_table", lambda labels: calls.append(labels) or key_table(labels))
+        loaded = load_rank_vector(tmp_path / "in.json")
+        save_rank_vector(loaded, tmp_path / "out.json")
+        assert load_rank_vector(tmp_path / "out.json") == rank
+        assert calls == [rank.ground.labels]
+
+    def test_other_labels_replace_the_entry(self):
+        keys = GroundSet(("p", "q", "r")).subset_keys()[0]
+        assert GroundSet(("p", "q", "s")).subset_keys()[0][-1] == "p,q,s"
+        again = GroundSet(("p", "q", "r")).subset_keys()[0]
+        assert again is not keys and again == keys
+        assert core._subset_keys.cache_info().currsize == 1
+
+
 # The reference codec: one subset_format or subset_parse call per subset.
 
 def reference_to_ranks(rank: RankVector) -> dict:
