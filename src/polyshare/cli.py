@@ -7,10 +7,11 @@ subset size then mask, so identical inputs give byte-identical output and
 every produced file feeds back into the other commands.
 
 Each ``cmd_*`` returns ``(exit code, document, table lines)``: the document
-is a RankVector or a JSON-ready object, never text, and the lines are None for
-JSON-only commands.  ``main`` alone turns the result into text: the lines for
-``--format table``, the rank file for a RankVector, ``json.dumps(doc,
-indent=1)`` for any other document.
+is a RankVector, an AccessStructure or a JSON-ready dict, never text, and the
+lines are None for JSON-only commands.  ``main`` alone turns the result into
+text: the lines for ``--format table``, ``rank_document`` for a RankVector,
+``json.dumps(doc, indent=1)`` for a dict and ``access_document`` for an
+AccessStructure, whose module only ``port`` and ``access-dual`` load.
 Each command imports the modules it runs, so a command loads only those.
 """
 
@@ -148,8 +149,10 @@ def _relative_to_out(in_path: str, out: str | None) -> str:
 def cmd_port(args) -> tuple:
     from .matroid import helgason_expand
     from .polymatroid import dual
-    from .secret_sharing import access_structure_to_json, expanded_port_doc, matroid_port
+    from .secret_sharing import expanded_port_doc, matroid_port
 
+    if args.expanded and args.tolerance is not None:
+        raise ValueError("--tolerance is not honoured with --expanded")
     pm = _load_pm(args.infile)
     if args.expanded:
         matroid_port(helgason_expand(pm, dualized=args.dual), args.secret)  # raises if unusable
@@ -157,13 +160,12 @@ def cmd_port(args) -> tuple:
         return 0, expanded_port_doc(base_file, args.dual, args.secret), None
     if args.dual:
         pm = dual(pm)
-    return 0, access_structure_to_json(matroid_port(pm, args.secret, args.tolerance)), None
+    return 0, matroid_port(pm, args.secret, args.tolerance), None
 
 
 def cmd_access_dual(args) -> tuple:
     from .secret_sharing import (
         access_structure_from_json,
-        access_structure_to_json,
         dual_structure,
         expanded_port_doc,
         expanded_port_spec,
@@ -175,7 +177,7 @@ def cmd_access_dual(args) -> tuple:
     expanded = expanded_port_spec(doc)
     if expanded is None:
         structure = access_structure_from_json(doc, base_dir)
-        return 0, access_structure_to_json(dual_structure(structure)), None
+        return 0, dual_structure(structure), None
     base_file, dualized, secret = expanded
     base_file = _relative_to_out(os.path.join(base_dir, base_file), args.out)
     return 0, expanded_port_doc(base_file, not dualized, secret), None
@@ -286,8 +288,12 @@ def main(argv=None) -> int:
             text = "\n".join(table)
         elif isinstance(doc, RankVector):
             text = rank_document(doc)
-        else:
+        elif isinstance(doc, dict):
             text = json.dumps(doc, indent=1)
+        else:  # an AccessStructure
+            from .secret_sharing import access_document
+
+            text = access_document(doc)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

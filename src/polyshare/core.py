@@ -363,17 +363,21 @@ def save_rank_vector(rank: RankVector, path) -> None:
 
 def rank_document(rank: RankVector) -> str:
     """The text of ``json.dumps(rank_vector_to_json(rank), indent=1)``, from one
-    template, not a dict.  JSON escapes keys character by character, never ",",
-    so the quoted keys are the key table of the escaped labels: the ground
-    set's own table when no label needs escaping."""
+    "%" template per subset size, not a dict.  JSON escapes keys character by
+    character, never ",", so the quoted keys are the key table of the escaped
+    labels, with "%" doubled for the template: the ground set's own table when
+    no label needs either."""
     keys, order = rank.ground.subset_keys()
     labels = list(rank.ground.labels)
-    escaped = [json.dumps(label)[1:-1] for label in labels]
+    escaped = [json.dumps(label)[1:-1].replace("%", "%%") for label in labels]
     if escaped != labels:
         keys = _key_table(escaped)
-    items = [None] * (2 * len(keys))
-    items[::2], items[1::2] = keys, rank.values[order].tolist()
-    body = ('"%s": %s' + ',\n  "%s": %s' * (len(keys) - 1)) % tuple(items)
+    values, levels, start = rank.values[order].tolist(), [], 0
+    for size in range(1, len(labels) + 1):
+        end = start + math.comb(len(labels), size)
+        template = '"' + '": %s,\n  "'.join(keys[start:end]) + '": %s'
+        levels.append(template % tuple(values[start:end]))
+        start = end
     head = json.dumps({"ground": labels, "mode": rank.mode}, indent=1)[:-2]  # still open: no "\n}"
-    return head + ',\n "ranks": {\n  ' + body + "\n }\n}"
+    return head + ',\n "ranks": {\n  ' + ",\n  ".join(levels) + "\n }\n}"
 

@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -276,13 +277,16 @@ def important_bound_check(M: Polymatroid, A: AccessStructure, secret: str) -> Im
     return ImportantBoundReport(ok, margins)
 
 
-def access_structure_to_json(A: AccessStructure) -> dict:
-    return {
-        "participants": list(A.participants.labels),
-        "minimal_qualified": [
-            list(A.participants.labels_of(m)) for m in minimal_qualified(A)
-        ],
-    }
+def access_document(A: AccessStructure) -> str:
+    """The text of ``json.dumps(doc, indent=1)`` for the document of the
+    participants and the minimal qualified sets, each a list of labels: one
+    shift gives the sets' bit rows, and each row picks its quoted labels."""
+    quoted = list(map(json.dumps, A.participants.labels))
+    minimal = np.array(minimal_qualified(A), dtype=np.int64)
+    rows = (minimal[:, None] >> np.arange(len(quoted)) & 1).tolist()
+    groups = ["[\n   " + ",\n   ".join(compress(quoted, row)) + "\n  ]" for row in rows]
+    return ('{\n "participants": [\n  ' + ",\n  ".join(quoted)
+            + '\n ],\n "minimal_qualified": [\n  ' + ",\n  ".join(groups) + "\n ]\n}")
 
 
 def expanded_port_doc(base_file: str, dualized: bool, secret: str) -> dict:
@@ -339,6 +343,5 @@ def load_access_structure(path) -> AccessStructure:
 
 
 def save_access_structure(A: AccessStructure, path) -> None:
-    text = json.dumps(access_structure_to_json(A), indent=1)
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(access_document(A) + "\n")

@@ -459,7 +459,8 @@ LABEL = st.one_of(
 )
 
 
-ESCAPED_LABEL = st.sampled_from(['"', "\\", 'a"b', "\n", "\t\x00", "\x7f", "\u2028", "é", "😀"]) | LABEL
+ESCAPED_LABEL = st.sampled_from(['"', "\\", 'a"b', "\n", "\t\x00", "\x7f", "\u2028", "é", "😀",
+                                 "%", "%s", "a%%d"]) | LABEL
 
 
 @st.composite

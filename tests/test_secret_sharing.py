@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyshare import (
     AccessStructure,
@@ -33,15 +34,15 @@ from polyshare import (
     validate_polymatroid,
 )
 from polyshare.secret_sharing import (
+    access_document,
     access_structure_from_json,
-    access_structure_to_json,
     expanded_port_doc,
     expanded_port_spec,
     from_minimal,
     load_access_structure,
     save_access_structure,
 )
-from polyshare.core import rank_vector_to_json
+from polyshare.core import rank_document, rank_vector_to_json
 
 from generators import gf2_matroid, k4_matroid, pm, random_matroid, split_fully
 
@@ -54,6 +55,14 @@ P21 = GroundSet(tuple(f"p{i}" for i in range(21)))  # one past the explicit cap
 
 def all_masks(A):
     return range(A.participants.full_mask + 1)
+
+
+def access_structure_to_json(A):
+    """The reference document of an explicit structure: one labels_of per minimal set."""
+    return {
+        "participants": list(A.participants.labels),
+        "minimal_qualified": [list(A.participants.labels_of(m)) for m in minimal_qualified(A)],
+    }
 
 
 class TestAccessStructure:
@@ -661,3 +670,39 @@ class TestPortDocuments:
     def test_malformed_document_names_the_field(self, doc, field):
         with pytest.raises(ValueError, match=field):
             access_structure_from_json(doc)
+
+
+# labels a template writer could get wrong: "%" and "%s" in a format string,
+# JSON escapes, non-ASCII characters that ensure_ascii writes as \u escapes
+WRITER_LABEL = st.lists(
+    st.sampled_from(["%", "%s", "%%", '"', "\\", "\n", "a", "é", "日本", "😀", "\u2028"]),
+    min_size=1, max_size=3,
+).map("".join)
+INT_RANK = st.integers(-(2**58), 2**58) | st.integers(-3, 3)
+FLOAT_RANK = st.sampled_from([1e-07, 1e+16, -2.5e-300, 5e-324, 1e22, -0.5, 1 / 3]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+class TestWritersAgainstReference:
+    """Both template writers give the bytes of json.dumps(indent=1) of the
+    reference document."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(WRITER_LABEL, min_size=1, max_size=6, unique=True),
+           st.sampled_from(["int", "float"]), st.data())
+    def test_documents_are_the_json_dumps_bytes(self, labels, mode, data):
+        ground = GroundSet(labels)
+        values = data.draw(st.lists(INT_RANK if mode == "int" else FLOAT_RANK | INT_RANK,
+                                    min_size=ground.full_mask, max_size=ground.full_mask))
+        R = RankVector(ground, [0] + values, mode)
+        assert rank_document(R) == json.dumps(rank_vector_to_json(R), indent=1)
+        generators = data.draw(st.lists(st.integers(1, ground.full_mask), min_size=1, max_size=8))
+        A = from_minimal(ground, generators)  # any upward-closed family
+        for B in (A, dual_structure(A)):
+            assert access_document(B) == json.dumps(access_structure_to_json(B), indent=1)
+
+    def test_saved_file_is_the_document_and_a_line_break(self, tmp_path):
+        A = threshold_structure(2, ("%s", '"q"', "é"))
+        save_access_structure(A, tmp_path / "a.json")
+        text = json.dumps(access_structure_to_json(A), indent=1) + "\n"
+        assert (tmp_path / "a.json").read_bytes() == text.encode()
