@@ -42,13 +42,6 @@ def split(a: np.ndarray, i: int):
     return view[:, 0], view[:, 1]
 
 
-def split_min(a: np.ndarray, i: int) -> np.ndarray:
-    """Least entry over the masks without i and least over the masks with i,
-    along the last axis of per-mask arrays (shape (..., 2)), in one
-    reduction over the ``split`` layout."""
-    return a.reshape(*a.shape[:-1], -1, 2, 1 << i).min(axis=(-3, -1))
-
-
 def least_over(values, weights) -> np.ndarray:
     """For every mask B, the least values[A] - weights(A & B) over all masks
     A, with weights(X) the sum of weights[i] over the bits i of X.  Bit by

@@ -7,6 +7,8 @@ how many atoms S takes from each block, which collapses both the memo table
 and the query syntax to per-block counts.
 """
 
+import operator
+
 import numpy as np
 
 from . import lattice
@@ -138,13 +140,17 @@ class ExpandedMatroid:
         return tuple(counts)
 
     def _checked(self, counts) -> tuple[int, ...]:
-        """The counts as Python ints, one per block, each an integer within
-        its block."""
+        """The counts as Python ints, one per block, each an integer within its
+        block; only input other than a tuple of such ints meets the loop."""
+        sizes = self.block_sizes
+        if (type(counts) is tuple and len(counts) == len(sizes)
+                and _INT.issuperset(map(type, counts))
+                and all(map(operator.le, counts, sizes)) and min(counts) >= 0):
+            return counts
         counts = tuple(counts)
-        labels = self.base.ground.labels
-        if len(counts) != len(labels):
-            raise ValueError(f"need {len(labels)} block counts, got {len(counts)}")
-        for c, size, label in zip(counts, self.block_sizes, labels):
+        if len(counts) != len(sizes):
+            raise ValueError(f"need {len(sizes)} block counts, got {len(counts)}")
+        for c, size, label in zip(counts, sizes, self.base.ground.labels):
             if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
                 raise ValueError(f"block {label!r} count must be an integer, got {c!r}")
             if not 0 <= c <= size:
@@ -163,7 +169,8 @@ class ExpandedMatroid:
             key = self._checked(counts)
             value = self._memo.get(key)
             if value is None:
-                value = sum(key) + int(self._slack(key).min())
+                slack = self._slack(key)
+                value = sum(key) + int(slack[slack.argmin()])  # cheaper than slack.min()
                 if len(self._memo) < MEMO_ENTRIES:
                     self._memo[key] = value
         return value
@@ -181,17 +188,6 @@ class ExpandedMatroid:
             C = np.array([self._checked(row) for row in C], dtype=np.int64).reshape(shape)
         C = C.astype(np.int64, copy=False)
         return C.sum(axis=1) + self._slack(C).min(axis=1)
-
-    def spans(self, C, block: int):
-        """Does the subset with per-block atom counts C span the atoms of
-        ``block`` it leaves out, that is, does one more add no rank?  One
-        flag for one count row, one per row of a (k, n) array.  Nothing is
-        checked or memoised: each row must leave an atom of the block out."""
-        # with m1 and m0 the least slack over the A that hold the block and
-        # over the rest, one more atom takes the rank from |C| + min(m0, m1)
-        # to |C| + min(m0 + 1, m1): no gain exactly when m1 <= m0
-        least = lattice.split_min(self._slack(C), block)
-        return least[..., 1] <= least[..., 0]
 
     def rank(self, S) -> int:
         return self.rank_of_counts(self.counts_of(S))

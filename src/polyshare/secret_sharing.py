@@ -93,9 +93,12 @@ def from_minimal(participants: GroundSet, minimal_masks) -> AccessStructure:
     """Explicit structure as the upward closure of the given sets."""
     check_dense(participants)
     q = np.zeros(participants.full_mask + 1, dtype=bool)
-    for m in minimal_masks:
-        check_mask(participants, m)
-        q[m] = True
+    masks = list(minimal_masks)
+    if not ({int}.issuperset(map(type, masks))
+            and 0 <= min(masks, default=0) and max(masks, default=0) <= participants.full_mask):
+        for m in masks:  # names the first bad mask
+            check_mask(participants, m)
+    q[masks] = True
     return AccessStructure(participants, qualified=lattice.up_closure(q))
 
 
@@ -164,16 +167,15 @@ def _secret_gaps(M: Polymatroid, secret: str, tolerance):
     return participants, (with_secret - without).ravel(), fs, tol
 
 
-def _port_table(E: ExpandedMatroid, n: int, block_masks, block: int) -> np.ndarray:
-    """Port flags of every subset of n participants, through the batch
-    kernel about 2^18 slack entries at a time.  A subset takes from each
-    block the popcount of its mask under the block's participant bits."""
+def _port_table(E: ExpandedMatroid, odd: np.ndarray, n: int, block_masks) -> np.ndarray:
+    """Port flags of every subset of n participants, about 2^18 odd - 2C(A) entries at a time."""
     masks = lattice.masks(n)
-    popcount = lattice.sizes(n)
+    doubled = lattice.sizes(n) << 1  # 2C: twice the popcount of a mask under a block's bits
+    columns = np.array(block_masks)[:, None]  # rows are base subsets: min runs down columns
     step = max(1, (1 << 18) >> E.base.ground.n)
     return np.concatenate([
-        E.spans(popcount[masks[start : start + step, None] & block_masks], block)
-        for start in range(0, len(masks), step)
+        (odd[:, None] - E._in.T @ doubled[columns & masks[i : i + step]]).min(axis=0) & 1 == 0
+        for i in range(0, len(masks), step)
     ])
 
 
@@ -184,6 +186,11 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
     membership oracle over its atom names.  The secret must not be a loop, and
     a secret with private information leaves the full set unqualified, which
     is rejected by the structure invariants.
+
+    An expansion's port at an atom of block b keeps odd(A) = 2h(A) + 1 - [b in A]:
+    S with counts C is qualified iff the least slack over the A holding b is at
+    most the least over the rest, iff min odd(A) - 2C(A) is even.  int64 holds
+    both terms, each at most 2 * n_elements + 1 with every atom's name in memory.
     """
     if isinstance(M, ExpandedMatroid):
         sblock = M.block_of(secret)
@@ -193,12 +200,14 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
         block_masks = [0] * M.base.ground.n
         for i, name in enumerate(participants.labels):
             block_masks[M.block_of(name)] |= 1 << i
+        odd = 2 * M._h + 1 - M._in[sblock]
         if participants.n <= MAX_DENSE_ELEMENTS:
-            table = _port_table(M, participants.n, block_masks, sblock)
+            table = _port_table(M, odd, participants.n, block_masks)
             return AccessStructure(participants, qualified=table)
 
         def member(mask: int) -> bool:
-            return bool(M.spans([(mask & bm).bit_count() for bm in block_masks], sblock))
+            least = odd - [(mask & bm).bit_count() << 1 for bm in block_masks] @ M._in
+            return not least[least.argmin()] & 1
 
         return AccessStructure(participants, oracle=member)
 
@@ -328,12 +337,19 @@ def access_structure_from_json(doc: dict, base_dir: str = ".") -> AccessStructur
     where = "access-structure file"
     participants = GroundSet(json_field(doc, "participants", list, where))
     groups = json_field(doc, "minimal_qualified", list, where)
-    for group in groups:
-        if not (isinstance(group, list) and all(isinstance(label, str) for label in group)):
-            raise ValueError(
-                f"{where} field 'minimal_qualified' holds {group!r:.40}, not a list of labels"
-            )
-    return from_minimal(participants, [participants.mask_of(group) for group in groups])
+    bit = {label: 1 << i for i, label in enumerate(participants.labels)}
+    try:  # a sum of distinct bits has one bit per label
+        masks = [sum(map(bit.__getitem__, group)) for group in groups if isinstance(group, list)]
+    except (KeyError, TypeError):
+        masks = []
+    if len(masks) < len(groups) or list(map(int.bit_count, masks)) != list(map(len, groups)):
+        for group in groups:  # name the first malformed group, else the first bad label
+            if not (isinstance(group, list) and all(isinstance(label, str) for label in group)):
+                raise ValueError(
+                    f"{where} field 'minimal_qualified' holds {group!r:.40}, not a list of labels"
+                )
+        masks = [participants.mask_of(group) for group in groups]
+    return from_minimal(participants, masks)
 
 
 def load_access_structure(path) -> AccessStructure:

@@ -15,7 +15,6 @@ from polyshare.lattice import (
     pair,
     sizes,
     split,
-    split_min,
     up_closure,
 )
 from polyshare.secret_sharing import from_minimal
@@ -87,15 +86,6 @@ class TestPerMaskReferences:
             assert with_i.ravel().tolist() == a[[m | 1 << i for m in lower]].tolist()
             assert np.shares_memory(with_i, a)
             assert split(masks(n), i)[0].ravel().tolist() == lower
-
-    def test_split_min(self, n):
-        rows = np.random.default_rng(n).integers(-9, 9, size=(3, 1 << n))
-        for i in range(n):
-            lower = [m for m in range(1 << n) if not m >> i & 1]
-            upper = [m | 1 << i for m in lower]
-            want = [[min(a[lower]), min(a[upper])] for a in rows]
-            assert split_min(rows, i).tolist() == want
-            assert split_min(rows[0], i).tolist() == want[0]
 
     def test_pair_views(self, n):
         a = np.random.default_rng(n).random(1 << n)

@@ -1,6 +1,7 @@
 """Matroid predicate, circuits, and the lazy unit-atom expansion."""
 
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -550,6 +551,38 @@ class TestCountValidation:
     def test_wrong_number_of_counts(self, E):
         with pytest.raises(ValueError, match="need 5 block counts, got 4"):
             E.rank_of_counts([0, 0, 0, 0])
+
+    @pytest.mark.parametrize(
+        "counts, neighbour, message",
+        [
+            ((-1, 0, 0, 0, 0), (0, 0, 0, 0, 0), "block 'a' holds 37 atoms, asked for -1"),
+            ((0, 0, 0, 0, 39), (0, 0, 0, 0, 38), "block 'e' holds 38 atoms, asked for 39"),
+            ((0, 0, 0, 0), (0, 0, 0, 0, 0), "need 5 block counts, got 4"),
+            ((0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0), "need 5 block counts, got 6"),
+            ((0, True, 0, 0, 0), (0, 1, 0, 0, 0), "block 'b' count must be an integer, got True"),
+        ],
+    )
+    def test_python_int_tuples_at_the_edges(self, tight_pm, counts, neighbour, message):
+        """Tuples of Python ints take the fast path unless a count is out of
+        range, their length is wrong or one is a bool; those raise the
+        per-block message, on a fresh memo and after a hit on a valid
+        neighbour (which equals the bool tuple as a key)."""
+        E = helgason_expand(tight_pm)
+        exact = "^" + re.escape(message) + "$"
+        with pytest.raises(ValueError, match=exact):
+            E.rank_of_counts(counts)
+        assert E._memo == {}
+        assert E.rank_of_counts(neighbour) == E.rank_of_counts(neighbour) == reference_rank(E, neighbour)
+        with pytest.raises(ValueError, match=exact):
+            E.rank_of_counts(counts)
+
+    def test_numpy_int_count_in_range(self, tight_pm):
+        E = helgason_expand(tight_pm)
+        counts = (np.int64(37), 0, 0, 0, np.int64(1))
+        want = reference_rank(E, (37, 0, 0, 0, 1))
+        assert E.rank_of_counts(counts) == want
+        assert E.rank_of_counts(counts) == want  # a hit, through the per-block check
+        assert E._memo == {(37, 0, 0, 0, 1): want}
 
 
 @pytest.mark.slow

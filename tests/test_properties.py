@@ -5,6 +5,7 @@ failures reproduce.  The seeded high-volume sweeps live in the acceptance
 suite; these runs go for input variety instead.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,7 @@ from polyshare import (
     uniform_matroid,
     validate_polymatroid,
 )
+from polyshare import secret_sharing
 from polyshare.core import mu
 
 from generators import LETTERS, assert_polymatroids_equal, ground
@@ -52,6 +54,7 @@ from test_entropy import assert_matches_references
 from test_matroid import (
     reference_block_collapse,
     reference_expanded_mmrv,
+    reference_member,
     reference_port,
     reference_rank,
     reference_sigma,
@@ -418,6 +421,82 @@ class TestExpansion:
         roles = tuple(data.draw(st.permutations(M.ground.labels))[:5])
         for E in (helgason_expand(M), helgason_expand(M).dual()):
             assert expanded_mmrv(E, roles) == reference_expanded_mmrv(E, roles)
+
+
+def port_kernel(E, secret, dense):
+    """(participants, flag of a participant mask) as ``matroid_port`` computes
+    them, from its table (dense) or its membership closure, with the
+    structure checks left out, so that a port whose full set is unqualified
+    is checked too."""
+    def capture(participants, qualified=None, oracle=None):
+        return participants, qualified, oracle
+
+    with mock.patch.object(secret_sharing, "AccessStructure", capture), mock.patch.object(
+        secret_sharing, "MAX_DENSE_ELEMENTS", 20 if dense else 0
+    ):
+        participants, table, oracle = matroid_port(E, secret)
+    return participants, (table.__getitem__ if dense else oracle)
+
+
+def count_mask(E, participants, counts):
+    """Mask of the first counts[i] participants of every block i."""
+    mask = 0
+    for block, count in enumerate(counts):
+        bits = [i for i, name in enumerate(participants.labels) if E.block_of(name) == block]
+        mask |= sum(1 << i for i in bits[:count])
+    return mask
+
+
+class TestPortParity:
+    """A port at an atom of block b reads m1 <= m0, the least slack over the
+    base subsets holding b against the least over the rest, as the parity of
+    the least 2h(A) + 1 - [b in A] - 2C(A)."""
+
+    @SETTINGS
+    @given(expansion_bases())
+    def test_every_count_row(self, M):
+        """Both kernels, on every count row with C_b < s_b, for an atom of
+        every non-loop block of both orientations, against the ranks."""
+        for E in (helgason_expand(M), helgason_expand(M).dual()):
+            if E.n_elements < 2:
+                continue
+            boxes = [range(s + 1) for s in E.block_sizes]
+            rank = {C: reference_rank(E, C) for C in itertools.product(*boxes)}
+            for b, label in enumerate(M.ground.labels):
+                unit = tuple(int(i == b) for i in range(M.ground.n))
+                if E.block_sizes[b] == 0 or rank[unit] == 0:
+                    continue
+                rows = itertools.product(*boxes[:b], range(E.block_sizes[b]), *boxes[b + 1 :])
+                want = {C: rank[tuple(map(sum, zip(C, unit)))] == rank[C] for C in rows}
+                for dense in (True, False):
+                    participants, flag = port_kernel(E, f"{label}_1", dense)
+                    got = {C: bool(flag(count_mask(E, participants, C))) for C in want}
+                    assert got == want, (b, dense)
+
+    # rows of the bundled base, by orientation and secret block, where the
+    # least slack m1 over the base subsets holding the block is m0 - 1, m0
+    # and m0 + 1, with m0 the least over the rest
+    BOUNDARY_ROWS = [
+        (False, 0, {-1: (32, 20, 16, 10, 12), 0: (15, 25, 10, 9, 30), 1: (19, 9, 2, 20, 38)}),
+        (False, 2, {-1: (11, 5, 21, 15, 36), 0: (35, 29, 8, 4, 23), 1: (16, 23, 9, 33, 7)}),
+        (False, 4, {-1: (8, 18, 23, 16, 25), 0: (36, 0, 21, 11, 20), 1: (30, 5, 10, 15, 28)}),
+        (True, 0, {-1: (4, 23, 6, 20, 37), 0: (34, 9, 15, 22, 6), 1: (1, 13, 27, 34, 14)}),
+        (True, 2, {-1: (6, 8, 8, 27, 38), 0: (18, 14, 19, 32, 3), 1: (1, 2, 30, 12, 20)}),
+        (True, 4, {-1: (24, 10, 11, 38, 7), 0: (18, 10, 13, 22, 23), 1: (19, 16, 22, 19, 9)}),
+    ]
+
+    @pytest.mark.parametrize("dualized, block, rows", BOUNDARY_ROWS)
+    def test_rows_at_the_boundary(self, tight_pm, dualized, block, rows):
+        E = helgason_expand(tight_pm, dualized)
+        secret = f"{tight_pm.ground.labels[block]}_1"
+        A = matroid_port(E, secret)
+        h = (dual(tight_pm) if dualized else tight_pm).values
+        holds = np.arange(32) >> block & 1 == 1
+        for gap, counts in rows.items():
+            slack = h - (np.arange(32)[:, None] >> np.arange(5) & 1) @ counts
+            assert slack[holds].min() - slack[~holds].min() == gap
+            mask = count_mask(E, A.participants, counts)
+            assert is_qualified(A, mask) == reference_member(E, secret, mask) == (gap <= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from polyshare import (
     AccessStructure,
+    DuplicateLabel,
     GroundSet,
     GroundSetMismatch,
     Polymatroid,
     RankVector,
+    UnknownLabel,
     ValidationError,
     dual,
     dual_structure,
@@ -669,6 +672,22 @@ class TestPortDocuments:
     ])
     def test_malformed_document_names_the_field(self, doc, field):
         with pytest.raises(ValueError, match=field):
+            access_structure_from_json(doc)
+
+    @pytest.mark.parametrize("groups, error, message", [
+        ([["b"], ["x"]], UnknownLabel, "label 'x' not in ground set ('b', 'c')"),
+        ([["b"], ["c", "b", "c"]], DuplicateLabel, "duplicate label 'c'"),
+        ([["b", 3]], ValueError, "holds ['b', 3], not a list of labels"),
+        ([["b", True]], ValueError, "holds ['b', True], not a list of labels"),
+        ([["b", ["c"]]], ValueError, "holds ['b', ['c']], not a list of labels"),
+        ([["b", None]], ValueError, "holds ['b', None], not a list of labels"),
+        # every group's shape is checked before any label
+        ([["x"], ["b", "b"], {"b": 1}], ValueError, "holds {'b': 1}, not a list of labels"),
+        ([[]], ValueError, "the empty set must not be qualified"),
+    ])
+    def test_bad_groups_name_the_first_fault(self, groups, error, message):
+        doc = {"participants": ["b", "c"], "minimal_qualified": groups}
+        with pytest.raises(error, match=re.escape(message) + "$"):
             access_structure_from_json(doc)
 
 
