@@ -6,6 +6,7 @@ entropy_vector returns a validated Polymatroid.
 """
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __init__(self, variables: GroundSet, outcomes, probs):
-        try:
-            rows = np.asarray(outcomes, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("outcome values must fit in a 64-bit signed integer") from None
+        rows = np.asarray(outcomes)
         try:
             p = np.asarray(probs, dtype=np.float64)
         except OverflowError:
@@ -48,6 +46,13 @@ class JointDistribution:
             raise ValueError(
                 f"outcomes must be (rows, {variables.n}), got shape {rows.shape}"
             )
+        # decided by dtype, so int64 rows cost no pass over their values
+        kind = rows.dtype.kind
+        if not (kind == "i" or kind == "u" and (rows.size == 0 or int(rows.max()) <= INT64_MAX)):
+            raise ValueError(
+                f"outcome values must be integers that fit in a 64-bit signed integer, got {rows.dtype}"
+            )
+        rows = rows.astype(np.int64)
         if p.shape != (rows.shape[0],):
             raise ValueError("one probability per outcome row required")
         if not np.all(p >= 0):  # NaN fails here too
@@ -57,7 +62,6 @@ class JointDistribution:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if _labels(rows)[1] != rows.shape[0]:
             raise ValueError("duplicate outcome row")
-        rows = rows.copy()
         rows.setflags(write=False)
         p = p.copy()
         p.setflags(write=False)
@@ -182,15 +186,27 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
     (children x rows), or into one subset's children where those alone take
     more, and the stack holds one batch's children per level, so the labels
     held at any time take O(n * (BATCH_CELLS + n * rows)) cells.
+
+    Zero-probability rows are dropped first.  bincount adds their 0.0 to a
+    group's mass exactly, so every group of positive mass keeps its mass and
+    its place in label order, and the output does not change by a bit; every
+    label left has positive mass.  A child's terms are then the run of its
+    labels' masses, and a batch puts child k's run left-aligned in row k of
+    a (children x longest run) grid and sums every row in one np.add.reduce
+    masked to the filled cells.  numpy runs its pairwise add loop once per
+    unmasked run, so each sum is that of np.add.reduce over the run alone.
     """
     check_dense(d.variables)
-    n, rows = d.variables.n, d.n_rows
+    n = d.variables.n
+    live = d.probs > 0
+    outcomes, probs = d.outcomes[live], d.probs[live]
+    rows = probs.shape[0]
     values = np.zeros(1 << n, dtype=np.float64)
-    coded = [_codes(d.outcomes[:, j]) for j in range(n)]
+    coded = [_codes(outcomes[:, j]) for j in range(n)]
     codes = np.array([c for c, _ in coded], dtype=np.int64)
     cards = np.array([k for _, k in coded], dtype=np.int64)
     # a batch has at most max(BATCH_CELLS // rows, n) children
-    weights = np.tile(d.probs, max(BATCH_CELLS // rows, n))
+    weights = np.tile(probs, max(BATCH_CELLS // rows, n))
 
     def expand(masks, tops, labels, counts):
         """Write the entropies of a batch's children; return the children."""
@@ -205,19 +221,22 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
         keys += (np.cumsum(spans) - spans)[:, None]
         ranks, total = _dense_ranks(keys, int(spans.sum()))
         del keys
-        masses = np.bincount(ranks.ravel(), weights=weights[: ranks.size])
-        # each child's labels are a run of ranks from its least one on
+        terms = np.bincount(ranks.ravel(), weights=weights[: ranks.size])
+        terms *= np.log2(terms)
+        # each child's labels are a run of ranks from its least one on, up
+        # to the next child's least (np.diff with append= costs more here)
         first = ranks.min(axis=1)
         ranks -= first[:, None]
-        first = np.append(first, total)
-        # each child's entropy sums its own positive terms in label order
-        positive = np.flatnonzero(masses > 0)
-        terms = masses[positive]
-        terms *= np.log2(terms)
-        bounds = np.searchsorted(positive, first).tolist()
+        sizes = -first
+        sizes[:-1] += first[1:]
+        sizes[-1] += total
+        # row k of the grid holds child k's terms in label order, from the left
+        filled = np.arange(sizes.max()) < sizes[:, None]
+        grid = np.zeros(filled.shape)
+        grid[filled] = terms
         children = masks[parent] | np.left_shift(1, column)
-        values[children] = np.negative([np.add.reduce(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
-        return children, column, ranks, np.diff(first)
+        values[children] = -np.add.reduce(grid, axis=1, where=filled)
+        return children, column, ranks, sizes
 
     # each entry: subsets' masks, highest columns, row labels and label counts
     stack = [(np.zeros(1, np.int64), np.full(1, -1), np.zeros((1, rows), np.int64), np.ones(1, np.int64))]
@@ -283,7 +302,7 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
 
 def product_power(d: JointDistribution, n: int) -> Polymatroid:
     """Entropy vector of n independent copies: entropy scales by n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"need an integer n >= 1, got {n!r}")
     base = entropy_vector(d)
     return Polymatroid(RankVector(base.ground, n * base.values, "float"))

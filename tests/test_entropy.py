@@ -192,6 +192,26 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="duplicate"):
             JointDistribution(GroundSet("a"), [[0], [0]], [0.5, 0.5])
 
+    @pytest.mark.parametrize("outcomes", [
+        [[1.5], [2.5]],
+        [["1"], ["2"]],
+        [[True], [False]],
+        np.array([[0], [2**64 - 1]], dtype=np.uint64),
+        [[1e300], [0.0]],
+        [[np.nan], [0.0]],
+        [[1.2], [1.7]],  # once cast to the duplicate rows [1], [1]
+    ], ids=["float", "str", "bool", "uint64 past int64", "huge float", "nan", "floats cast to one row"])
+    def test_non_integer_outcomes_rejected(self, outcomes):
+        with pytest.raises(ValueError, match="must be integers"):
+            JointDistribution(GroundSet("a"), outcomes, [0.5, 0.5])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64, ">i8"])
+    def test_integer_dtypes_stored_as_int64(self, dtype):
+        rows = np.array([[0, 5], [2**7 - 1, 0]], dtype=dtype)
+        d = JointDistribution(GroundSet("ab"), rows, [0.5, 0.5])
+        assert d.outcomes.dtype == np.int64
+        assert d.outcomes.tolist() == rows.tolist()
+
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError):
             JointDistribution(GroundSet("a"), [[0], [1]], [1.5, -0.5])
@@ -320,6 +340,56 @@ class TestAgainstReferences:
         glued = conditional_product(d1, d2)
         assert_same_distribution(glued, reference_conditional_product(d1, d2))
         assert glued.outcomes.tolist() == [[1, 5], [1, -5], [1, 0], [0, 5], [0, -5], [0, 0]]
+
+
+class TestSummation:
+    """Each entropy is one masked reduce over a grid row after the
+    zero-probability rows are dropped; both must leave every bit as the
+    per-subset reference has it."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(1, 60))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        pool = np.array([0, 1, 2, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)], dtype=np.int64)
+        width = data.draw(st.integers(2, pool.size))
+        rows = np.unique(rng.choice(pool[:width], size=(k, n)), axis=0)
+        probs = rng.random(rows.shape[0]) + 0.05
+        probs[rng.random(rows.shape[0]) < data.draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+        probs[int(rng.integers(rows.shape[0]))] = 1.0
+        d = JointDistribution(ground(n), rng.permutation(rows), probs / probs.sum())
+        assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+
+    def test_runs_longer_than_the_ufunc_buffer(self):
+        """More than 8192 distinct positive rows at n=3: the full set's run
+        of terms is longer than numpy's ufunc buffer."""
+        assert np.getbufsize() == 8192
+        rng = np.random.default_rng(3)
+        side = 24
+        rows = np.stack(np.unravel_index(rng.permutation(side**3), (side,) * 3), axis=1)
+        rows = rows * 1000 - 7
+        probs = rng.random(rows.shape[0]) + 0.05
+        probs[rng.random(rows.shape[0]) < 0.25] = 0.0
+        assert np.count_nonzero(probs) > np.getbufsize()
+        d = JointDistribution(ground(3), rows, probs / probs.sum())
+        assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_zero_probability_rows_change_no_bit(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(3):
+            d = sweep_distribution(rng, n, "zero-probability rows")
+            live = d.probs > 0
+            kept = JointDistribution(d.variables, d.outcomes[live], d.probs[live])
+            assert entropy_vector(d).values.tobytes() == entropy_vector(kept).values.tobytes()
+        d = wide_distribution(rng, n + 1, 200)
+        live = d.probs > 0
+        assert not live.all()
+        kept = JointDistribution(d.variables, d.outcomes[live], d.probs[live])
+        assert entropy_vector(d).values.tobytes() == entropy_vector(kept).values.tobytes()
 
 
 @pytest.mark.slow
@@ -486,3 +556,11 @@ class TestProductPower:
     def test_zero_copies_rejected(self, table1):
         with pytest.raises(ValueError):
             product_power(table1, 0)
+
+    @pytest.mark.parametrize("copies", [True, 2.5, 2.0, "2", np.float64(2)])
+    def test_non_integer_copies_rejected(self, table1, copies):
+        with pytest.raises(ValueError, match="integer n >= 1"):
+            product_power(table1, copies)
+
+    def test_numpy_integer_copies(self, table1, m_xi):
+        assert np.array_equal(product_power(table1, np.int64(3)).values, 3 * m_xi.values)
