@@ -28,7 +28,6 @@ _EXPORTS = {
         "load_rank_vector",
         "mu",
         "rank_vector_from_json",
-        "rank_vector_to_json",
         "save_rank_vector",
         "subset_format",
         "subset_parse",

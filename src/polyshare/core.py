@@ -105,7 +105,6 @@ class GroundSet:
                 raise DuplicateLabel(f"duplicate label {lbl!r}")
             seen.add(lbl)
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
-        object.__setattr__(self, "_keys", None)
 
     @property
     def n(self) -> int:
@@ -139,10 +138,8 @@ class GroundSet:
 
     def subset_keys(self) -> tuple[list[str], np.ndarray]:
         """(keys, masks) of the non-empty subsets in rank-file order, within the cap (shared)."""
-        if self._keys is None:
-            check_dense(self)
-            object.__setattr__(self, "_keys", _subset_keys(self.labels))
-        return self._keys
+        check_dense(self)
+        return _subset_keys(self.labels)
 
     def __contains__(self, label) -> bool:
         return label in self._index
@@ -258,7 +255,7 @@ class RankVector:
     def from_ranks(cls, ground: GroundSet, ranks: dict, mode: str = "float") -> "RankVector":
         """Build from a {subset key: value} mapping covering every nonempty subset.
 
-        One comparison with the key table reads the keys of ``to_ranks`` in its
+        One comparison with the key table reads the keys of a rank file in its
         order, with plain int or float values the mode takes; others are checked."""
         keys, order = ground.subset_keys()  # checks the dense cap first
         values = list(ranks.values())
@@ -275,11 +272,6 @@ class RankVector:
         check_mask(self.ground, mask)
         v = self.values[mask]
         return int(v) if self.mode == "int" else float(v)
-
-    def to_ranks(self) -> dict:
-        """Ordered {subset key: value} dict, smallest subsets first."""
-        keys, order = self.ground.subset_keys()
-        return dict(zip(keys, self.values[order].tolist()))
 
     def to_float(self) -> "RankVector":
         return RankVector(self.ground, np.asarray(self.values, dtype=np.float64), "float")
@@ -336,14 +328,6 @@ def mu(rank: RankVector, mask: int):
     return total if rank.mode == "int" else float(total)
 
 
-def rank_vector_to_json(rank: RankVector) -> dict:
-    return {
-        "ground": list(rank.ground.labels),
-        "mode": rank.mode,
-        "ranks": rank.to_ranks(),
-    }
-
-
 def rank_vector_from_json(doc: dict) -> RankVector:
     where = "rank-vector file"
     ground = GroundSet(json_field(doc, "ground", list, where))
@@ -362,11 +346,12 @@ def save_rank_vector(rank: RankVector, path) -> None:
 
 
 def rank_document(rank: RankVector) -> str:
-    """The text of ``json.dumps(rank_vector_to_json(rank), indent=1)``, from one
-    "%" template per subset size, not a dict.  JSON escapes keys character by
-    character, never ",", so the quoted keys are the key table of the escaped
-    labels, with "%" doubled for the template: the ground set's own table when
-    no label needs either."""
+    """The rank file of ``rank``: the text of ``json.dumps(doc, indent=1)`` for
+    the document of the labels, the mode and a {subset key: rank} object in
+    key-table order, from one "%" template per subset size, not a dict.  JSON
+    escapes keys character by character, never ",", so the quoted keys are
+    the key table of the escaped labels, with "%" doubled for the template:
+    the ground set's own table when no label needs either."""
     keys, order = rank.ground.subset_keys()
     labels = list(rank.ground.labels)
     escaped = [json.dumps(label)[1:-1].replace("%", "%%") for label in labels]

@@ -37,6 +37,19 @@ class JointDistribution:
     probs: np.ndarray
 
     def __init__(self, variables: GroundSet, outcomes, probs):
+        # an ndarray is judged by its dtype, so it costs no pass over its values;
+        # other input element by element, before numpy casts True or "0.5"
+        if isinstance(probs, np.ndarray):
+            if probs.dtype.kind not in "fiu":
+                raise ValueError(f"probabilities must be real numbers, got {probs.dtype}")
+        else:
+            for v in np.asarray(probs, dtype=object).flat:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"probabilities must be real numbers, got {v!r:.40}")
+        if not isinstance(outcomes, np.ndarray):
+            for v in np.asarray(outcomes, dtype=object).flat:
+                if isinstance(v, (bool, np.bool_)):
+                    raise ValueError(f"outcome values must be integers, got {v!r}")
         rows = np.asarray(outcomes)
         try:
             p = np.asarray(probs, dtype=np.float64)

@@ -9,7 +9,7 @@ certifies that a polymatroid is not almost entropic.
 
 from dataclasses import dataclass
 
-from .core import GroundSet
+from .core import GroundSet, check_mask
 from .polymatroid import Polymatroid
 
 
@@ -57,12 +57,8 @@ def mutual_information(A: int, B: int, C: int = 0, coeff=1) -> InfoTerm:
 
 
 def eval_term(term: InfoTerm, M: Polymatroid):
-    full = M.ground.full_mask
-    span = term.given
-    for mask in term.args:
-        span |= mask
-    if span & ~full:
-        raise ValueError(f"expression uses bits outside the {M.ground.n}-element ground set")
+    for mask in (*term.args, term.given):
+        check_mask(M.ground, mask)
     c = term.given
     if term.kind == "H":
         raw = M.value(term.args[0] | c) - M.value(c)

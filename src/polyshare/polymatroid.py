@@ -26,6 +26,7 @@ from .core import (
     ModeError,
     RankVector,
     check_dense,
+    check_mask,
     mu,
     subset_format,
     subset_parse,
@@ -328,6 +329,7 @@ def collapse_pair(M: Polymatroid, l1: str, l2: str, label: str) -> Polymatroid:
 
 def basis_r(ground: GroundSet, A: int) -> Polymatroid:
     """Indicator polymatroid of hitting A: rank 1 on subsets meeting A, else 0."""
+    check_mask(ground, A)
     if A == 0:
         raise ValueError("basis_r needs a non-empty subset")
     check_dense(ground)

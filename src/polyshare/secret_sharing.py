@@ -241,27 +241,18 @@ def sigma(M, secret: str):
         blocks = [i for i, size in enumerate(M.block_sizes) if size > 0]
         units = np.eye(M.base.ground.n, dtype=np.int64)[blocks]  # one atom of a block each
         atom_rank = dict(zip(blocks, M.ranks_of_counts(units).tolist()))
-        fs = atom_rank[sblock]
-        if fs == 0:
-            raise ValueError(f"secret {secret!r} has rank zero")
-        tops = [
-            rank for i, rank in atom_rank.items()
-            if not (i == sblock and M.block_sizes[i] == 1)
-        ]
-        if not tops:
-            raise ValueError("no participants besides the secret")
-        return Fraction(max(tops), fs)
-
-    fs = M.rank_of(secret)
+        fs, exact = atom_rank[sblock], True
+        others = [rank for i, rank in atom_rank.items()
+                  if not (i == sblock and M.block_sizes[i] == 1)]
+    else:
+        fs, exact = M.rank_of(secret), M.mode == "int"
+        others = [M.value(1 << i) for i in range(M.ground.n) if M.ground.labels[i] != secret]
     if fs == 0:
         raise ValueError(f"secret {secret!r} has rank zero")
-    others = [M.value(1 << i) for i in range(M.ground.n) if M.ground.labels[i] != secret]
     if not others:
         raise ValueError("no participants besides the secret")
     top = max(others)
-    if M.mode == "int":
-        return Fraction(int(top), int(fs))
-    return float(top / fs)
+    return Fraction(int(top), int(fs)) if exact else float(top / fs)
 
 
 @dataclass(frozen=True)

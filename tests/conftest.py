@@ -5,12 +5,22 @@ from polyshare import (
     entropy_vector,
     linear_combine,
     rank_vector_from_json,
+    subset_format,
     subset_parse,
     tighten,
     validate_polymatroid,
 )
 from polyshare.entropy import distribution_from_json
+from polyshare.lattice import by_size
 from polyshare.reproduce import fixture_doc
+
+
+def rank_vector_to_json(rank) -> dict:
+    """The reference rank-file document, one subset_format call per subset:
+    the labels, the mode, and the ranks by subset size, ties by mask."""
+    ground = rank.ground
+    ranks = {subset_format(ground, m): rank.value(m) for m in by_size(ground.n).tolist()}
+    return {"ground": list(ground.labels), "mode": rank.mode, "ranks": ranks}
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,6 @@ from polyshare import (
     matroid_port,
     mu,
     rank_vector_from_json,
-    rank_vector_to_json,
     save_rank_vector,
     subset_format,
     subset_parse,
@@ -45,12 +44,19 @@ from polyshare import (
 )
 from polyshare import core, lattice
 from polyshare.cli import main
+from polyshare.inequalities import conditional_entropy, eval_term, mutual_information
 from polyshare.lattice import additive, by_size
 from polyshare.secret_sharing import from_minimal
 
+from conftest import rank_vector_to_json
 from generators import pm
 
 ABC = GroundSet(("a", "b", "c"))
+
+
+def file_ranks(rank: RankVector) -> dict:
+    """The "ranks" object of the rank file of ``rank``, as JSON reads it back."""
+    return json.loads(core.rank_document(rank))["ranks"]
 
 
 class TestGroundSet:
@@ -218,7 +224,7 @@ class TestRankVector:
     def test_from_ranks_round_trip(self):
         ranks = {"a": 1, "b": 1, "c": 1, "a,b": 2, "a,c": 2, "b,c": 2, "a,b,c": 2}
         rv = RankVector.from_ranks(ABC, ranks, "int")
-        assert rv.to_ranks() == ranks
+        assert file_ranks(rv) == ranks
 
     def test_from_ranks_missing_subset(self):
         with pytest.raises(ValueError, match="missing"):
@@ -252,7 +258,7 @@ class TestRankVector:
         assert signed == plain
         assert hash(signed) == hash(plain) and len({signed, plain}) == 1
         assert not np.signbit(signed.values).any()
-        assert signed.to_ranks() == {"x": 1.0, "y": 0.0, "x,y": 1.0}
+        assert file_ranks(signed) == {"x": 1.0, "y": 0.0, "x,y": 1.0}
 
 
 class TestMaskRange:
@@ -292,19 +298,40 @@ class TestMaskRange:
             with pytest.raises(ValueError, match=r"is not a subset: out of range .*0\.\.[37]\)"):
                 query(mask)
 
+    @pytest.mark.parametrize("mask", [4, -1, 1 << 40, True, False, 1.0, np.float64(1)])
+    def test_basis_r_reads_a_mask(self, mask):
+        # read as an index, 4 would give the zero vector and -1 the full indicator
+        with pytest.raises(ValueError, match=r"is not a subset: out of range for 2 elements"):
+            basis_r(GroundSet(("a", "b")), mask)
+
+    def test_basis_r_keeps_the_empty_subset_error(self):
+        with pytest.raises(ValueError, match="needs a non-empty subset"):
+            basis_r(GroundSet(("a", "b")), 0)
+        assert basis_r(GroundSet(("a", "b")), np.int64(2)).values.tolist() == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("term", [
+        conditional_entropy(4), conditional_entropy(-1), conditional_entropy(1 << 40),
+        conditional_entropy(True), conditional_entropy(np.True_), conditional_entropy(2, 4),
+        conditional_entropy(2, True), conditional_entropy(1, -4), mutual_information(1, 4),
+        mutual_information(2, True), mutual_information(1, 2, 4),
+    ])
+    def test_expressions_read_masks(self, term):
+        with pytest.raises(ValueError, match=r"is not a subset: out of range for 2 elements"):
+            eval_term(term, uniform_matroid(1, ("a", "b")))
+
 
 class TestIntMode:
     def test_big_ranks_stored_exactly(self):
         ranks = {"a": 2**60 + 1, "b": 1, "a,b": 2**60 + 2}
         rv = RankVector.from_ranks(GroundSet("ab"), ranks, "int")
-        assert rv.to_ranks() == ranks
+        assert file_ranks(rv) == ranks
         # beyond 2^53: float64 would read 2^60, 1, 2^60 and tighten to 1, 1, 1
         assert tighten(validate_polymatroid(rv)).values.tolist() == [0, 0, 0, 0]
 
     def test_integral_float_accepted_beside_big_ranks(self):
         ranks = {"a": 2**60 + 1, "b": 1.0, "a,b": 2**60 + 2.0}
         rv = RankVector.from_ranks(GroundSet("ab"), ranks, "int")
-        assert rv.to_ranks() == {"a": 2**60 + 1, "b": 1, "a,b": 2**60}
+        assert file_ranks(rv) == {"a": 2**60 + 1, "b": 1, "a,b": 2**60}
         assert type(rv.value(2)) is int
 
     def test_fractional_rank_rejected(self):
@@ -415,11 +442,7 @@ class TestKeyTableCache:
         assert core._subset_keys.cache_info().currsize == 1
 
 
-# The reference codec: one subset_format or subset_parse call per subset.
-
-def reference_to_ranks(rank: RankVector) -> dict:
-    return {subset_format(rank.ground, m): rank.value(m) for m in by_size(rank.ground.n).tolist()}
-
+# The reference codec: one subset_format (rank_vector_to_json) or subset_parse call per subset.
 
 def reference_from_ranks(ground: GroundSet, ranks: dict, mode: str) -> RankVector:
     values = [0] * (1 << ground.n)
@@ -465,7 +488,7 @@ ESCAPED_LABEL = st.sampled_from(['"', "\\", 'a"b', "\n", "\t\x00", "\x7f", "\u20
 
 @st.composite
 def rank_dicts(draw):
-    """(ground, mode, {key: value}) in to_ranks order, with keys the codec
+    """(ground, mode, {key: value}) in rank-file order, with keys the codec
     writes and values of every type it reads in that mode."""
     labels = draw(st.lists(LABEL, min_size=1, max_size=8, unique=True))
     ground = GroundSet(labels)
@@ -480,7 +503,7 @@ def rank_dicts(draw):
 
 
 class TestCodecAgainstReference:
-    """to_ranks and from_ranks agree with the per-subset reference codec."""
+    """Rank files and from_ranks agree with the per-subset reference codec."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(rank_dicts(), st.data())
@@ -488,8 +511,8 @@ class TestCodecAgainstReference:
         ground, mode, ranks = case
         rv = RankVector.from_ranks(ground, ranks, mode)
         assert outcome(lambda: rv) == outcome(lambda: reference_from_ranks(ground, ranks, mode))
-        written = rv.to_ranks()
-        expected = reference_to_ranks(rv)
+        written = file_ranks(rv)
+        expected = rank_vector_to_json(rv)["ranks"]
         assert list(written) == list(expected)
         assert list(written.values()) == list(expected.values())
         assert [type(v) for v in written.values()] == [type(v) for v in expected.values()]
@@ -546,7 +569,7 @@ class TestCodecAgainstReference:
         with tempfile.TemporaryDirectory() as tmp:
             save_rank_vector(rv, Path(tmp) / "r.json")
             written = (Path(tmp) / "r.json").read_bytes()
-        doc = {"ground": labels, "mode": mode, "ranks": reference_to_ranks(rv)}
+        doc = rank_vector_to_json(rv)
         assert written == (json.dumps(doc, indent=1) + "\n").encode()
         assert load_rank_vector_text(written) == rv
 
@@ -567,7 +590,7 @@ class TestCodecAgainstReference:
                 with contextlib.redirect_stdout(out):
                     assert main([command, "--in", path]) == 0
                 result = op(M).rank
-                doc = {"ground": labels, "mode": mode, "ranks": reference_to_ranks(result)}
+                doc = rank_vector_to_json(result)
                 assert out.getvalue() == json.dumps(doc, indent=1) + "\n"
 
 
@@ -576,7 +599,7 @@ def load_rank_vector_text(text: bytes) -> RankVector:
 
 
 class TestFileOrderLoad:
-    """A file in to_ranks order is read by one comparison with the key table;
+    """A file in rank-file order is read by one comparison with the key table;
     any other mapping is checked key by key, with the reference's errors."""
 
     @pytest.fixture()
@@ -598,7 +621,7 @@ class TestFileOrderLoad:
 
     def test_reordered_keys_take_the_checked_path(self, monkeypatch):
         ground = GroundSet(["a", "b", "c"])
-        ranks = reference_to_ranks(uniform_matroid(2, ground.labels).rank)
+        ranks = rank_vector_to_json(uniform_matroid(2, ground.labels).rank)["ranks"]
         calls = []
         checked = core._checked_values
         monkeypatch.setattr(core, "_checked_values", lambda *a: calls.append(1) or checked(*a))
@@ -615,7 +638,7 @@ class TestFileOrderLoad:
         the reference, whichever path reads it."""
         ground = GroundSet(["a", "b", "c"])
         for position in range(ground.full_mask):
-            ranks = reference_to_ranks(uniform_matroid(2, ground.labels).rank)
+            ranks = rank_vector_to_json(uniform_matroid(2, ground.labels).rank)["ranks"]
             ranks[list(ranks)[position]] = bad
             for values in (ranks, {k: bad for k in ranks}):
                 assert outcome(lambda: RankVector.from_ranks(ground, values, mode)) == \

@@ -1,6 +1,7 @@
 """Distributions, entropy vectors, and the max-entropy gluing."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +205,34 @@ class TestJointDistribution:
     def test_non_integer_outcomes_rejected(self, outcomes):
         with pytest.raises(ValueError, match="must be integers"):
             JointDistribution(GroundSet("a"), outcomes, [0.5, 0.5])
+
+    @pytest.mark.parametrize("probs", [
+        [True, False],
+        ["0.5", "0.5"],
+        [0.0, True],  # numpy would make this float64
+        [np.True_, 0.0],
+        [None, 1.0],
+        np.array([True, False]),
+        np.array(["0.5", "0.5"]),
+        np.array([0.5, 0.5], dtype=object),
+    ], ids=["bools", "strings", "float and bool", "numpy bool", "None", "bool array", "str array",
+            "object array"])
+    def test_non_real_probabilities_rejected(self, probs):
+        with pytest.raises(ValueError, match="probabilities must be real numbers"):
+            JointDistribution(GroundSet("a"), [[0], [1]], probs)
+
+    @pytest.mark.parametrize("probs", [
+        [1, 0], [0.5, Fraction(1, 2)], [np.float32(0.5), np.int64(0) + 0.5],
+        np.array([1, 0], dtype=np.uint8), np.array([0.25, 0.75], dtype=np.float32),
+    ])
+    def test_real_probabilities_accepted(self, probs):
+        d = JointDistribution(GroundSet("a"), [[0], [1]], probs)
+        assert d.probs.dtype == np.float64 and d.probs.sum() == 1
+
+    def test_bool_in_an_outcome_list_rejected(self):
+        # numpy would store True as 1 in an int64 row
+        with pytest.raises(ValueError, match="outcome values must be integers, got True"):
+            JointDistribution(GroundSet("ab"), [[0, True], [1, False]], [0.5, 0.5])
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64, ">i8"])
     def test_integer_dtypes_stored_as_int64(self, dtype):

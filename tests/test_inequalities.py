@@ -74,7 +74,7 @@ class TestEval:
 
     def test_out_of_range_mask_rejected(self):
         u12 = uniform_matroid(1, ("a", "b"))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="mask 4 is not a subset: out of range for 2 elements"):
             eval_term(conditional_entropy(0b100), u12)
 
     def test_expression_sums_terms(self):

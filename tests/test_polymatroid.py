@@ -1,5 +1,6 @@
 """Validation, duality, tightening, factors, extensions, and the r_A basis."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from polyshare import (
     validate_polymatroid,
 )
 from polyshare import lattice
-from polyshare.core import subset_format
+from polyshare.core import rank_document, subset_format
 from polyshare.entropy import marginal
 from polyshare.polymatroid import (
     VALIDATION_TOL,
@@ -398,7 +399,7 @@ class TestLinearCombine:
     def test_scaled_u12(self):
         u12 = uniform_matroid(1, ("a", "b"))
         out = linear_combine([(2, u12)])
-        assert out.to_ranks() == {"a": 2.0, "b": 2.0, "a,b": 2.0}
+        assert json.loads(rank_document(out))["ranks"] == {"a": 2.0, "b": 2.0, "a,b": 2.0}
 
     def test_published_combination_is_nearly_integer(self, combination, middle):
         residual = np.abs(combination.values - middle.values)

@@ -45,8 +45,9 @@ from polyshare.secret_sharing import (
     load_access_structure,
     save_access_structure,
 )
-from polyshare.core import rank_document, rank_vector_to_json
+from polyshare.core import rank_document
 
+from conftest import rank_vector_to_json
 from generators import gf2_matroid, k4_matroid, pm, random_matroid, split_fully
 
 U23 = uniform_matroid(2, ("a", "b", "c"))
@@ -522,6 +523,14 @@ class TestSigma:
 
     def test_rank_zero_secret_rejected(self):
         M = pm({"a": 0, "b": 1, "a,b": 1})
+        with pytest.raises(ValueError, match="rank zero"):
+            sigma(M, "a")
+
+    def test_lonely_secret_of_rank_zero_is_a_rank_zero_error(self):
+        # both checks fail; the secret's rank is checked first
+        M = validate_polymatroid(
+            RankVector.from_ranks(GroundSet(("a",)), {"a": 0}, "int")
+        )
         with pytest.raises(ValueError, match="rank zero"):
             sigma(M, "a")
 
