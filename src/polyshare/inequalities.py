@@ -7,6 +7,7 @@ every entropy vector but not for every polymatroid; a strictly negative value
 certifies that a polymatroid is not almost entropic.
 """
 
+import numbers
 from dataclasses import dataclass
 
 from .core import GroundSet, check_mask
@@ -28,6 +29,9 @@ class InfoTerm:
         want = 1 if self.kind == "H" else 2
         if len(self.args) != want:
             raise ValueError(f"{self.kind} takes {want} argument mask(s)")
+        for mask in (*self.args, self.given):
+            if isinstance(mask, bool) or not isinstance(mask, numbers.Integral) or mask < 0:
+                raise ValueError(f"mask {mask!r} is not a subset: masks are integers >= 0")
         combined = self.given
         for mask in self.args:
             if mask == 0:

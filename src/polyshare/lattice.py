@@ -42,17 +42,19 @@ def split(a: np.ndarray, i: int):
     return view[:, 0], view[:, 1]
 
 
-def least_over(values, weights) -> np.ndarray:
-    """For every mask B, the least values[A] - weights(A & B) over all masks
-    A, with weights(X) the sum of weights[i] over the bits i of X.  Bit by
-    bit, index i stops meaning "i in A" and starts meaning "i in B"."""
-    out = np.array(values)
-    for i, w in enumerate(weights):
-        without, with_i = split(out, i)
-        least = np.minimum(without, with_i)
-        np.minimum(without, with_i - w, out=with_i)
-        without[...] = least
-    return out
+def least_over(values, levels) -> np.ndarray:
+    """For every vector c with c[i] in levels[i], the least values[A] plus
+    the sum of c[i] over the bits i not in A, over all masks A; flat, bit 0
+    fastest.  Axis by axis, the pair (i not in A, i in A) becomes one entry
+    per level of i, shortest axes first, so no intermediate outgrows both
+    2^n and the result: the min-plus form of Yates' transform."""
+    n = len(levels)
+    out = np.asarray(values).reshape((2,) * n)
+    for i in sorted(range(n), key=lambda i: len(levels[i])):
+        low = (slice(None),) * i  # bit i's axis has the i lower bits' axes after it
+        least = out[(..., slice(0, 1), *low)] + np.reshape(levels[i], (-1,) + (1,) * i)
+        out = np.minimum(least, out[(..., slice(1, 2), *low)], out=least)
+    return out.reshape(-1)
 
 
 def pair(a: np.ndarray, i: int, j: int):

@@ -79,7 +79,6 @@ class ExpandedMatroid:
             for k in range(1, size + 1)
         }
         self.element_names = tuple(self._block_of)
-        self._sizes = np.array(self.block_sizes, dtype=np.int64)
         self._in = lattice.masks(ground.n) >> np.arange(ground.n)[:, None] & 1  # [i, A]: is i in A
         self._h = (dual(base) if self.dualized else base).values
         self._memo: dict[tuple[int, ...], int] = {}
@@ -183,7 +182,7 @@ class ExpandedMatroid:
         if len(shape) != 2 or shape[1] != n:
             raise ValueError(f"need a (k, {n}) array of block counts, got shape {shape}")
         if not (isinstance(C, np.ndarray) and C.dtype.kind in "iu") or (
-            (C < 0) | (C > self._sizes)
+            (C < 0) | (C > self.block_sizes)
         ).any():  # each row checked in turn, so the first bad count is reported
             C = np.array([self._checked(row) for row in C], dtype=np.int64).reshape(shape)
         C = C.astype(np.int64, copy=False)
@@ -201,9 +200,9 @@ def helgason_expand(M: Polymatroid, dualized: bool = False) -> ExpandedMatroid:
 def block_collapse(E: ExpandedMatroid) -> Polymatroid:
     """Dense polymatroid of block-union ranks; recovers the base when not
     dualized, and the base's dual when the base is tight.  The union of the
-    blocks in B takes s(B) atoms, so its rank is
-    s(B) + min over A of h(A) - s(A & B)."""
-    values = lattice.least_over(E._h, E.block_sizes) + lattice.additive(E._sizes)
+    blocks in B takes s(B) atoms, so its rank is the least h(A) + s(B - A)
+    over the base subsets A: the count-space grid at the levels (0, s_i)."""
+    values = lattice.least_over(E._h, [(0, size) for size in E.block_sizes])
     return Polymatroid(RankVector(E.base.ground, values, "int"))
 
 

@@ -167,43 +167,38 @@ def _secret_gaps(M: Polymatroid, secret: str, tolerance):
     return participants, (with_secret - without).ravel(), fs, tol
 
 
-def _port_table(E: ExpandedMatroid, odd: np.ndarray, n: int, block_masks) -> np.ndarray:
-    """Port flags of every subset of n participants, about 2^18 odd - 2C(A) entries at a time."""
-    masks = lattice.masks(n)
-    doubled = lattice.sizes(n) << 1  # 2C: twice the popcount of a mask under a block's bits
-    columns = np.array(block_masks)[:, None]  # rows are base subsets: min runs down columns
-    step = max(1, (1 << 18) >> E.base.ground.n)
-    return np.concatenate([
-        (odd[:, None] - E._in.T @ doubled[columns & masks[i : i + step]]).min(axis=0) & 1 == 0
-        for i in range(0, len(masks), step)
-    ])
-
-
 def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
-    """Access structure {S : f(secret + S) = f(S)}.
+    """Access structure {S : f(secret + S) = f(S)}: a table on at most
+    MAX_DENSE_ELEMENTS participants, else a membership oracle (an expansion's
+    atoms).  The secret must not be a loop, and a secret with private
+    information leaves the full set unqualified, which is rejected by the
+    structure invariants.
 
-    Dense polymatroids give an explicit structure; an ExpandedMatroid gives a
-    membership oracle over its atom names.  The secret must not be a loop, and
-    a secret with private information leaves the full set unqualified, which
-    is rejected by the structure invariants.
-
-    An expansion's port at an atom of block b keeps odd(A) = 2h(A) + 1 - [b in A]:
-    S with counts C is qualified iff the least slack over the A holding b is at
-    most the least over the rest, iff min odd(A) - 2C(A) is even.  int64 holds
-    both terms, each at most 2 * n_elements + 1 with every atom's name in memory.
+    An expansion's rank depends only on the per-block atom counts C, so its
+    table compares the rank grid ``lattice.least_over(h, [range(s_i + 1)])``
+    at each mask's counts with one stride of the secret's block b further.
+    Its oracle keeps odd(A) = 2h(A) + 1 - [b in A]: S is qualified iff the
+    least slack over the A holding b is at most the least over the rest, iff
+    min odd(A) - 2C(A) is even.  int64 holds both terms, each at most
+    2 * n_elements + 1 with every atom's name in memory.
     """
     if isinstance(M, ExpandedMatroid):
         sblock = M.block_of(secret)
         if M.rank([secret]) == 0:
             raise ValueError(f"secret {secret!r} is a loop")
         participants = GroundSet(tuple(n for n in M.element_names if n != secret))
-        block_masks = [0] * M.base.ground.n
-        for i, name in enumerate(participants.labels):
-            block_masks[M.block_of(name)] |= 1 << i
-        odd = 2 * M._h + 1 - M._in[sblock]
+        blocks = [M.block_of(name) for name in participants.labels]
         if participants.n <= MAX_DENSE_ELEMENTS:
-            table = _port_table(M, odd, participants.n, block_masks)
-            return AccessStructure(participants, qualified=table)
+            strides = np.cumprod([1] + [size + 1 for size in M.block_sizes[:-1]])
+            ranks = lattice.least_over(M._h, [range(size + 1) for size in M.block_sizes])
+            idx = lattice.additive(strides[blocks])
+            qualified = ranks[idx + strides[sblock]] == ranks[idx]
+            return AccessStructure(participants, qualified=qualified)
+
+        block_masks = [0] * M.base.ground.n
+        for i, block in enumerate(blocks):
+            block_masks[block] |= 1 << i
+        odd = 2 * M._h + 1 - M._in[sblock]
 
         def member(mask: int) -> bool:
             least = odd - [(mask & bm).bit_count() << 1 for bm in block_masks] @ M._in
@@ -238,9 +233,8 @@ def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
     if isinstance(M, ExpandedMatroid):
         sblock = M.block_of(secret)
-        blocks = [i for i, size in enumerate(M.block_sizes) if size > 0]
-        units = np.eye(M.base.ground.n, dtype=np.int64)[blocks]  # one atom of a block each
-        atom_rank = dict(zip(blocks, M.ranks_of_counts(units).tolist()))
+        unit = lattice.least_over(M._h, [(0, 1)] * M.base.ground.n)  # one atom of each block in B
+        atom_rank = {i: int(unit[1 << i]) for i, size in enumerate(M.block_sizes) if size > 0}
         fs, exact = atom_rank[sblock], True
         others = [rank for i, rank in atom_rank.items()
                   if not (i == sblock and M.block_sizes[i] == 1)]

@@ -310,14 +310,19 @@ class TestMaskRange:
         assert basis_r(GroundSet(("a", "b")), np.int64(2)).values.tolist() == [0, 0, 1, 1]
 
     @pytest.mark.parametrize("term", [
-        conditional_entropy(4), conditional_entropy(-1), conditional_entropy(1 << 40),
-        conditional_entropy(True), conditional_entropy(np.True_), conditional_entropy(2, 4),
-        conditional_entropy(2, True), conditional_entropy(1, -4), mutual_information(1, 4),
-        mutual_information(2, True), mutual_information(1, 2, 4),
+        (conditional_entropy, 4), (conditional_entropy, -1), (conditional_entropy, 1 << 40),
+        (conditional_entropy, True), (conditional_entropy, np.True_), (conditional_entropy, 2, 4),
+        (conditional_entropy, 2, True), (conditional_entropy, 1, -4), (mutual_information, 1, 4),
+        (mutual_information, 2, True), (mutual_information, 1, 2, 4),
     ])
     def test_expressions_read_masks(self, term):
-        with pytest.raises(ValueError, match=r"is not a subset: out of range for 2 elements"):
-            eval_term(term, uniform_matroid(1, ("a", "b")))
+        """A negative or boolean mask is refused when the term is built, one
+        beyond the ground set when the term is evaluated."""
+        build, *masks = term
+        refused = any(isinstance(m, (bool, np.bool_)) or m < 0 for m in masks)
+        reason = "masks are integers >= 0$" if refused else "out of range for 2 elements"
+        with pytest.raises(ValueError, match="is not a subset: " + reason):
+            eval_term(build(*masks), uniform_matroid(1, ("a", "b")))
 
 
 class TestIntMode:

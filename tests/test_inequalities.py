@@ -42,6 +42,21 @@ class TestInfoTerm:
         with pytest.raises(ValueError, match="non-empty"):
             conditional_entropy(0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: conditional_entropy(1.0),
+        lambda: mutual_information(1, 2.5),
+        lambda: conditional_entropy(1, 2.0),
+        lambda: conditional_entropy(np.float64(1)),
+        lambda: conditional_entropy(True),
+        lambda: mutual_information(1, 2, -4),
+    ])
+    def test_non_integer_bool_or_negative_mask_rejected(self, build):
+        with pytest.raises(ValueError, match="is not a subset: masks are integers >= 0$"):
+            build()
+
+    def test_numpy_integer_masks_accepted(self):
+        assert mutual_information(np.int64(1), np.uint8(2), np.int32(4)).args == (1, 2)
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             InfoTerm("J", (1, 2))

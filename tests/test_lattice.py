@@ -1,6 +1,8 @@
 """The subset-lattice transforms against per-mask Python references, and the
 vectorised ports and factors against the per-subset loops they replaced."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,30 +103,31 @@ class TestPerMaskReferences:
 
 
 @st.composite
-def values_and_weights(draw):
-    """Per-mask values and per-element weights on n <= 6 elements; zero
-    weights come up often, so that masks B differing only there tie."""
-    n = draw(st.integers(0, 6))
+def values_and_levels(draw):
+    """Per-mask values and 1-4 levels per element on n <= 5 elements; a
+    single level, as a loop block has, and repeated levels come up often."""
+    n = draw(st.integers(0, 5))
     values = draw(st.lists(st.integers(-20, 20), min_size=1 << n, max_size=1 << n))
-    weights = draw(st.lists(st.sampled_from([0, 0, 1, 2, 5]), min_size=n, max_size=n))
-    return np.array(values, dtype=np.int64), weights
+    level = st.lists(st.sampled_from([0, 0, 1, 2, 5, -3, 9]), min_size=1, max_size=4)
+    levels = draw(st.lists(level, min_size=n, max_size=n))
+    return np.array(values, dtype=np.int64), [np.array(c, dtype=np.int64) for c in levels]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(values_and_weights())
+@given(values_and_levels())
 def test_least_over_is_the_min_over_every_mask(case):
-    values, weights = case
-    n = len(weights)
-    before = values.copy()
+    values, levels = case
+    n = len(levels)
+    before = [values.copy()] + [level.copy() for level in levels]
     want = [
         min(
-            int(values[A]) - sum(w for i, w in enumerate(weights) if (A & B) >> i & 1)
+            int(values[A]) + sum(int(levels[i][c[i]]) for i in range(n) if not A >> i & 1)
             for A in range(1 << n)
         )
-        for B in range(1 << n)
-    ]
-    assert least_over(values, weights).tolist() == want
-    assert np.array_equal(values, before)
+        for c in (pos[::-1] for pos in itertools.product(*map(range, map(len, levels[::-1]))))
+    ]  # bit 0 fastest
+    assert least_over(values, levels).tolist() == want
+    assert all(map(np.array_equal, [values] + levels, before))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from polyshare import (
     validate_polymatroid,
 )
 from polyshare import matroid
-from polyshare.lattice import additive
+from polyshare.lattice import additive, least_over
 
 from generators import (
     all_split_schedules,
@@ -54,10 +54,9 @@ from generators import (
 
 def reference_g(E, counts) -> int:
     """sum(C) + min over base subsets A of h(A) - C(A), on the base itself."""
-    c = np.asarray(counts, dtype=np.int64)
-    n = E.base.ground.n
-    membership = np.arange(1 << n)[:, None] >> np.arange(n) & 1
-    return int(c.sum() + (E.base.values - membership @ c).min())
+    masks = np.arange(1 << E.base.ground.n)
+    taken = sum((masks >> i & 1) * int(c) for i, c in enumerate(counts) if c)  # C(A)
+    return int(sum(counts) + (E.base.values - taken).min())
 
 
 def reference_rank(E, counts) -> int:
@@ -376,8 +375,8 @@ class TestOracleAgainstReferences:
 
 
 class TestPortsAtTheDenseCap:
-    """21 atoms leave 20 participants, a table built through the batch
-    kernel; 22 atoms leave 21, a membership oracle."""
+    """21 atoms leave 20 participants, a table read from the rank grid of
+    the count space; 22 atoms leave 21, a membership oracle."""
 
     @pytest.mark.parametrize("atoms", [21, 22])
     @pytest.mark.parametrize("dualized", [False, True])
@@ -395,6 +394,29 @@ class TestPortsAtTheDenseCap:
             keep = rng.random()
             mask = sum(1 << i for i in range(atoms - 1) if rng.random() < keep)
             assert is_qualified(A, mask) == reference_member(E, "c_2", mask), mask
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_twenty_base_elements(self, dualized):
+        """7 blocks of 3 atoms and 13 loop blocks: the rank grid has 4^7
+        cells however many subsets the base has, so the table costs about what
+        the 3-element base's does, where a min over the 2^20 base subsets for
+        each of the 2^20 participant masks would not finish in test time."""
+        g = GroundSet(tuple(f"x{i}" for i in range(20)))
+        values = np.minimum(additive(np.array([3] * 7 + [0] * 13)), 12)
+        E = helgason_expand(validate_polymatroid(RankVector(g, values, "int")), dualized)
+        tracemalloc.start()
+        try:
+            A = matroid_port(E, "x0_2")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20  # 25 MiB: the grid index and two gathers of 2^20 int64
+        assert A.is_explicit and A.participants.n == 20
+        rng = np.random.default_rng(20)
+        for _ in range(8):
+            keep = rng.random()
+            mask = sum(1 << i for i in range(20) if rng.random() < keep)
+            assert is_qualified(A, mask) == reference_member(E, "x0_2", mask), mask
 
 
 class TestDualPorts:
@@ -585,53 +607,84 @@ class TestCountValidation:
         assert E._memo == {(37, 0, 0, 0, 1): want}
 
 
+def count_grid(E) -> np.ndarray:
+    """Rank of every count vector of E as uint8, indexed [c_4, ..., c_0]:
+    least_over's flat order, bit 0 fastest.  Every sum the kernel forms is
+    at most h(E) plus one block size, 127 on the bundled base."""
+    assert E._h.max() + max(E.block_sizes) < 256
+    levels = [np.arange(size + 1, dtype=np.uint8) for size in E.block_sizes]
+    flat = least_over(E._h.astype(np.uint8), levels)
+    assert flat.dtype == np.uint8
+    return flat.reshape([size + 1 for size in E.block_sizes][::-1])
+
+
+class TestCountSpace:
+    def test_every_count_vector_of_the_bundled_expansion(self, tight_pm):
+        """The rank grids of both orientations, 38*32*32*39*39 = 59 185 152
+        count vectors each, checked whole in slabs of one c_4 (tracemalloc
+        peak about 127 MiB, most of it the two uint8 grids).
+
+        Over the whole space: the dual ranks are |C| + r(s - C) - r(s); for
+        every secret block, the port of the dual computed from the dual ranks
+        is the complement rule applied to the primal ranks; the 32 corners
+        give block_collapse; and the dual's block unions have MMRV -1.
+        Sampled rows agree with ranks_of_counts.
+        """
+        E = helgason_expand(tight_pm)
+        Ed = E.dual()
+        tracemalloc.start()
+        try:
+            R, Rd = count_grid(E), count_grid(Ed)
+            sizes = np.array(E.block_sizes)
+            full = int(R[tuple(sizes[::-1])])
+            R_rev = R[::-1, ::-1, ::-1, ::-1, ::-1]  # R_rev[C] = r(s - C)
+            axes = [np.arange(length, dtype=np.int16) for length in R.shape[1:]]
+            rest = sum(np.ix_(*axes))  # |C| - c_4 over one slab, at most 139
+            for c4 in range(R.shape[0]):
+                want = c4 + rest + R_rev[c4] - full
+                assert np.array_equal(Rd[c4], want), c4
+                # the secret is an atom of block b: S takes at most s_b - 1 of
+                # its atoms, S + secret one more, and the complement of S among
+                # the participants is s - e_b - C, whose primal port test
+                # compares r(s - C) with r(s - C - e_b)
+                for axis in range(4):  # blocks 3, 2, 1, 0 within the slab
+                    step = [slice(None)] * 4
+                    low, high = list(step), list(step)
+                    low[axis], high[axis] = slice(None, -1), slice(1, None)
+                    dual_port = Rd[c4][tuple(high)] == Rd[c4][tuple(low)]
+                    complement_rule = R_rev[c4][tuple(low)] != R_rev[c4][tuple(high)]
+                    assert np.array_equal(dual_port, complement_rule), (c4, axis)
+                if c4:  # block 4, across neighbouring slabs
+                    assert np.array_equal(Rd[c4] == Rd[c4 - 1], R_rev[c4 - 1] != R_rev[c4]), c4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 144 << 20
+
+        corners = additive(sizes * np.cumprod(np.r_[1, sizes[:-1] + 1]))  # flat index of each union
+        assert R.ravel()[corners].tolist() == block_collapse(E).values.tolist() == tight_pm.values.tolist()
+        assert Rd.ravel()[corners].tolist() == block_collapse(Ed).values.tolist()
+        dual_blocks = Polymatroid(RankVector(tight_pm.ground, Rd.ravel()[corners].astype(np.int64), "int"))
+        assert mmrv(dual_blocks) == expanded_mmrv(Ed) == -1
+
+        rng = np.random.default_rng(59)
+        C = np.stack([rng.integers(0, size + 1, size=20000) for size in sizes], axis=1)
+        for oracle, grid in ((E, R), (Ed, Rd)):
+            assert grid[tuple(C[:, ::-1].T)].tolist() == oracle.ranks_of_counts(C).tolist()
+
+
 @pytest.mark.slow
 def test_count_space_sweep(tight_pm):
-    """Every count vector of the bundled expansion (38*32*32*39*39, about
-    6e7) through ranks_of_counts in both orientations, a few MB at a time.
-
-    Over the whole space: the dual ranks are |C| + r(s - C) - r(s); for
-    every secret block, the port of the dual computed from the dual ranks is
-    the complement rule applied to the primal ranks; and the block unions
-    give block_collapse and the -1 MMRV of the dual.
-    """
-    E = helgason_expand(tight_pm)
-    Ed = E.dual()
-    sizes = np.array(E.block_sizes)
-    shape = tuple(sizes + 1)
-    R = np.empty(shape, dtype=np.uint8)  # every rank is at most 175
-    Rd = np.empty(shape, dtype=np.uint8)
-    rest = np.stack(np.meshgrid(*map(np.arange, shape[2:]), indexing="ij"), axis=-1)
-    rows = np.empty((rest[..., 0].size, 5), dtype=np.int64)
-    rows[:, 2:] = rest.reshape(-1, 3)
-    rest_total = rest.sum(axis=-1)
-    full = E.rank_of_counts(E.block_sizes)
-    R_rev = R[::-1, ::-1, ::-1, ::-1, ::-1]  # R_rev[C] = r(s - C)
-    for a, b in itertools.product(range(shape[0]), range(shape[1])):
-        rows[:, 0], rows[:, 1] = a, b
-        R[a, b] = E.ranks_of_counts(rows).reshape(shape[2:])
-        Rd[a, b] = Ed.ranks_of_counts(rows).reshape(shape[2:])
-    for a, b in itertools.product(range(shape[0]), range(shape[1])):
-        want = a + b + rest_total + R_rev[a, b].astype(np.int64) - full
-        assert np.array_equal(Rd[a, b], want), (a, b)
-
-    for block in range(5):
-        # the secret is an atom of ``block``: S takes at most s_b - 1 of its
-        # atoms, S + secret one more, and the complement of S among the
-        # participants is s - e_b - C, whose primal port test compares
-        # r(s - C) with r(s - C - e_b)
-        dual_ranks = np.moveaxis(Rd, block, 0)
-        primal_rev = np.moveaxis(R_rev, block, 0)
-        for j in range(dual_ranks.shape[1]):
-            dual_port = dual_ranks[1:, j] == dual_ranks[:-1, j]
-            complement_rule = primal_rev[:-1, j] != primal_rev[1:, j]
-            assert np.array_equal(dual_port, complement_rule), (block, j)
-
-    unions = tuple((np.arange(32)[:, None] >> np.arange(5) & 1).T * sizes[:, None])
-    assert R[unions].tolist() == block_collapse(E).values.tolist() == tight_pm.values.tolist()
-    assert Rd[unions].tolist() == block_collapse(Ed).values.tolist()
-    dual_blocks = Polymatroid(RankVector(tight_pm.ground, Rd[unions].astype(np.int64), "int"))
-    assert mmrv(dual_blocks) == expanded_mmrv(Ed) == -1
+    """ranks_of_counts on every count vector of the bundled expansion
+    (38*32*32*39*39, about 6e7) in both orientations, one (c_4, c_3) slab of
+    38 912 rows at a time, against the rank grid of the count-space kernel."""
+    for E in (helgason_expand(tight_pm), helgason_expand(tight_pm, dualized=True)):
+        R = count_grid(E)
+        rows = np.zeros((R[0, 0].size, 5), dtype=np.int64)
+        rows[:, 2::-1] = np.indices(R.shape[2:]).reshape(3, -1).T  # c_2, c_1, c_0
+        for c4, c3 in itertools.product(range(R.shape[0]), range(R.shape[1])):
+            rows[:, 3], rows[:, 4] = c3, c4
+            assert np.array_equal(E.ranks_of_counts(rows), R[c4, c3].ravel()), (c4, c3)
 
 
 class TestExpansionSubsetSyntax:
