@@ -44,7 +44,6 @@ _EXPORTS = {
         "dual",
         "factor",
         "is_connected",
-        "is_independent_set",
         "is_tight",
         "linear_combine",
         "principal_extension",
@@ -61,8 +60,6 @@ _EXPORTS = {
         "entropy_vector",
         "load_distribution",
         "marginal",
-        "product_power",
-        "save_distribution",
     ),
     "inequalities": (
         "InfoExpression",
@@ -85,8 +82,6 @@ _EXPORTS = {
     "secret_sharing": (
         "AccessStructure",
         "dual_structure",
-        "important_bound_check",
-        "important_participants",
         "is_qualified",
         "load_access_structure",
         "matroid_port",

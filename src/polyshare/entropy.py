@@ -100,25 +100,9 @@ def distribution_from_json(doc: dict) -> JointDistribution:
     return JointDistribution(variables, outcomes, probs)
 
 
-def distribution_to_json(d: JointDistribution) -> dict:
-    return {
-        "variables": list(d.variables.labels),
-        "rows": [
-            {"values": [int(v) for v in row], "prob": float(p)}
-            for row, p in zip(d.outcomes.tolist(), d.probs)
-        ],
-    }
-
-
 def load_distribution(path) -> JointDistribution:
     with open(path) as fh:
         return distribution_from_json(json.load(fh))
-
-
-def save_distribution(d: JointDistribution, path) -> None:
-    text = json.dumps(distribution_to_json(d), indent=1)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
 
 
 def _columns(d: JointDistribution, mask: int) -> list[int]:
@@ -312,10 +296,3 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
     probs = d1.probs[i1] * d2.probs[i2] / overlap[l1[i1]]
     return JointDistribution(out_vars, rows, probs)
 
-
-def product_power(d: JointDistribution, n: int) -> Polymatroid:
-    """Entropy vector of n independent copies: entropy scales by n."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"need an integer n >= 1, got {n!r}")
-    base = entropy_vector(d)
-    return Polymatroid(RankVector(base.ground, n * base.values, "float"))

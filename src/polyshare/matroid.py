@@ -103,14 +103,9 @@ class ExpandedMatroid:
         return self._h - C @ self._in
 
     def counts_of(self, S) -> tuple[int, ...]:
-        """Per-block atom counts for a subset given as a dict {block: count},
-        a string "a:12,b:3" or "a_1,b_2", or an iterable of atom names."""
-        n = self.base.ground.n
-        counts = [0] * n
-        if isinstance(S, dict):
-            for label, cnt in S.items():
-                counts[self.base.ground.index(label)] = cnt
-            return tuple(counts)
+        """Per-block atom counts for a subset given as a string "a:12,b:3" or
+        "a_1,b_2", or an iterable of atom names."""
+        counts = [0] * self.base.ground.n
         if isinstance(S, str):
             tokens = [t.strip() for t in S.split(",") if t.strip()]
             if any(":" in t for t in tokens):

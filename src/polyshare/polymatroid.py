@@ -27,7 +27,6 @@ from .core import (
     RankVector,
     check_dense,
     check_mask,
-    mu,
     subset_format,
     subset_parse,
 )
@@ -205,12 +204,6 @@ def is_connected(M: Polymatroid):
     return True, None
 
 
-def is_independent_set(M: Polymatroid, A: int) -> bool:
-    """True when f(A) equals the sum of its singleton ranks."""
-    tol = default_decision_tol(M.mode)
-    return abs(M.value(A) - mu(M.rank, A)) <= tol
-
-
 @dataclass(frozen=True)
 class FactorMap:
     """Surjective element map used to collapse blocks of a ground set."""
@@ -260,6 +253,8 @@ def _require_mode_value(mode: str, alpha, name: str):
         value = float(alpha)
     except OverflowError:  # an int beyond the float range
         value = math.inf
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {alpha!r:.40}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite and within the float range, got {alpha!s:.40}")
     if value < 0:
@@ -345,22 +340,22 @@ def linear_combine(terms) -> RankVector:
     ground = terms[0][1].ground
     out = np.zeros(1 << ground.n, dtype=np.float64)
     for coeff, pm in terms:
-        if coeff < 0:
-            raise ValueError(f"coefficients must be >= 0, got {coeff}")
+        coeff = _require_mode_value("float", coeff, "coefficient")
         if pm.ground.labels != ground.labels:
             raise GroundSetMismatch(
                 f"term ground {pm.ground.labels} != first term's {ground.labels}"
             )
-        out += float(coeff) * np.asarray(pm.values, dtype=np.float64)
+        out += coeff * np.asarray(pm.values, dtype=np.float64)
     return RankVector(ground, out, "float")
 
 
-def round_to_integer(rank: RankVector, residual_tol: float = 1e-3) -> RankVector:
+def round_to_integer(rank: RankVector, residual_tol=None) -> RankVector:
     """Snap a float vector onto the integers and validate it exactly.
 
-    Raises ResidualTooLarge when any value sits further than residual_tol from
-    an integer, naming the worst subset.
+    Raises ResidualTooLarge when any value sits further than residual_tol
+    (default 1e-3) from an integer, naming the worst subset.
     """
+    residual_tol = resolve_tol(residual_tol, 1e-3)
     vals = np.asarray(rank.values, dtype=np.float64)
     rounded = np.rint(vals)
     resid = np.abs(vals - rounded)

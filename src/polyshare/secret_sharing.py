@@ -9,7 +9,6 @@ oracles answering one subset at a time.
 
 import json
 import os
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -128,29 +127,13 @@ def dual_structure(A: AccessStructure) -> AccessStructure:
     return AccessStructure(A.participants, oracle=lambda m: not inner(full ^ m))
 
 
-def _table(A: AccessStructure) -> np.ndarray:
+def minimal_qualified(A: AccessStructure) -> list[int]:
+    """Inclusion-minimal qualified sets, ordered by size then mask."""
     if not A.is_explicit:
         raise ValueError(
             f"structures on more than {MAX_DENSE_ELEMENTS} participants cannot be enumerated"
         )
-    return A.qualified
-
-
-def minimal_qualified(A: AccessStructure) -> list[int]:
-    """Inclusion-minimal qualified sets, ordered by size then mask."""
-    return lattice.minimal(_table(A))
-
-
-def important_participants(A: AccessStructure):
-    """(important labels, connected flag); i is important when joining some
-    unqualified set makes it qualified.  Connected means everyone matters."""
-    q = _table(A)
-    important = set()
-    for i, label in enumerate(A.participants.labels):
-        without, with_i = lattice.split(q, i)
-        if (~without & with_i).any():
-            important.add(label)
-    return important, len(important) == A.participants.n
+    return lattice.minimal(A.qualified)
 
 
 def _secret_gaps(M: Polymatroid, secret: str, tolerance):
@@ -233,8 +216,10 @@ def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
     if isinstance(M, ExpandedMatroid):
         sblock = M.block_of(secret)
-        unit = lattice.least_over(M._h, [(0, 1)] * M.base.ground.n)  # one atom of each block in B
-        atom_rank = {i: int(unit[1 << i]) for i, size in enumerate(M.block_sizes) if size > 0}
+        # an atom of block i has rank min over A of h(A) + [i not in A], and
+        # h is monotone, so A = {} and A = {i} give it: min(1, h({i}))
+        atom_rank = {i: min(1, int(M._h[1 << i]))
+                     for i, size in enumerate(M.block_sizes) if size > 0}
         fs, exact = atom_rank[sblock], True
         others = [rank for i, rank in atom_rank.items()
                   if not (i == sblock and M.block_sizes[i] == 1)]
@@ -247,28 +232,6 @@ def sigma(M, secret: str):
         raise ValueError("no participants besides the secret")
     top = max(others)
     return Fraction(int(top), int(fs)) if exact else float(top / fs)
-
-
-@dataclass(frozen=True)
-class ImportantBoundReport:
-    ok: bool
-    margins: dict
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def important_bound_check(M: Polymatroid, A: AccessStructure, secret: str) -> ImportantBoundReport:
-    """Margins f(i) - f(secret) for every important participant; all must be
-    non-negative when M realizes A."""
-    tol = default_decision_tol(M.mode)
-    fs = M.rank_of(secret)
-    important, _ = important_participants(A)
-    margins = {}
-    for label in sorted(important, key=A.participants.index):
-        margins[label] = M.rank_of(label) - fs
-    ok = all(m >= -tol for m in margins.values())
-    return ImportantBoundReport(ok, margins)
 
 
 def access_document(A: AccessStructure) -> str:
@@ -291,34 +254,23 @@ def expanded_port_doc(base_file: str, dualized: bool, secret: str) -> dict:
 
 
 def expanded_port_spec(doc) -> tuple[str, bool, str] | None:
-    """(base_file, dualized, secret) of an expanded-port document, None for
-    any other document."""
-    spec = doc.get("port") if isinstance(doc, dict) else None
-    if not (isinstance(spec, dict) and "expanded" in spec):
+    """(base_file, dualized, secret) of a port document, None for a document
+    without a port; a port must name an expansion."""
+    if not (isinstance(doc, dict) and "port" in doc):
         return None
+    spec = json_field(doc, "port", dict, "access-structure file")
     exp = json_field(spec, "expanded", dict, "port spec")
     dualized = json_field(exp, "dualized", bool, "expanded port") if "dualized" in exp else False
     base_file = json_field(exp, "base_file", str, "expanded port")
     return base_file, dualized, json_field(spec, "secret", str, "port spec")
 
 
-def _port_from_doc(doc: dict, base_dir: str) -> AccessStructure:
+def access_structure_from_json(doc: dict, base_dir: str = ".") -> AccessStructure:
     expanded = expanded_port_spec(doc)
     if expanded is not None:
         base_file, dualized, secret = expanded
         base = validate_polymatroid(load_rank_vector(os.path.join(base_dir, base_file)))
         return matroid_port(helgason_expand(base, dualized=dualized), secret)
-    spec = json_field(doc, "port", dict, "access-structure file")
-    if "matroid_file" not in spec:
-        raise ValueError("port spec needs either 'matroid_file' or 'expanded'")
-    path = os.path.join(base_dir, json_field(spec, "matroid_file", str, "port spec"))
-    pm = validate_polymatroid(load_rank_vector(path))
-    return matroid_port(pm, json_field(spec, "secret", str, "port spec"))
-
-
-def access_structure_from_json(doc: dict, base_dir: str = ".") -> AccessStructure:
-    if isinstance(doc, dict) and "port" in doc:
-        return _port_from_doc(doc, base_dir)
     where = "access-structure file"
     participants = GroundSet(json_field(doc, "participants", list, where))
     groups = json_field(doc, "minimal_qualified", list, where)

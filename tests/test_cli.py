@@ -758,16 +758,22 @@ def _entries(doc, path=()):
 
 # name: (document, commands reading it from {doc}); other paths are under {dir}
 FUZZ_DOCS = {
-    "table2_middle": (fixture_doc("table2_middle.json"), [["dual", "--in", "{doc}"]]),
-    "float ranks": (FLOAT_DOC, [["dual", "--in", "{doc}"], ["tighten", "--in", "{doc}"]]),
+    "table2_middle": (
+        fixture_doc("table2_middle.json"),
+        [["dual", "--in", "{doc}"],
+         ["split", "--in", "{doc}", "--element", "a", "--alphas", "30,25", "--labels", "a1,a2"],
+         ["extend", "--in", "{doc}", "--element", "a", "--alpha", "7", "--label", "x"]],
+    ),
+    "float ranks": (
+        FLOAT_DOC,
+        [["dual", "--in", "{doc}"], ["tighten", "--in", "{doc}"],
+         ["split", "--in", "{doc}", "--element", "a", "--alphas", "496560.639,496560.639",
+          "--labels", "a1,a2"],
+         ["extend", "--in", "{doc}", "--element", "a", "--alpha", "0.5", "--label", "x"]],
+    ),
     "table1": (fixture_doc("table1.json"), [["entropy", "--in", "{doc}"]]),
     "access": (
         {"participants": ["b", "c"], "minimal_qualified": [["b", "c"]]},
-        [["access-dual", "--in", "{doc}"],
-         ["realizes", "--in", "{dir}/u23.json", "--secret", "a", "--access", "{doc}"]],
-    ),
-    "matroid port": (
-        {"port": {"matroid_file": "u23.json", "secret": "a"}},
         [["access-dual", "--in", "{doc}"],
          ["realizes", "--in", "{dir}/u23.json", "--secret", "a", "--access", "{doc}"]],
     ),
@@ -831,6 +837,13 @@ class TestMalformedDocuments:
     def test_unmutated_documents_run(self, fuzz_dir, name):
         for argv, code, _, err in self.outcomes(fuzz_dir, name, FUZZ_DOCS[name][0]):
             assert code == 0, (argv, err)
+
+    def test_matroid_file_port_exits_two(self, fuzz_dir):
+        """A port document names an expansion: one naming a matroid file is
+        refused by both commands that read access structures."""
+        doc = {"port": {"matroid_file": "u23.json", "secret": "a"}}
+        for argv, code, out, err in self.outcomes(fuzz_dir, "access", doc):
+            assert (code, out, err) == (2, "", "error: port spec missing 'expanded'\n"), argv
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -28,7 +28,6 @@ from polyshare import (
     dual,
     entropy_vector,
     helgason_expand,
-    is_independent_set,
     is_qualified,
     load_rank_vector,
     matroid_port,
@@ -268,7 +267,7 @@ class TestMaskRange:
     def test_out_of_range_masks(self, mask):
         u23 = uniform_matroid(2, ("a", "b", "c"))
         for query in (u23.rank.value, u23.value, u23.rank_of,
-                      lambda m: mu(u23.rank, m), lambda m: is_independent_set(u23, m)):
+                      lambda m: mu(u23.rank, m)):
             with pytest.raises(ValueError, match="out of range for 3 elements"):
                 query(mask)
 
@@ -277,7 +276,7 @@ class TestMaskRange:
         assert [u23.rank_of(m) for m in (0, 7)] == [0, 2]
         with pytest.raises(ValueError, match="out of range"):
             u23.rank.value(np.int64(-1))
-        assert mu(u23.rank, 7) == 3 and is_independent_set(u23, 0)
+        assert mu(u23.rank, 7) == 3
 
     def test_numpy_integers_are_masks(self):
         u23 = uniform_matroid(2, ("a", "b", "c"))
@@ -290,7 +289,7 @@ class TestMaskRange:
         u23 = uniform_matroid(2, ("a", "b", "c"))
         t12 = threshold_structure(1, ("p", "q"))
         queries = [u23.rank.value, u23.value, lambda m: mu(u23.rank, m),
-                   lambda m: is_independent_set(u23, m), lambda m: subset_format(ABC, m),
+                   lambda m: subset_format(ABC, m),
                    lambda m: is_qualified(t12, m), lambda m: from_minimal(t12.participants, [m])]
         if isinstance(mask, numbers.Number):  # rank_of reads any other key as labels
             queries.append(u23.rank_of)

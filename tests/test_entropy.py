@@ -14,11 +14,8 @@ from polyshare import (
     check_polymatroid,
     conditional_product,
     entropy_vector,
-    load_distribution,
     marginal,
     mmrv,
-    product_power,
-    save_distribution,
     subset_parse,
 )
 from polyshare import entropy
@@ -29,7 +26,6 @@ from polyshare.entropy import (
     _dense_ranks,
     _labels,
     distribution_from_json,
-    distribution_to_json,
 )
 
 from generators import ground, random_distribution
@@ -244,13 +240,6 @@ class TestJointDistribution:
     def test_negative_prob_rejected(self):
         with pytest.raises(ValueError):
             JointDistribution(GroundSet("a"), [[0], [1]], [1.5, -0.5])
-
-    def test_json_round_trip(self, table1, tmp_path):
-        path = tmp_path / "d.json"
-        save_distribution(table1, path)
-        back = load_distribution(path)
-        assert back.variables.labels == table1.variables.labels
-        assert rows_as_dict(back) == rows_as_dict(table1)
 
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="rows"):
@@ -568,28 +557,3 @@ class TestConditionalProduct:
             h_glued = entropy_vector(glued).value(glued.variables.full_mask)
             h_original = entropy_vector(d).value(g.full_mask)
             assert h_glued >= h_original - 1e-9
-
-
-class TestProductPower:
-    def test_power_one(self, table1, m_xi):
-        assert product_power(table1, 1).rank == m_xi.rank
-
-    def test_fair_bit_squared(self):
-        bit = JointDistribution(GroundSet("a"), [[0], [1]], [0.5, 0.5])
-        assert product_power(bit, 2).rank_of("a") == pytest.approx(2.0, abs=1e-12)
-
-    def test_fifty_copies_of_table1(self, table1, m_xi):
-        p50 = product_power(table1, 50)
-        assert np.allclose(p50.values, 50 * m_xi.values, atol=1e-9)
-
-    def test_zero_copies_rejected(self, table1):
-        with pytest.raises(ValueError):
-            product_power(table1, 0)
-
-    @pytest.mark.parametrize("copies", [True, 2.5, 2.0, "2", np.float64(2)])
-    def test_non_integer_copies_rejected(self, table1, copies):
-        with pytest.raises(ValueError, match="integer n >= 1"):
-            product_power(table1, copies)
-
-    def test_numpy_integer_copies(self, table1, m_xi):
-        assert np.array_equal(product_power(table1, np.int64(3)).values, 3 * m_xi.values)

@@ -506,6 +506,56 @@ class TestLoopBlocks:
             E.ranks_of_counts([[1, 0, 0]])
 
 
+def unit_row_sigma(E, secret):
+    """sigma of an expansion from ranks_of_counts of its unit count rows, one
+    per non-empty block: a Fraction, or the start of the ValueError message."""
+    blocks = [i for i, size in enumerate(E.block_sizes) if size > 0]
+    rows = np.eye(E.base.ground.n, dtype=np.int64)[blocks]
+    ranks = dict(zip(blocks, E.ranks_of_counts(rows).tolist()))
+    sblock = E.block_of(secret)
+    others = [rank for i, rank in ranks.items() if not (i == sblock and E.block_sizes[i] == 1)]
+    if ranks[sblock] == 0:
+        return "secret .* has rank zero"
+    return Fraction(max(others), ranks[sblock]) if others else "no participants"
+
+
+class TestAtomRanks:
+    """sigma reads the rank of one atom of block i as min(1, h(i)), with h
+    the base or its dual; the unit count rows through ranks_of_counts must
+    agree."""
+
+    @staticmethod
+    def outcomes(E):
+        """Check sigma at the first atom of every block; the outcomes seen."""
+        seen = set()
+        for label, size in zip(E.base.ground.labels, E.block_sizes):
+            if size:
+                want = unit_row_sigma(E, f"{label}_1")
+                if isinstance(want, Fraction):
+                    assert sigma(E, f"{label}_1") == want
+                    want = "ratio"
+                else:
+                    with pytest.raises(ValueError, match=want):
+                        sigma(E, f"{label}_1")
+                seen.add(want)
+        return seen
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_random_coverage_bases(self, dualized):
+        rng = np.random.default_rng(22)
+        seen = set()
+        for _ in range(80):
+            M = coverage_polymatroid(rng, int(rng.integers(1, 7)), truncate=bool(rng.integers(2)))
+            seen |= self.outcomes(helgason_expand(M, dualized))
+        assert "ratio" in seen
+        if dualized:  # an atom that is a loop of the dual expansion
+            assert "secret .* has rank zero" in seen
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_bundled_base(self, tight_pm, dualized):
+        assert self.outcomes(helgason_expand(tight_pm, dualized)) == {"ratio"}
+
+
 class TestCountValidation:
     @pytest.fixture(scope="class")
     def E(self, tight_pm):
@@ -541,9 +591,10 @@ class TestCountValidation:
             with pytest.raises(ValueError, match="block 'a' count must be an integer"):
                 E.rank_of_counts(counts)
 
-    def test_fractional_dict_query(self, E):
-        with pytest.raises(ValueError, match="block 'a' count must be an integer"):
-            E.rank({"a": 2.9})
+    def test_dict_of_block_counts_is_no_subset(self, E):
+        # a dict is read as an iterable of its keys, here a block and no atom
+        with pytest.raises(UnknownLabel, match="'a' is not an element of the expansion"):
+            E.rank({"a": 2})
 
     def test_out_of_range_rows_name_the_block(self, E):
         C = np.zeros((3, 5), dtype=np.int64)
@@ -692,7 +743,6 @@ class TestExpansionSubsetSyntax:
         e = helgason_expand(tight_pm)
         want = e.rank_of_counts((2, 1, 0, 0, 0))
         assert e.rank("a:2,b:1") == want
-        assert e.rank({"a": 2, "b": 1}) == want
         assert e.rank("a_1,a_5,b_31") == want
         assert e.rank(["a_1", "a_5", "b_31"]) == want
 

@@ -60,7 +60,7 @@ def test_dir_and_star_import_list_exactly_the_table():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         polyshare.no_such_name
-    assert not hasattr(polyshare, "distribution_to_json")  # in a module, not exported
+    assert not hasattr(polyshare, "distribution_from_json")  # in a module, not exported
 
 
 def test_every_public_definition_is_exported_or_used():

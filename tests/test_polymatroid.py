@@ -1,7 +1,10 @@
 """Validation, duality, tightening, factors, extensions, and the r_A basis."""
 
 import json
+import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from polyshare import (
     entropy_vector,
     factor,
     is_connected,
-    is_independent_set,
     is_tight,
     linear_combine,
     principal_extension,
@@ -35,7 +37,6 @@ from polyshare import (
 )
 from polyshare import lattice
 from polyshare.core import rank_document, subset_format
-from polyshare.entropy import marginal
 from polyshare.polymatroid import (
     VALIDATION_TOL,
     Violation,
@@ -248,28 +249,6 @@ class TestConnectivity:
         assert ok and witness is None
 
 
-class TestIndependence:
-    def test_modular_pair_independent(self):
-        assert is_independent_set(MODULAR, 0b11)
-
-    def test_u12_pair_dependent(self):
-        u12 = uniform_matroid(1, ("a", "b"))
-        assert not is_independent_set(u12, 0b11)
-
-    def test_table1_de_dependent(self, table1, m_xi):
-        de = subset_parse(m_xi.ground, "d,e")
-        # oracle: joint entropy vs summed marginal entropies, from the rows
-        def h(dist):
-            p = dist.probs[dist.probs > 0]
-            return float(-(p * np.log2(p)).sum())
-
-        h_d = h(marginal(table1, subset_parse(table1.variables, "d")))
-        h_e = h(marginal(table1, subset_parse(table1.variables, "e")))
-        h_de = h(marginal(table1, de))
-        assert h_de < h_d + h_e - 1e-6
-        assert not is_independent_set(m_xi, de)
-
-
 class TestFactor:
     def test_identity_map(self):
         fmap = FactorMap(U23.ground, U23.ground, {l: l for l in U23.ground})
@@ -417,6 +396,23 @@ class TestLinearCombine:
         with pytest.raises(ValueError):
             linear_combine([])
 
+    @pytest.mark.parametrize("coeff, message", [
+        ("x", "coefficient must be a number, got 'x'"),
+        (None, "coefficient must be a number, got None"),
+        (math.nan, "coefficient must be finite and within the float range, got nan"),
+        (math.inf, "coefficient must be finite and within the float range, got inf"),
+        (10**400, "coefficient must be finite and within the float range"),
+        (-0.5, "coefficient must be >= 0, got -0.5"),
+    ], ids=["str", "None", "nan", "inf", "1e400", "negative"])
+    def test_bad_coefficient_is_named(self, coeff, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            linear_combine([(1, U23), (coeff, U23)])
+
+    def test_valid_coefficients_scale_as_floats(self, m_xi):
+        for coeff in (3, 0.1, np.float32(0.1), Fraction(1, 3), 2**70):
+            want = float(coeff) * m_xi.values
+            assert np.array_equal(linear_combine([(coeff, m_xi)]).values, want)
+
 
 class TestRoundToInteger:
     def test_snaps_small_noise(self, middle):
@@ -441,3 +437,11 @@ class TestRoundToInteger:
         rv = RankVector.from_ranks(g, {"a": 1.0, "b": 1.0, "a,b": 3.0}, "float")
         with pytest.raises(ValidationError):
             round_to_integer(rv)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_residual_tol_is_refused(self, tol):
+        g = GroundSet("ab")
+        rv = RankVector.from_ranks(g, {"a": 1.4, "b": 1.0, "a,b": 2.0}, "float")
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0") as err:
+            round_to_integer(rv, tol)
+        assert not isinstance(err.value, ResidualTooLarge)

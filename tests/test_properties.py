@@ -37,7 +37,6 @@ from polyshare import (
     matroid_port,
     mmrv_identity_residual,
     principal_extension,
-    product_power,
     sigma,
     split_atom,
     subset_format,
@@ -304,11 +303,6 @@ class TestClosure:
     def test_operation_returns_a_polymatroid(self, name, mode, data):
         M = data.draw(coverage_polymatroids(mode))
         assert_valid(CLOSED_OPERATIONS[name](M, data))
-
-    @SETTINGS
-    @given(distributions(), st.integers(1, 4))
-    def test_product_power(self, d, copies):
-        assert_valid(product_power(d, copies))  # float mode only
 
     @SETTINGS
     @given(st.integers(1, 6), st.data())

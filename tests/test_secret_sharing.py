@@ -14,18 +14,13 @@ from polyshare import (
     DuplicateLabel,
     GroundSet,
     GroundSetMismatch,
-    Polymatroid,
     RankVector,
     UnknownLabel,
     ValidationError,
     dual,
     dual_structure,
     helgason_expand,
-    important_bound_check,
-    important_participants,
-    is_connected,
     is_qualified,
-    is_tight,
     linear_combine,
     matroid_port,
     minimal_qualified,
@@ -48,7 +43,7 @@ from polyshare.secret_sharing import (
 from polyshare.core import rank_document
 
 from conftest import rank_vector_to_json
-from generators import gf2_matroid, k4_matroid, pm, random_matroid, split_fully
+from generators import gf2_matroid, pm, random_matroid, split_fully
 
 U23 = uniform_matroid(2, ("a", "b", "c"))
 BC = ("b", "c")
@@ -471,32 +466,6 @@ class TestRealizationUniqueness:
         assert realizes(M2, matroid_port(M1, "a"), "a")[0]
 
 
-class TestImportantParticipants:
-    def test_dictator_makes_partner_unimportant(self):
-        g = GroundSet(("p1", "p2"))
-        A = from_minimal(g, [0b01])
-        important, connected = important_participants(A)
-        assert important == {"p1"}
-        assert not connected
-
-    def test_threshold_is_connected(self):
-        important, connected = important_participants(threshold_structure(2, ("p", "q", "r")))
-        assert important == {"p", "q", "r"}
-        assert connected
-
-    def test_port_of_connected_matroid_is_connected(self):
-        M = k4_matroid()
-        assert is_connected(M)[0]
-        secret = M.ground.labels[0]
-        _, connected = important_participants(matroid_port(M, secret))
-        assert connected
-
-    def test_oracle_rejected(self):
-        A = AccessStructure(P21, oracle=lambda m: m.bit_count() >= 1)
-        with pytest.raises(ValueError, match="more than 20 participants cannot be enumerated"):
-            important_participants(A)
-
-
 class TestSigma:
     def test_ideal_threshold_ratio_is_one(self):
         value = sigma(U23, "a")
@@ -547,48 +516,6 @@ class TestSigma:
             sigma(E, "zz_1")
 
 
-class TestImportantBound:
-    def test_ideal_port_margins_are_zero(self):
-        A = matroid_port(U23, "a")
-        report = important_bound_check(U23, A, "a")
-        assert report.ok
-        assert report.margins == {"b": 0, "c": 0}
-
-    def test_report_serializes(self):
-        report = important_bound_check(U23, matroid_port(U23, "a"), "a")
-        doc = json.loads(json.dumps(report.as_dict()))
-        assert doc == {"ok": True, "margins": {"b": 0, "c": 0}}
-
-    def test_loop_participant_is_not_important(self):
-        M = pm({"p": 1, "q": 0, "s": 1, "p,q": 1, "p,s": 1, "q,s": 1, "p,q,s": 1})
-        A = matroid_port(M, "s")
-        important, connected = important_participants(A)
-        assert important == {"p"}
-        assert not connected
-        report = important_bound_check(M, A, "s")
-        assert report.ok
-        assert report.margins == {"p": 0}
-
-    def test_under_provisioned_share_flagged(self):
-        M = pm({"p": 1, "s": 2, "p,s": 3})
-        report = important_bound_check(M, threshold_structure(1, ("p",)), "s")
-        assert not report.ok
-        assert report.margins == {"p": -1}
-
-    def test_random_matroid_realizations_respect_the_bound(self):
-        rng = np.random.default_rng(101)
-        seen = 0
-        while seen < 15:
-            M, _ = random_matroid(rng, int(rng.integers(3, 7)))
-            secret = M.ground.labels[0]
-            try:
-                A = matroid_port(M, secret)
-            except ValueError:
-                continue
-            seen += 1
-            assert important_bound_check(M, A, secret).ok
-
-
 class TestJsonRoundTrips:
     def test_to_json_shape(self):
         doc = access_structure_to_json(threshold_structure(2, BC))
@@ -603,21 +530,6 @@ class TestJsonRoundTrips:
     def test_missing_field_rejected(self):
         with pytest.raises(ValueError, match="minimal_qualified"):
             access_structure_from_json({"participants": ["p"]})
-
-    def test_port_doc_with_matroid_file(self, tmp_path):
-        with open(tmp_path / "u23.json", "w") as fh:
-            json.dump(rank_vector_to_json(U23.rank), fh)
-        doc = {"port": {"matroid_file": "u23.json", "secret": "a"}}
-        A = access_structure_from_json(doc, base_dir=str(tmp_path))
-        assert A == threshold_structure(2, BC)
-
-    def test_port_doc_from_file_resolves_relative_paths(self, tmp_path):
-        with open(tmp_path / "u23.json", "w") as fh:
-            json.dump(rank_vector_to_json(U23.rank), fh)
-        with open(tmp_path / "port.json", "w") as fh:
-            json.dump({"port": {"matroid_file": "u23.json", "secret": "b"}}, fh)
-        A = load_access_structure(tmp_path / "port.json")
-        assert A == threshold_structure(2, ("a", "c"))
 
     def test_expanded_port_doc(self, tmp_path, tight_pm):
         with open(tmp_path / "tight.json", "w") as fh:
@@ -660,8 +572,8 @@ class TestPortDocuments:
 
     @pytest.mark.parametrize("doc", [
         {"participants": ["b"], "minimal_qualified": [["b"]]},
-        {"port": {"matroid_file": "m.json", "secret": "a"}},
-        {"port": ["expanded"]},
+        {"ground": ["b"], "mode": "rank", "ranks": {"": 0, "b": 1}},
+        {},
         [1],
         None,
     ])
@@ -673,8 +585,9 @@ class TestPortDocuments:
         ({"port": {"expanded": {"base_file": "b.json", "dualized": 1}, "secret": "a_1"}},
          "'dualized' must be true or false"),
         ({"port": {"expanded": {"base_file": "b.json"}}}, "missing 'secret'"),
-        ({"port": {"matroid_file": 3, "secret": "a"}}, "'matroid_file' must be a string"),
-        ({"port": {"secret": "a"}}, "either 'matroid_file' or 'expanded'"),
+        # a port names an expansion; a matroid file is no port document
+        ({"port": {"matroid_file": "m.json", "secret": "a"}}, "port spec missing 'expanded'"),
+        ({"port": ["expanded"]}, "field 'port' must be an object"),
         ({"participants": "bc", "minimal_qualified": []}, "'participants' must be a list"),
         ({"participants": ["b", "c"], "minimal_qualified": [1]}, "holds 1, not a list"),
         ({"participants": ["b", "c"], "minimal_qualified": ["bc"]}, "holds 'bc', not a list"),
