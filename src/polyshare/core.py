@@ -105,14 +105,8 @@ class GroundSet:
                 raise DuplicateLabel(f"duplicate label {lbl!r}")
             seen.add(lbl)
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        object.__setattr__(self, "n", len(self.labels))
+        object.__setattr__(self, "full_mask", (1 << self.n) - 1)
 
     def index(self, label: str) -> int:
         try:

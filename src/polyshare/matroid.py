@@ -57,13 +57,14 @@ class ExpandedMatroid:
     expansion instead: rank(S) = |S| + r(E - S) - r(E).
 
     Both orientations are one min-formula over the base subsets A:
-    rank(C) = |C| + min_A h(A) - C(A), where C holds the per-block atom counts
-    and C(A) is the number of atoms it takes from the blocks of A.  h is the
-    base itself for the expansion and, for its dual, the dual base
+    rank(C) = min_A h(A) + C(E - A), where C holds the per-block atom counts
+    and C(E - A) is the number of atoms it takes from the blocks outside A.
+    h is the base itself for the expansion and, for its dual, the dual base
     h*(A) = h(E - A) + s(A) - r(E) with s the block sizes (put A -> E - A in
     the formula for r(E - S)).  The expansion loses no rank, r(E) = h(E), by
-    monotonicity and subadditivity, so h* is ``dual(base)``.  h(A) - C(A) is
-    the slack of A.
+    monotonicity and subadditivity, so h* is ``dual(base)``.  One int64 table
+    ``_rows`` holds h, then [i not in A] per element i, so (1, C) @ _rows is
+    every term: (n + 1) * 2^n entries, 168 MiB at n = 20.
     """
 
     def __init__(self, base: Polymatroid, dualized: bool = False):
@@ -79,8 +80,14 @@ class ExpandedMatroid:
             for k in range(1, size + 1)
         }
         self.element_names = tuple(self._block_of)
-        self._in = lattice.masks(ground.n) >> np.arange(ground.n)[:, None] & 1  # [i, A]: is i in A
-        self._h = (dual(base) if self.dualized else base).values
+        self._rows = np.empty((ground.n + 1, 1 << ground.n), dtype=np.int64)
+        self._rows[0] = (dual(base) if self.dualized else base).values
+        bits = self._rows[1:]  # [i, A]: is i outside A, filled in place
+        np.right_shift(lattice.masks(ground.n), np.arange(ground.n)[:, None], out=bits)
+        bits &= 1
+        bits ^= 1
+        self._rows.setflags(write=False)
+        self._h = self._rows[0]
         self._memo: dict[tuple[int, ...], int] = {}
 
     @property
@@ -96,11 +103,6 @@ class ExpandedMatroid:
 
     def dual(self) -> "ExpandedMatroid":
         return ExpandedMatroid(self.base, not self.dualized)
-
-    def _slack(self, C) -> np.ndarray:
-        """h(A) - C(A) for every base subset A, for one count row or per row
-        of a (k, n) array."""
-        return self._h - C @ self._in
 
     def counts_of(self, S) -> tuple[int, ...]:
         """Per-block atom counts for a subset given as a string "a:12,b:3" or
@@ -163,8 +165,8 @@ class ExpandedMatroid:
             key = self._checked(counts)
             value = self._memo.get(key)
             if value is None:
-                slack = self._slack(key)
-                value = sum(key) + int(slack[slack.argmin()])  # cheaper than slack.min()
+                terms = ((1,) + key) @ self._rows
+                value = int(terms[terms.argmin()])  # cheaper than terms.min()
                 if len(self._memo) < MEMO_ENTRIES:
                     self._memo[key] = value
         return value
@@ -181,7 +183,7 @@ class ExpandedMatroid:
         ).any():  # each row checked in turn, so the first bad count is reported
             C = np.array([self._checked(row) for row in C], dtype=np.int64).reshape(shape)
         C = C.astype(np.int64, copy=False)
-        return C.sum(axis=1) + self._slack(C).min(axis=1)
+        return (self._rows[0] + C @ self._rows[1:]).min(axis=1)
 
     def rank(self, S) -> int:
         return self.rank_of_counts(self.counts_of(S))

@@ -44,10 +44,11 @@ def default_decision_tol(mode: str):
 
 
 def resolve_tol(tolerance, default):
-    """``tolerance``, or ``default`` for None; a NaN, infinite or negative one is refused."""
+    """``tolerance``, or ``default`` for None; only a finite real number >= 0 passes."""
     if tolerance is None:
         return default
-    if not (math.isfinite(tolerance) and tolerance >= 0):
+    if isinstance(tolerance, bool) or not (isinstance(tolerance, numbers.Real)
+                                           and math.isfinite(tolerance) and tolerance >= 0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     return tolerance
 
@@ -248,13 +249,13 @@ def factor(M: Polymatroid, fmap: FactorMap) -> Polymatroid:
 
 def _require_mode_value(mode: str, alpha, name: str):
     """alpha as a number of the given mode: finite, within the float range,
-    >= 0, and integral in int mode."""
+    >= 0, and integral in int mode; a string or a bool is not a number."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {alpha!r:.40}")
     try:
         value = float(alpha)
     except OverflowError:  # an int beyond the float range
         value = math.inf
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {alpha!r:.40}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite and within the float range, got {alpha!s:.40}")
     if value < 0:

@@ -160,10 +160,11 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
     An expansion's rank depends only on the per-block atom counts C, so its
     table compares the rank grid ``lattice.least_over(h, [range(s_i + 1)])``
     at each mask's counts with one stride of the secret's block b further.
-    Its oracle keeps odd(A) = 2h(A) + 1 - [b in A]: S is qualified iff the
-    least slack over the A holding b is at most the least over the rest, iff
-    min odd(A) - 2C(A) is even.  int64 holds both terms, each at most
-    2 * n_elements + 1 with every atom's name in memory.
+    Its oracle keeps no table of its own: the row (2, 2C) plus 1 at 1 + b
+    times the expansion's ``_rows`` is 2(h(A) + C(E - A)) + [b not in A], and
+    S is qualified iff some A holding b attains the rank, iff the least term
+    is even.  int64 holds every term, at most 2 * n_elements + 1 with every
+    atom's name in memory.
     """
     if isinstance(M, ExpandedMatroid):
         sblock = M.block_of(secret)
@@ -181,11 +182,12 @@ def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
         block_masks = [0] * M.base.ground.n
         for i, block in enumerate(blocks):
             block_masks[block] |= 1 << i
-        odd = 2 * M._h + 1 - M._in[sblock]
 
         def member(mask: int) -> bool:
-            least = odd - [(mask & bm).bit_count() << 1 for bm in block_masks] @ M._in
-            return not least[least.argmin()] & 1
+            row = [2, *[(mask & bm).bit_count() << 1 for bm in block_masks]]
+            row[1 + sblock] += 1
+            terms = row @ M._rows
+            return not terms[terms.argmin()] & 1
 
         return AccessStructure(participants, oracle=member)
 

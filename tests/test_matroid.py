@@ -419,6 +419,46 @@ class TestPortsAtTheDenseCap:
             assert is_qualified(A, mask) == reference_member(E, "x0_2", mask), mask
 
 
+class TestOneTableAtTwentyBaseElements:
+    """7 blocks of 3 atoms and 13 of one: 34 atoms leave 33 participants, so
+    the port is a membership oracle on the expansion's one table of
+    (n + 1) * 2^n int64, 168 MiB at n = 20; the port holds no table of its
+    own."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        g = GroundSet(tuple(f"x{i}" for i in range(20)))
+        values = np.minimum(additive(np.array([3] * 7 + [1] * 13)), 14)
+        return validate_polymatroid(RankVector(g, values, "int"))
+
+    @pytest.mark.parametrize("dualized", [False, True])
+    def test_peak_memory(self, base, dualized):
+        tracemalloc.start()
+        try:
+            E = helgason_expand(base, dualized)
+            expand_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            A = matroid_port(E, "x0_2")
+            port_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert expand_peak < 192 << 20  # the table, the masks and, dualized, the dual base
+        assert port_peak < 16 << 20  # one 2^20 row of terms at a time
+        assert not A.is_explicit and A.participants.n == 33
+        assert np.array_equal(E._rows[0], (dual(base) if dualized else base).values)
+        masks = np.arange(1 << 20)
+        for i in range(20):  # row 1 + i is [i not in A], one 8 MiB row checked at a time
+            assert np.array_equal(E._rows[1 + i], masks >> i & 1 ^ 1), i
+        rng = np.random.default_rng(33)
+        for _ in range(6):
+            keep = rng.random()
+            mask = sum(1 << i for i in range(33) if rng.random() < keep)
+            assert is_qualified(A, mask) == reference_member(E, "x0_2", mask), mask
+
+
 class TestDualPorts:
     """A dualized expansion answers its port from its own oracle; by the
     duality of matroid ports that is the dual of the primal port."""

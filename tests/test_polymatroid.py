@@ -86,7 +86,9 @@ class TestValidate:
         assert parsed[0]["elements"] == ["a", "b"]
         assert set(parsed[0]) == {"kind", "elements", "subset", "lhs", "rhs"}
 
-    @pytest.mark.parametrize("tolerance", [-1, -1e-12, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "tolerance", [-1, -1e-12, float("nan"), float("inf"), "0.1", True, False, np.bool_(True)]
+    )
     def test_bad_tolerance_rejected(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             check_polymatroid(U23.rank, tolerance)
@@ -309,6 +311,17 @@ class TestPrincipalExtension:
         with pytest.raises(ModeError):
             principal_extension(U23, "a", 0.5, "z")
 
+    @pytest.mark.parametrize("alpha", ["1", "2.0", b"1", True, np.bool_(True), None])
+    def test_alpha_that_is_not_a_number_is_named(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be a number, got {alpha!r}")):
+            principal_extension(U23, "a", alpha, "z")
+        with pytest.raises(ValueError, match="alpha1 must be a number"):
+            split_atom(pm({"a": 2}), "a", alpha, 1, ("a1", "a2"))
+
+    @pytest.mark.parametrize("alpha", [1, np.int64(1), np.uint8(1), 1.0, np.float32(1), Fraction(1)])
+    def test_integral_alpha_of_any_real_type_extends_alike(self, alpha):
+        assert principal_extension(U23, "a", alpha, "z") == principal_extension(U23, "a", 1, "z")
+
 
 class TestSplitAtom:
     def test_single_element_split(self):
@@ -398,12 +411,14 @@ class TestLinearCombine:
 
     @pytest.mark.parametrize("coeff, message", [
         ("x", "coefficient must be a number, got 'x'"),
+        ("2", "coefficient must be a number, got '2'"),
+        (True, "coefficient must be a number, got True"),
         (None, "coefficient must be a number, got None"),
         (math.nan, "coefficient must be finite and within the float range, got nan"),
         (math.inf, "coefficient must be finite and within the float range, got inf"),
         (10**400, "coefficient must be finite and within the float range"),
         (-0.5, "coefficient must be >= 0, got -0.5"),
-    ], ids=["str", "None", "nan", "inf", "1e400", "negative"])
+    ], ids=["str", "numeric-str", "bool", "None", "nan", "inf", "1e400", "negative"])
     def test_bad_coefficient_is_named(self, coeff, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             linear_combine([(1, U23), (coeff, U23)])
@@ -438,7 +453,7 @@ class TestRoundToInteger:
         with pytest.raises(ValidationError):
             round_to_integer(rv)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, "0.1", True])
     def test_bad_residual_tol_is_refused(self, tol):
         g = GroundSet("ab")
         rv = RankVector.from_ranks(g, {"a": 1.4, "b": 1.0, "a,b": 2.0}, "float")

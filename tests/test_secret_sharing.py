@@ -359,6 +359,13 @@ class TestRealizes:
         with pytest.raises(GroundSetMismatch):
             realizes(U23, threshold_structure(2, ("x", "y")), "a")
 
+    @pytest.mark.parametrize("tolerance", ["0.1", True])
+    def test_tolerance_that_is_not_a_number_is_refused(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            realizes(U23, threshold_structure(2, BC), "a", tolerance)
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            matroid_port(U23, "a", tolerance)
+
     def test_scaled_float_copy_still_realizes(self):
         doubled = validate_polymatroid(linear_combine([(2.0, _float_u23())]))
         ok, witness = realizes(doubled, threshold_structure(2, BC), "a")
