@@ -33,7 +33,6 @@ _EXPORTS = {
         "subset_parse",
     ),
     "polymatroid": (
-        "FactorMap",
         "Polymatroid",
         "ResidualTooLarge",
         "ValidationError",

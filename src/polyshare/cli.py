@@ -151,16 +151,13 @@ def cmd_port(args) -> tuple:
     from .polymatroid import dual
     from .secret_sharing import expanded_port_doc, matroid_port
 
-    if args.expanded and args.tolerance is not None:
-        raise ValueError("--tolerance is not honoured with --expanded")
     pm = _load_pm(args.infile)
-    if args.expanded:
-        matroid_port(helgason_expand(pm, dualized=args.dual), args.secret)  # raises if unusable
-        base_file = _relative_to_out(args.infile, args.out)
-        return 0, expanded_port_doc(base_file, args.dual, args.secret), None
-    if args.dual:
-        pm = dual(pm)
-    return 0, matroid_port(pm, args.secret, args.tolerance), None
+    M = helgason_expand(pm, dualized=args.dual) if args.expanded else dual(pm) if args.dual else pm
+    port = matroid_port(M, args.secret, args.tolerance)  # an expanded one only to raise if unusable
+    if not args.expanded:
+        return 0, port, None
+    base_file = _relative_to_out(args.infile, args.out)
+    return 0, expanded_port_doc(base_file, args.dual, args.secret), None
 
 
 def cmd_access_dual(args) -> tuple:

@@ -44,13 +44,14 @@ def default_decision_tol(mode: str):
 
 
 def resolve_tol(tolerance, default):
-    """``tolerance``, or ``default`` for None; only a finite real number >= 0 passes."""
+    """``tolerance`` as a float, or ``default`` for None; only what
+    ``_require_mode_value`` takes as a float passes."""
     if tolerance is None:
         return default
-    if isinstance(tolerance, bool) or not (isinstance(tolerance, numbers.Real)
-                                           and math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
-    return tolerance
+    try:
+        return _require_mode_value("float", tolerance, "tolerance")
+    except ValueError:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}") from None
 
 
 @dataclass(frozen=True)
@@ -167,24 +168,19 @@ def dual(M: Polymatroid) -> Polymatroid:
     return Polymatroid(RankVector(rank.ground, out, rank.mode))
 
 
+def _private(M: Polymatroid) -> np.ndarray:
+    """f(M) - f(M - i) per element i: the private information of i."""
+    return M.values[-1] - M.values[M.ground.full_mask ^ (1 << np.arange(M.ground.n))]
+
+
 def tighten(M: Polymatroid) -> Polymatroid:
     """Drop each element's private information: f(A) - sum over i in A of
     (f(M) - f(M-i)).  Order-independent, hence computed in one pass."""
-    rank = M.rank
-    full = rank.ground.full_mask
-    vals = rank.values
-    private = vals[full] - vals[[full ^ (1 << i) for i in range(rank.ground.n)]]
-    out = vals - lattice.additive(private)
-    return Polymatroid(RankVector(rank.ground, out, rank.mode))
+    return Polymatroid(RankVector(M.ground, M.values - lattice.additive(_private(M)), M.mode))
 
 
 def is_tight(M: Polymatroid) -> bool:
-    tol = default_decision_tol(M.mode)
-    full = M.ground.full_mask
-    return all(
-        abs(M.values[full] - M.values[full ^ (1 << i)]) <= tol
-        for i in range(M.ground.n)
-    )
+    return bool((np.abs(_private(M)) <= default_decision_tol(M.mode)).all())
 
 
 def is_connected(M: Polymatroid):
@@ -205,46 +201,20 @@ def is_connected(M: Polymatroid):
     return True, None
 
 
-@dataclass(frozen=True)
-class FactorMap:
-    """Surjective element map used to collapse blocks of a ground set."""
-
-    source: GroundSet
-    target: GroundSet
-    block: dict
-
-    def __post_init__(self):
-        mapped = set(self.block)
-        if mapped != set(self.source.labels):
-            missing = set(self.source.labels) - mapped
-            extra = mapped - set(self.source.labels)
-            raise ValueError(f"map domain mismatch: missing {missing}, extra {extra}")
-        hit = set()
-        for src, tgt in self.block.items():
-            self.target.index(tgt)
-            hit.add(tgt)
-        if hit != set(self.target.labels):
-            raise ValueError(f"map not surjective: {set(self.target.labels) - hit} never hit")
-
-    def preimage(self, target_mask: int) -> int:
-        """Source mask holding every element mapped into target_mask."""
-        out = 0
-        for src, tgt in self.block.items():
-            if target_mask >> self.target.index(tgt) & 1:
-                out |= self.source.bit(src)
-        return out
-
-
-def factor(M: Polymatroid, fmap: FactorMap) -> Polymatroid:
-    """Collapse M along fmap: rank of a target subset is the rank of the union
-    of its preimage blocks."""
-    if fmap.source.labels != M.ground.labels:
-        raise GroundSetMismatch(
-            f"map source {fmap.source.labels} != polymatroid ground {M.ground.labels}"
-        )
-    blocks = [fmap.preimage(1 << k) for k in range(fmap.target.n)]
-    out = M.values[lattice.additive(blocks)]
-    return Polymatroid(RankVector(fmap.target, out, M.mode))
+def factor(M: Polymatroid, block: dict, target) -> Polymatroid:
+    """Collapse M along ``block``, a map from every label of M onto the labels
+    ``target``: the rank of a target subset is the rank of the union of its
+    preimages, whose masks are built in one pass over the map."""
+    target = GroundSet(target)
+    mapped, labels = set(block), set(M.ground.labels)
+    if mapped != labels:
+        raise ValueError(f"map domain mismatch: missing {labels - mapped}, extra {mapped - labels}")
+    preimages = [0] * target.n
+    for label, image in block.items():
+        preimages[target.index(image)] |= M.ground.bit(label)
+    if not all(preimages):
+        raise ValueError(f"map not surjective: {set(target.labels) - set(block.values())} never hit")
+    return Polymatroid(RankVector(target, M.values[lattice.additive(preimages)], M.mode))
 
 
 def _require_mode_value(mode: str, alpha, name: str):
@@ -310,17 +280,16 @@ def split_atom(M: Polymatroid, a: str, alpha1, alpha2, labels) -> Polymatroid:
 
 
 def collapse_pair(M: Polymatroid, l1: str, l2: str, label: str) -> Polymatroid:
-    """Factor map undoing split_atom: merge l1, l2 back into one element."""
+    """Undo split_atom: ``factor`` M onto its labels with the adjacent l1, l2
+    merged into the one element ``label``."""
     src = M.ground
     i = src.index(l1)
     j = src.index(l2)
     if j != i + 1:
         raise ValueError(f"{l1!r}, {l2!r} must be adjacent in the ground set")
-    tgt = GroundSet(src.labels[:i] + (label,) + src.labels[j + 1 :])
-    block = {l: l for l in src.labels if l not in (l1, l2)}
-    block[l1] = label
-    block[l2] = label
-    return factor(M, FactorMap(src, tgt, block))
+    block = {l: l for l in src.labels}
+    block[l1] = block[l2] = label
+    return factor(M, block, src.labels[:i] + (label,) + src.labels[j + 1 :])
 
 
 def basis_r(ground: GroundSet, A: int) -> Polymatroid:
@@ -372,6 +341,8 @@ def round_to_integer(rank: RankVector, residual_tol=None) -> RankVector:
 
 def uniform_matroid(k: int, labels) -> Polymatroid:
     """Rank min(|A|, k) on the given labels, integer mode."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"uniform matroid rank k must be an integer >= 0, got {k!r}")
     ground = GroundSet(labels)
     check_dense(ground)
     return Polymatroid(RankVector(ground, np.minimum(lattice.sizes(ground.n), k), "int"))

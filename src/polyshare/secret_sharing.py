@@ -8,6 +8,7 @@ oracles answering one subset at a time.
 """
 
 import json
+import numbers
 import os
 from fractions import Fraction
 from itertools import compress
@@ -25,7 +26,7 @@ from .core import (
     load_rank_vector,
 )
 from .matroid import ExpandedMatroid, helgason_expand
-from .polymatroid import Polymatroid, default_decision_tol, resolve_tol, validate_polymatroid
+from .polymatroid import default_decision_tol, resolve_tol, validate_polymatroid
 
 
 class AccessStructure:
@@ -60,16 +61,16 @@ class AccessStructure:
             raise ValueError("the empty set must not be qualified")
         if not is_qualified(self, full):
             raise ValueError("the full participant set must be qualified")
-        if self.is_explicit:
-            for i in range(participants.n):
-                without, with_i = lattice.split(self.qualified, i)
-                bad = without & ~with_i
-                if bad.any():
-                    worst = int(lattice.split(lattice.masks(participants.n), i)[0][bad][0])
-                    raise ValueError(
-                        f"not upward closed: {participants.labels_of(worst)} qualified "
-                        f"but adding {participants.labels[i]!r} loses qualification"
-                    )
+        if self.is_explicit and (bad := lattice.up_closure(q) & ~q).any():
+            # every smaller mask is qualified or holds no qualified set, so the least
+            # bad one stays qualified less any member outside its qualified subset
+            worst = int(bad.argmax())
+            bits = 1 << np.arange(participants.n)
+            bit = int(bits[(worst & bits > 0) & q[worst ^ bits]][0])
+            raise ValueError(
+                f"not upward closed: {participants.labels_of(worst ^ bit)} qualified "
+                f"but adding {participants.labels[bit.bit_length() - 1]!r} loses qualification"
+            )
 
     @property
     def is_explicit(self) -> bool:
@@ -102,10 +103,10 @@ def from_minimal(participants: GroundSet, minimal_masks) -> AccessStructure:
 
 
 def threshold_structure(k: int, labels) -> AccessStructure:
-    """Qualified iff at least k participants are present."""
+    """Qualified iff at least k participants are present; k is an integer."""
     participants = GroundSet(labels)
     n = participants.n
-    if not 1 <= k <= n:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
         raise ValueError(f"threshold must be in 1..{n}, got {k}")
     check_dense(participants)
     return AccessStructure(participants, qualified=lattice.sizes(n) >= k)
@@ -136,73 +137,78 @@ def minimal_qualified(A: AccessStructure) -> list[int]:
     return lattice.minimal(A.qualified)
 
 
-def _secret_gaps(M: Polymatroid, secret: str, tolerance):
-    """(participants, gaps, f(secret), tolerance): the participants are the
-    ground set minus the secret, the gaps f(secret + S) - f(S) for every
-    participant mask S.  A secret of rank within the tolerance is rejected."""
-    tol = resolve_tol(tolerance, default_decision_tol(M.mode))
-    fs = M.rank_of(secret)
+def _secret_gaps(M, secret: str, tolerance):
+    """(participants, gaps, f(secret), tolerance) of a dense polymatroid or an
+    expansion M: the participants are M's elements but the secret, the gaps
+    f(secret + S) - f(S) for every participant mask S (None past
+    MAX_DENSE_ELEMENTS participants), and a secret of rank within the
+    tolerance, a loop, is rejected.  An expansion is exact and takes no
+    tolerance; its secret has the atom rank min(1, h({b})) of its block b,
+    and its gaps compare the count-space rank grid ``lattice.least_over(h,
+    [range(s_i + 1)])`` at each mask's counts with one stride of b further."""
+    if isinstance(M, ExpandedMatroid):
+        if tolerance is not None:
+            raise ValueError(f"an expansion is exact and takes no tolerance, got {tolerance}")
+        sblock, labels, tol = M.block_of(secret), M.element_names, 0
+        fs = min(1, int(M._h[1 << sblock]))
+    else:
+        labels, tol = M.ground.labels, resolve_tol(tolerance, default_decision_tol(M.mode))
+        fs = M.rank_of(secret)
     if fs <= tol:
         raise ValueError(f"secret {secret!r} is a loop (rank {fs}); the secret must be non-trivial")
-    k = M.ground.index(secret)
-    participants = GroundSet(M.ground.labels[:k] + M.ground.labels[k + 1 :])
-    without, with_secret = lattice.split(M.values, k)
-    return participants, (with_secret - without).ravel(), fs, tol
+    participants = GroundSet(tuple(label for label in labels if label != secret))
+    if not isinstance(M, ExpandedMatroid):
+        without, with_secret = lattice.split(M.values, M.ground.index(secret))
+        return participants, (with_secret - without).ravel(), fs, tol
+    if participants.n > MAX_DENSE_ELEMENTS:
+        return participants, None, fs, tol
+    strides = np.cumprod([1] + [size + 1 for size in M.block_sizes[:-1]])
+    ranks = lattice.least_over(M._h, [range(size + 1) for size in M.block_sizes])
+    idx = lattice.additive(strides[list(map(M.block_of, participants.labels))])
+    return participants, ranks[idx + strides[sblock]] - ranks[idx], fs, tol
 
 
 def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
-    """Access structure {S : f(secret + S) = f(S)}: a table on at most
-    MAX_DENSE_ELEMENTS participants, else a membership oracle (an expansion's
-    atoms).  The secret must not be a loop, and a secret with private
-    information leaves the full set unqualified, which is rejected by the
-    structure invariants.
+    """Access structure {S : f(secret + S) = f(S)}: a table of the gaps of
+    ``_secret_gaps`` within the tolerance, else a membership oracle.  A
+    secret with private information leaves the full set unqualified, which
+    the structure invariants reject.
 
-    An expansion's rank depends only on the per-block atom counts C, so its
-    table compares the rank grid ``lattice.least_over(h, [range(s_i + 1)])``
-    at each mask's counts with one stride of the secret's block b further.
-    Its oracle keeps no table of its own: the row (2, 2C) plus 1 at 1 + b
+    The oracle keeps no table of its own: the row (2, 2C) plus 1 at 1 + b
     times the expansion's ``_rows`` is 2(h(A) + C(E - A)) + [b not in A], and
     S is qualified iff some A holding b attains the rank, iff the least term
     is even.  int64 holds every term, at most 2 * n_elements + 1 with every
     atom's name in memory.
     """
-    if isinstance(M, ExpandedMatroid):
-        sblock = M.block_of(secret)
-        if M.rank([secret]) == 0:
-            raise ValueError(f"secret {secret!r} is a loop")
-        participants = GroundSet(tuple(n for n in M.element_names if n != secret))
-        blocks = [M.block_of(name) for name in participants.labels]
-        if participants.n <= MAX_DENSE_ELEMENTS:
-            strides = np.cumprod([1] + [size + 1 for size in M.block_sizes[:-1]])
-            ranks = lattice.least_over(M._h, [range(size + 1) for size in M.block_sizes])
-            idx = lattice.additive(strides[blocks])
-            qualified = ranks[idx + strides[sblock]] == ranks[idx]
-            return AccessStructure(participants, qualified=qualified)
-
-        block_masks = [0] * M.base.ground.n
-        for i, block in enumerate(blocks):
-            block_masks[block] |= 1 << i
-
-        def member(mask: int) -> bool:
-            row = [2, *[(mask & bm).bit_count() << 1 for bm in block_masks]]
-            row[1 + sblock] += 1
-            terms = row @ M._rows
-            return not terms[terms.argmin()] & 1
-
-        return AccessStructure(participants, oracle=member)
-
     participants, gaps, _, tol = _secret_gaps(M, secret, tolerance)
-    return AccessStructure(participants, qualified=np.abs(gaps) <= tol)
+    if gaps is not None:
+        return AccessStructure(participants, qualified=np.abs(gaps) <= tol)
+    sblock = M.block_of(secret)
+    block_masks = [0] * M.base.ground.n
+    for i, name in enumerate(participants.labels):
+        block_masks[M.block_of(name)] |= 1 << i
+
+    def member(mask: int) -> bool:
+        row = [2, *[(mask & bm).bit_count() << 1 for bm in block_masks]]
+        row[1 + sblock] += 1
+        terms = row @ M._rows
+        return not terms[terms.argmin()] & 1
+
+    return AccessStructure(participants, oracle=member)
 
 
-def realizes(M: Polymatroid, A: AccessStructure, secret: str, tolerance=None):
+def realizes(M, A: AccessStructure, secret: str, tolerance=None):
     """Does M with this secret realize A?  (ok, counterexample mask or None).
 
-    Qualified sets must satisfy f(sS) = f(S); unqualified sets must satisfy
-    f(sS) = f(S) + f(s).  Every participant subset is checked, and the
-    counterexample is the smallest failing mask.
+    M is a dense polymatroid or an expansion of at most MAX_DENSE_ELEMENTS
+    participants.  Qualified sets must satisfy f(sS) = f(S); unqualified sets
+    must satisfy f(sS) = f(S) + f(s).  Every participant subset is checked,
+    and the counterexample is the smallest failing mask.
     """
     participants, gaps, fs, tol = _secret_gaps(M, secret, tolerance)
+    if gaps is None:
+        raise ValueError(f"a port on more than {MAX_DENSE_ELEMENTS} participants "
+                         "cannot be checked set by set")
     if participants.labels != A.participants.labels:
         raise GroundSetMismatch(
             f"structure participants {A.participants.labels} do not match "

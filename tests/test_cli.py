@@ -648,14 +648,15 @@ class TestTolerance:
         assert run(capsys, name, *valid_args[name], "--tolerance", "0") == \
             run(capsys, name, *valid_args[name])
 
-    @pytest.mark.parametrize("bad", ["nan", "-5"])
+    @pytest.mark.parametrize("bad", ["0", "nan", "-5"])
     def test_expanded_port_refuses_tolerance(self, capsys, tight_file, bad):
-        """port --expanded decides nothing with a tolerance, so the flag is a
-        usage error there, whatever its value; without it the output stays."""
+        """An expansion is exact, so matroid_port refuses a tolerance for it
+        and the flag is a usage error, whatever its value; without it the
+        output stays."""
         argv = ["port", "--in", tight_file, "--secret", "a_1", "--expanded"]
         code, out, err = run(capsys, *argv, f"--tolerance={bad}")
         assert (code, out) == (2, "")
-        assert err == "error: --tolerance is not honoured with --expanded\n"
+        assert err == f"error: an expansion is exact and takes no tolerance, got {float(bad)}\n"
         expected = json.dumps(expanded_port_doc(tight_file, False, "a_1"), indent=1) + "\n"
         assert run(capsys, *argv) == (0, expected, "")
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyshare import (
-    FactorMap,
     GroundSet,
     GroundSetMismatch,
     ModeError,
@@ -87,7 +86,8 @@ class TestValidate:
         assert set(parsed[0]) == {"kind", "elements", "subset", "lhs", "rhs"}
 
     @pytest.mark.parametrize(
-        "tolerance", [-1, -1e-12, float("nan"), float("inf"), "0.1", True, False, np.bool_(True)]
+        "tolerance", [-1, -1e-12, float("nan"), float("inf"), "0.1", True, False, np.bool_(True),
+                      pytest.param(10**400, id="10**400")]
     )
     def test_bad_tolerance_rejected(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
@@ -253,13 +253,10 @@ class TestConnectivity:
 
 class TestFactor:
     def test_identity_map(self):
-        fmap = FactorMap(U23.ground, U23.ground, {l: l for l in U23.ground})
-        assert_polymatroids_equal(factor(U23, fmap), U23)
+        assert_polymatroids_equal(factor(U23, {l: l for l in U23.ground}, U23.ground), U23)
 
     def test_collapse_everything(self, middle):
-        tgt = GroundSet(("all",))
-        fmap = FactorMap(middle.ground, tgt, {l: "all" for l in middle.ground})
-        collapsed = factor(middle, fmap)
+        collapsed = factor(middle, {l: "all" for l in middle.ground}, ("all",))
         assert collapsed.rank_of("all") == middle.value(middle.ground.full_mask)
 
     def test_collapse_undoes_split(self):
@@ -269,15 +266,24 @@ class TestFactor:
         assert_polymatroids_equal(back, p)
 
     def test_not_surjective_rejected(self):
-        tgt = GroundSet(("x", "y"))
         with pytest.raises(ValueError, match="surjective"):
-            FactorMap(U23.ground, tgt, {l: "x" for l in U23.ground})
+            factor(U23, {l: "x" for l in U23.ground}, ("x", "y"))
 
     def test_ground_mismatch_rejected(self):
+        """A map off M's own labels is a domain mismatch."""
         other = uniform_matroid(2, ("p", "q", "r"))
-        fmap = FactorMap(U23.ground, GroundSet(("one",)), {l: "one" for l in U23.ground})
-        with pytest.raises(GroundSetMismatch):
-            factor(other, fmap)
+        with pytest.raises(ValueError, match="domain mismatch"):
+            factor(other, {l: "one" for l in U23.ground}, ("one",))
+
+
+class TestUniformMatroid:
+    @pytest.mark.parametrize("k", [True, 1.5, -1])
+    def test_rank_must_be_an_integer_at_least_zero(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer >= 0, got {k!r}")):
+            uniform_matroid(k, ("a", "b", "c"))
+
+    def test_numpy_integer_rank(self):
+        assert_polymatroids_equal(uniform_matroid(np.int64(2), ("a", "b", "c")), U23)
 
 
 class TestPrincipalExtension:
@@ -453,7 +459,9 @@ class TestRoundToInteger:
         with pytest.raises(ValidationError):
             round_to_integer(rv)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, "0.1", True])
+    @pytest.mark.parametrize(
+        "tol", [math.nan, math.inf, -1.0, "0.1", True, pytest.param(10**400, id="10**400")]
+    )
     def test_bad_residual_tol_is_refused(self, tol):
         g = GroundSet("ab")
         rv = RankVector.from_ranks(g, {"a": 1.4, "b": 1.0, "a,b": 2.0}, "float")

@@ -13,8 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyshare import (
-    FactorMap,
-    GroundSet,
     JointDistribution,
     Polymatroid,
     RankVector,
@@ -37,6 +35,7 @@ from polyshare import (
     matroid_port,
     mmrv_identity_residual,
     principal_extension,
+    realizes,
     sigma,
     split_atom,
     subset_format,
@@ -260,7 +259,7 @@ def _factor(M, data):
     n = M.ground.n
     targets = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     block = {label: f"t{t}" for label, t in zip(M.ground.labels, targets)}
-    return factor(M, FactorMap(M.ground, GroundSet(sorted(set(block.values()))), block))
+    return factor(M, block, sorted(set(block.values())))
 
 
 def _collapse_pair(M, data):
@@ -408,6 +407,21 @@ class TestExpansion:
                 matroid_port(E.dual(), secret)
             return
         assert matroid_port(E.dual(), secret) == dual_structure(A)
+
+    @SETTINGS
+    @given(expansion_bases())
+    def test_small_expansion_realizes_its_own_port(self, M):
+        """For every atom of both orientations whose port exists (not a
+        loop, not a lone atom, no private information), the table is the
+        reference port and realizes accepts it."""
+        for E in (helgason_expand(M), helgason_expand(M).dual()):
+            for secret in E.element_names:
+                flags = reference_port(E, secret)
+                if flags is None or E.n_elements == 1 or not flags[-1]:
+                    continue
+                A = matroid_port(E, secret)
+                assert A.qualified.tolist() == flags
+                assert realizes(E, A, secret) == (True, None)
 
     @SETTINGS
     @given(expansion_bases(min_n=5, max_n=5, max_cap=9), st.data())

@@ -1,5 +1,6 @@
 """Access structures, matroid ports, realization, and the share-size ratio."""
 
+import ast
 import itertools
 import json
 import re
@@ -104,6 +105,27 @@ class TestAccessStructure:
         with pytest.raises(ValueError, match="adding 'q'|adding 'r'"):
             AccessStructure(g, qualified=q)
 
+    def test_closure_error_names_a_set_that_loses_qualification(self):
+        """On random tables that are not upward closed (checked by brute
+        force), the named set is qualified and adding the named participant
+        to it gives an unqualified set."""
+        rng = np.random.default_rng(24)
+        pattern = r"not upward closed: (.*) qualified but adding '(.)' loses qualification"
+        checked = 0
+        for _ in range(300):
+            g = GroundSet("pqrstu"[: int(rng.integers(1, 7))])
+            q = rng.random(g.full_mask + 1) < rng.random()
+            q[0], q[-1] = False, True
+            if all(q[m | 1 << i] for m in np.flatnonzero(q) for i in range(g.n)):
+                continue
+            with pytest.raises(ValueError, match="not upward closed") as err:
+                AccessStructure(g, qualified=q)
+            named, member = re.fullmatch(pattern, str(err.value)).groups()
+            S, bit = g.mask_of(ast.literal_eval(named)), g.bit(member)
+            assert q[S] and not S & bit and not q[S | bit]
+            checked += 1
+        assert checked > 100
+
     def test_explicit_cap(self):
         labels = tuple(f"p{i}" for i in range(21))
         with pytest.raises(ValueError, match="capped at 20"):
@@ -160,6 +182,14 @@ class TestThreshold:
             threshold_structure(0, ("p", "q", "r"))
         with pytest.raises(ValueError, match="1..3"):
             threshold_structure(4, ("p", "q", "r"))
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
+    def test_threshold_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"threshold must be in 1..3, got {k}")):
+            threshold_structure(k, ("p", "q", "r"))
+
+    def test_numpy_integer_threshold(self):
+        assert threshold_structure(np.int64(2), "pqr") == threshold_structure(2, "pqr")
 
     def test_mask_bounds_checked(self):
         A = threshold_structure(1, ("p", "q"))
@@ -327,6 +357,31 @@ class TestExpandedPort:
         with pytest.raises(ValueError, match="not an element"):
             matroid_port(E, "zz_9")
 
+    def test_realizes_refuses_the_oracle_port(self, port):
+        E, A = port
+        with pytest.raises(ValueError, match="more than 20 participants cannot be checked"):
+            realizes(E, A, "a_1")
+
+    @pytest.mark.parametrize("tolerance", [0, 1e-6, float("nan")])
+    def test_exact_port_refuses_a_tolerance(self, port, tolerance):
+        E, _ = port
+        with pytest.raises(ValueError, match="exact and takes no tolerance"):
+            matroid_port(E, "a_1", tolerance)
+
+    def test_small_expansion_port_is_realized(self):
+        E = helgason_expand(U23)
+        A = matroid_port(E, "a_1")
+        assert A == threshold_structure(2, ("b_1", "c_1"))
+        assert realizes(E, A, "a_1") == (True, None)
+        assert realizes(E, threshold_structure(1, ("b_1", "c_1")), "a_1") == (False, 0b01)
+        with pytest.raises(ValueError, match="exact and takes no tolerance"):
+            realizes(E, A, "a_1", 0)
+
+    def test_lone_loop_atom_is_a_loop(self):
+        E = helgason_expand(pm({"a": 1}), dualized=True)
+        with pytest.raises(ValueError, match=r"'a_1' is a loop \(rank 0\)"):
+            matroid_port(E, "a_1")
+
     def test_dualized_expansion_has_a_port_too(self, tight_pm):
         E = helgason_expand(tight_pm, dualized=True)
         A = matroid_port(E, "a_1")
@@ -359,7 +414,7 @@ class TestRealizes:
         with pytest.raises(GroundSetMismatch):
             realizes(U23, threshold_structure(2, ("x", "y")), "a")
 
-    @pytest.mark.parametrize("tolerance", ["0.1", True])
+    @pytest.mark.parametrize("tolerance", ["0.1", True, pytest.param(10**400, id="10**400")])
     def test_tolerance_that_is_not_a_number_is_refused(self, tolerance):
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             realizes(U23, threshold_structure(2, BC), "a", tolerance)
