@@ -9,6 +9,7 @@ storage is capped at 20 elements; larger ground sets must go through the lazy
 oracles in :mod:`polyshare.matroid`.
 """
 
+import contextlib
 import functools
 import json
 import math
@@ -252,14 +253,13 @@ class RankVector:
         One comparison with the key table reads the keys of a rank file in its
         order, with plain int or float values the mode takes; others are checked."""
         keys, order = ground.subset_keys()  # checks the dense cap first
-        values = list(ranks.values())
-        types = set(map(type, values))
-        if list(ranks) != keys or not types <= {int, float} or (mode == "int" and float in types):
-            return cls(ground, _checked_values(ground, ranks, mode == "int"), mode)
-        values = np.asarray(values)
-        dense = np.zeros(1 << ground.n, dtype=values.dtype)
-        dense[order] = values
-        return cls(ground, dense, mode)
+        types = set(map(type, ranks.values()))
+        if list(ranks) == keys and types <= ({int} if mode == "int" else {int, float}):
+            dense = np.zeros(1 << ground.n, np.float64 if float in types else np.int64)
+            with contextlib.suppress(OverflowError):  # an int beyond int64 is checked below
+                dense[order] = np.fromiter(ranks.values(), dense.dtype, count=len(keys))
+                return cls(ground, dense, mode)
+        return cls(ground, _checked_values(ground, ranks, mode == "int"), mode)
 
     def value(self, mask: int):
         """Rank of a subset as a Python number (int in int mode)."""
@@ -342,21 +342,19 @@ def save_rank_vector(rank: RankVector, path) -> None:
 def rank_document(rank: RankVector) -> str:
     """The rank file of ``rank``: the text of ``json.dumps(doc, indent=1)`` for
     the document of the labels, the mode and a {subset key: rank} object in
-    key-table order, from one "%" template per subset size, not a dict.  JSON
-    escapes keys character by character, never ",", so the quoted keys are
-    the key table of the escaped labels, with "%" doubled for the template:
-    the ground set's own table when no label needs either."""
-    keys, order = rank.ground.subset_keys()
-    labels = list(rank.ground.labels)
-    escaped = [json.dumps(label)[1:-1].replace("%", "%%") for label in labels]
-    if escaped != labels:
-        keys = _key_table(escaped)
-    values, levels, start = rank.values[order].tolist(), [], 0
-    for size in range(1, len(labels) + 1):
-        end = start + math.comb(len(labels), size)
-        template = '"' + '": %s,\n  "'.join(keys[start:end]) + '": %s'
-        levels.append(template % tuple(values[start:end]))
-        start = end
-    head = json.dumps({"ground": labels, "mode": rank.mode}, indent=1)[:-2]  # still open: no "\n}"
-    return head + ',\n "ranks": {\n  ' + ",\n  ".join(levels) + "\n }\n}"
+    key-table order, filled into the one "%" template of its labels, not a dict."""
+    values = rank.values[rank.ground.subset_keys()[1]].tolist()
+    head = json.dumps({"ground": list(rank.ground.labels), "mode": rank.mode}, indent=1)[:-2]
+    ranks = _ranks_template(rank.ground.labels) % tuple(values)
+    return head + ',\n "ranks": {\n  ' + ranks + "\n }\n}"  # head is still open: no "\n}"
 
+
+@functools.lru_cache(maxsize=1)  # the last labels written, so that a rewrite builds none
+def _ranks_template(labels: tuple[str, ...]) -> str:
+    """The "ranks" object's members, with "%s" for each rank.  JSON escapes keys
+    character by character, never ",", so the quoted keys are the key table of
+    the escaped labels, with "%" doubled for the template: the ground set's own
+    table when no label needs either."""
+    escaped = [json.dumps(label)[1:-1].replace("%", "%%") for label in labels]
+    keys = _subset_keys(labels)[0] if escaped == list(labels) else _key_table(escaped)
+    return '"' + '": %s,\n  "'.join(keys) + '": %s'

@@ -84,5 +84,5 @@ def minimal(family) -> list[int]:
     for i in range(_bits(flags)):
         with_i = split(flags, i)[1]
         with_i &= ~split(below, i)[0]
-    order = np.argsort(sizes(_bits(flags)), kind="stable")  # by_size plus the empty set
-    return order[flags[order]].tolist()
+    members = np.flatnonzero(flags)  # in mask order, so a stable sort keeps ties by mask
+    return members[np.argsort(sizes(_bits(flags))[members], kind="stable")].tolist()

@@ -106,7 +106,9 @@ def threshold_structure(k: int, labels) -> AccessStructure:
     """Qualified iff at least k participants are present; k is an integer."""
     participants = GroundSet(labels)
     n = participants.n
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"threshold must be an integer, got {k!r}")
+    if not 1 <= k <= n:  # str, so that a numpy integer prints as a number
         raise ValueError(f"threshold must be in 1..{n}, got {k}")
     check_dense(participants)
     return AccessStructure(participants, qualified=lattice.sizes(n) >= k)
@@ -143,14 +145,14 @@ def _secret_gaps(M, secret: str, tolerance):
     f(secret + S) - f(S) for every participant mask S (None past
     MAX_DENSE_ELEMENTS participants), and a secret of rank within the
     tolerance, a loop, is rejected.  An expansion is exact and takes no
-    tolerance; its secret has the atom rank min(1, h({b})) of its block b,
+    tolerance; its secret has the ``_atom_rank`` of its block b,
     and its gaps compare the count-space rank grid ``lattice.least_over(h,
     [range(s_i + 1)])`` at each mask's counts with one stride of b further."""
     if isinstance(M, ExpandedMatroid):
         if tolerance is not None:
             raise ValueError(f"an expansion is exact and takes no tolerance, got {tolerance}")
         sblock, labels, tol = M.block_of(secret), M.element_names, 0
-        fs = min(1, int(M._h[1 << sblock]))
+        fs = _atom_rank(M, sblock)
     else:
         labels, tol = M.ground.labels, resolve_tol(tolerance, default_decision_tol(M.mode))
         fs = M.rank_of(secret)
@@ -220,17 +222,18 @@ def realizes(M, A: AccessStructure, secret: str, tolerance=None):
     return True, None
 
 
+def _atom_rank(M: ExpandedMatroid, block: int) -> int:
+    """An atom's rank: least h(A) + [block not in A], at A = {} or {block} as h is monotone."""
+    return min(1, int(M._h[1 << block]))
+
+
 def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
     if isinstance(M, ExpandedMatroid):
         sblock = M.block_of(secret)
-        # an atom of block i has rank min over A of h(A) + [i not in A], and
-        # h is monotone, so A = {} and A = {i} give it: min(1, h({i}))
-        atom_rank = {i: min(1, int(M._h[1 << i]))
-                     for i, size in enumerate(M.block_sizes) if size > 0}
-        fs, exact = atom_rank[sblock], True
-        others = [rank for i, rank in atom_rank.items()
-                  if not (i == sblock and M.block_sizes[i] == 1)]
+        fs, exact = _atom_rank(M, sblock), True
+        # every block with an atom besides the secret
+        others = [_atom_rank(M, i) for i, size in enumerate(M.block_sizes) if size > (i == sblock)]
     else:
         fs, exact = M.rank_of(secret), M.mode == "int"
         others = [M.value(1 << i) for i in range(M.ground.n) if M.ground.labels[i] != secret]
@@ -299,8 +302,7 @@ def access_structure_from_json(doc: dict, base_dir: str = ".") -> AccessStructur
 
 def load_access_structure(path) -> AccessStructure:
     with open(path) as fh:
-        doc = json.load(fh)
-    return access_structure_from_json(doc, os.path.dirname(os.path.abspath(path)))
+        return access_structure_from_json(json.load(fh), os.path.dirname(os.path.abspath(path)))
 
 
 def save_access_structure(A: AccessStructure, path) -> None:

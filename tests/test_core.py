@@ -446,6 +446,35 @@ class TestKeyTableCache:
         assert core._subset_keys.cache_info().currsize == 1
 
 
+class TestRanksTemplate:
+    """The rank-file writer fills one template per ground set and keeps the
+    template of the last labels written; a load builds none."""
+
+    def test_template_belongs_to_its_own_labels(self, tmp_path):
+        plain = uniform_matroid(2, ("s0", "s1", "s2", "s3")).rank
+        escaped = RankVector(GroundSet(("p%", 'q"', "r\\", "s\u00e9")), plain.values / 3, "float")
+        for i, rank in enumerate((plain, escaped, plain)):
+            want = json.dumps(rank_vector_to_json(rank), indent=1)
+            assert core.rank_document(rank) == want
+            save_rank_vector(rank, tmp_path / f"r{i}.json")
+            assert (tmp_path / f"r{i}.json").read_text() == want + "\n"
+        assert core._ranks_template.cache_info().currsize == 1
+        assert core._ranks_template(plain.ground.labels) is core._ranks_template(("s0", "s1", "s2", "s3"))
+
+    def test_load_and_validate_build_no_template(self, monkeypatch, tmp_path):
+        rank = uniform_matroid(2, ("a", "b", "c", "d")).rank
+        save_rank_vector(rank, tmp_path / "u.json")
+
+        def refuse(labels):
+            raise AssertionError(f"a rank-file template on {len(labels)} labels was built")
+
+        monkeypatch.setattr(core, "_ranks_template", refuse)
+        assert load_rank_vector(tmp_path / "u.json") == rank
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["validate", "--in", str(tmp_path / "u.json")]) == 0
+        assert out.getvalue() == "valid\n"
+
+
 # The reference codec: one subset_format (rank_vector_to_json) or subset_parse call per subset.
 
 def reference_from_ranks(ground: GroundSet, ranks: dict, mode: str) -> RankVector:
@@ -596,6 +625,28 @@ class TestCodecAgainstReference:
                 result = op(M).rank
                 doc = rank_vector_to_json(result)
                 assert out.getvalue() == json.dumps(doc, indent=1) + "\n"
+
+
+EDGE_INTS = [2**63 - 1, -(2**63 - 1), 2**63, -(2**63), -(2**63) - 1, 2**64, 2**70, -(2**70),
+             10**400]
+EDGE_FLOATS = [json.loads(t) for t in ("1e+16", "1E-7", "-2.5e-300", "1.7976931348623157e308",
+                                      "-0.0", "0.0", "5e-324", "1e22")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.sampled_from(["int", "float"]), st.data())
+def test_from_ranks_in_file_order_is_the_checked_read(n, mode, data):
+    """Ranks in file order, ints and floats near the int64 and float limits
+    mixed: the fast read gives the checked read's vector or its named error."""
+    ground = GroundSet([f"x{i}" for i in range(n)])
+    value = st.one_of(st.integers(-3, 3), st.sampled_from(EDGE_INTS), st.sampled_from(EDGE_FLOATS),
+                      st.integers(-(2**64), 2**64), st.floats(allow_nan=False, allow_infinity=False))
+    values = data.draw(st.lists(value, min_size=ground.full_mask, max_size=ground.full_mask))
+    ranks = dict(zip(ground.subset_keys()[0], values))
+    got = outcome(lambda: RankVector.from_ranks(ground, ranks, mode))
+    want = outcome(lambda: RankVector(ground, core._checked_values(ground, ranks, mode == "int"),
+                                      mode))
+    assert got == want
 
 
 def load_rank_vector_text(text: bytes) -> RankVector:

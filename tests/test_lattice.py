@@ -233,3 +233,19 @@ class TestAgainstSlowReferences:
         M = coverage_polymatroid(np.random.default_rng(16), 5)
         block = {l: l for l in ground(5).labels}
         assert np.array_equal(factor(M, block, ground(5)).values, M.values)
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_minimal_of_a_few_members_is_the_subset_scan(n):
+    """Wide lattices with a few members, some nested, so that the members'
+    own order decides the result."""
+    rng = np.random.default_rng(300 + n)
+    for _ in range(20):
+        chosen = rng.choice(1 << n, size=int(rng.integers(1, 9)), replace=False)
+        nested = [int(m) & int(rng.integers(1 << n)) for m in chosen[:3]]
+        family = np.zeros(1 << n, dtype=bool)
+        family[[*chosen, *nested]] = True
+        members = np.flatnonzero(family).tolist()
+        want = [m for m in members if not any(s != m and s & ~m == 0 for s in members)]
+        want.sort(key=lambda m: (m.bit_count(), m))
+        assert minimal(family) == want

@@ -185,7 +185,12 @@ class TestThreshold:
 
     @pytest.mark.parametrize("k", [1.5, 2.0, True, "2"])
     def test_threshold_must_be_an_integer(self, k):
-        with pytest.raises(ValueError, match=re.escape(f"threshold must be in 1..3, got {k}")):
+        with pytest.raises(ValueError, match=re.escape(f"threshold must be an integer, got {k!r}")):
+            threshold_structure(k, ("p", "q", "r"))
+
+    @pytest.mark.parametrize("k", [0, 4, np.int64(4)])
+    def test_out_of_range_threshold_prints_the_number(self, k):
+        with pytest.raises(ValueError, match=f"^threshold must be in 1\\.\\.3, got {int(k)}$"):
             threshold_structure(k, ("p", "q", "r"))
 
     def test_numpy_integer_threshold(self):
