@@ -121,7 +121,7 @@ def cmd_expand(args) -> tuple:
         "elements": expansion.n_elements,
         "dualized": expansion.dualized,
         "blocks": dict(zip(pm.ground.labels, expansion.block_sizes)),
-        "full_rank": int(expansion.ranks_of_counts([expansion.block_sizes])[0]),
+        "full_rank": expansion.rank_of_counts(expansion.block_sizes),
     }
     lines = [f"elements\t{doc['elements']}", f"dualized\t{doc['dualized']}"]
     lines += [f"block {k}\t{v}" for k, v in doc["blocks"].items()]

@@ -267,9 +267,6 @@ class RankVector:
         v = self.values[mask]
         return int(v) if self.mode == "int" else float(v)
 
-    def to_float(self) -> "RankVector":
-        return RankVector(self.ground, np.asarray(self.values, dtype=np.float64), "float")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RankVector):
             return NotImplemented

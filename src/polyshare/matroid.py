@@ -171,20 +171,6 @@ class ExpandedMatroid:
                     self._memo[key] = value
         return value
 
-    def ranks_of_counts(self, C) -> np.ndarray:
-        """Ranks of many subsets at once, one per row of the (k, n) array of
-        per-block atom counts C.  The memo is neither read nor filled."""
-        n = self.base.ground.n
-        shape = np.shape(C)
-        if len(shape) != 2 or shape[1] != n:
-            raise ValueError(f"need a (k, {n}) array of block counts, got shape {shape}")
-        if not (isinstance(C, np.ndarray) and C.dtype.kind in "iu") or (
-            (C < 0) | (C > self.block_sizes)
-        ).any():  # each row checked in turn, so the first bad count is reported
-            C = np.array([self._checked(row) for row in C], dtype=np.int64).reshape(shape)
-        C = C.astype(np.int64, copy=False)
-        return (self._rows[0] + C @ self._rows[1:]).min(axis=1)
-
     def rank(self, S) -> int:
         return self.rank_of_counts(self.counts_of(S))
 

@@ -9,13 +9,23 @@ import json
 import math
 import operator
 import time
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import polyshare.core
-from polyshare import RankVector, dual, principal_extension, save_rank_vector, uniform_matroid
+from polyshare import (
+    RankVector,
+    dual,
+    load_rank_vector,
+    principal_extension,
+    save_access_structure,
+    save_rank_vector,
+    threshold_structure,
+    uniform_matroid,
+)
 from polyshare.cli import build_parser, main
 from polyshare.reproduce import fixture_doc
 from polyshare.secret_sharing import expanded_port_doc
@@ -246,7 +256,7 @@ class TestRewriting:
 @pytest.fixture()
 def u23_float_file(tmp_path):
     path = tmp_path / "u23f.json"
-    save_rank_vector(U23.rank.to_float(), path)
+    save_rank_vector(RankVector(U23.ground, np.asarray(U23.values, float), "float"), path)
     return str(path)
 
 
@@ -310,6 +320,11 @@ class TestExpand:
         assert doc["elements"] == 175
         assert doc["blocks"] == {"a": 37, "b": 31, "c": 31, "d": 38, "e": 38}
         assert doc["dualized"] is False
+
+    def test_dual_summary(self, capsys, tight_file):
+        code, out, _ = run(capsys, "expand", "--in", tight_file, "--dual")
+        assert code == 0
+        assert "dualized\tTrue" in out and out.endswith("full_rank\t86\n")
 
     def test_rank_query(self, capsys, tight_file, tight_pm):
         code, out, _ = run(capsys, "expand", "--in", tight_file,
@@ -497,6 +512,166 @@ class TestDeterminism:
             assert table[key or "(empty)"] == str(value)
 
 
+# Command sequences whose files must come back byte for byte, and verdicts on
+# the data files as shipped.
+
+def data_file(name):
+    return str(resources.files("polyshare.data").joinpath(name))
+
+
+def is_own_dump(path) -> bool:
+    """The file is json.dumps(indent=1) of its own document and a line break."""
+    text = path.read_text()
+    return text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
+ESCAPED = ["p%", 'q"', "r\\", "sé"]
+
+
+class TestRankFileAtSixteen:
+    def test_dual_twice_gives_back_the_bytes(self, capsys, tmp_path):
+        """U_{8,16} is tight, so dual(dual(U)) = U exactly in int mode."""
+        u816 = tmp_path / "u816.json"
+        save_rank_vector(uniform_matroid(8, [f"x{i}" for i in range(16)]).rank, u816)
+        d1, d2 = str(tmp_path / "dual.json"), str(tmp_path / "dual2.json")
+        assert run(capsys, "dual", "--in", str(u816), "--out", d1) == (0, "", "")
+        assert run(capsys, "dual", "--in", d1, "--out", d2) == (0, "", "")
+        assert u816.read_bytes() == (tmp_path / "dual2.json").read_bytes()
+
+
+class TestEscapedLabels:
+    def test_dual_twice_validate_and_own_dump(self, capsys, tmp_path):
+        """Labels that JSON escapes or the writer's template doubles."""
+        esc = tmp_path / "esc.json"
+        save_rank_vector(uniform_matroid(2, ESCAPED).rank, esc)
+        d1, d2 = str(tmp_path / "esc_dual.json"), str(tmp_path / "esc_dual2.json")
+        assert run(capsys, "dual", "--in", str(esc), "--out", d1)[0] == 0
+        assert run(capsys, "dual", "--in", d1, "--out", d2)[0] == 0
+        assert esc.read_bytes() == (tmp_path / "esc_dual2.json").read_bytes()
+        assert run(capsys, "validate", "--in", str(esc)) == (0, "valid\n", "")
+        assert is_own_dump(esc)
+
+
+class TestTwoGroundSets:
+    def test_each_file_holds_its_own_labels(self, tmp_path):
+        """Plain, escaped, then plain labels again in one process: the writer
+        keeps the template of the last labels written, never another's."""
+        for i, labels in enumerate((["s0", "s1", "s2", "s3"], ESCAPED, ["s0", "s1", "s2", "s3"])):
+            path = tmp_path / f"two{i}.json"
+            save_rank_vector(uniform_matroid(2, labels).rank, path)
+            assert is_own_dump(path), labels
+            assert load_rank_vector(path) == uniform_matroid(2, labels).rank, labels
+
+
+class TestValidationVerdicts:
+    def test_middle_column_is_valid(self, capsys):
+        assert run(capsys, "validate", "--in", data_file("table2_middle.json")) == (0, "valid\n", "")
+
+    def test_left_column_misses_two_inequalities(self, capsys):
+        """By the source table's six-decimal rounding, and nothing else."""
+        code, out, _ = run(capsys, "validate", "--in", data_file("table2_left.json"))
+        assert code == 1
+        lines = out.splitlines()
+        assert len(lines) == 2
+        assert all(l.startswith("submodular violated at elements=d,e subset=") for l in lines)
+
+    def test_nan_tolerance_is_usage_error(self, capsys):
+        argv = ["validate", "--in", data_file("table2_middle.json"), "--tolerance", "nan"]
+        assert run(capsys, *argv)[:2] == (2, "")
+
+
+class TestZeroProbabilityRows:
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_output_is_byte_identical(self, capsys, tmp_path, fmt):
+        doc = fixture_doc("table1.json")
+        new = [[1, 1, 1, 1, 1], [0, 0, 0, 1, 1], [1, 0, 0, 1, 0]]
+        assert not any(r["values"] in new for r in doc["rows"])
+        doc["rows"] += [{"values": v, "prob": 0.0} for v in new]
+        zeros = tmp_path / "zeros.json"
+        zeros.write_text(json.dumps(doc, indent=1))
+        code, plain, _ = run(capsys, "entropy", "--in", data_file("table1.json"), "--format", fmt)
+        assert code == 0
+        assert run(capsys, "entropy", "--in", str(zeros), "--format", fmt) == (0, plain, "")
+
+
+class TestAccessRoundTrip:
+    def test_access_dual_twice_gives_back_the_port_bytes(self, capsys, tmp_path):
+        p, d, p2 = (str(tmp_path / name) for name in ("p.json", "d.json", "p2.json"))
+        argv = ["port", "--in", data_file("table2_tight.json"), "--secret", "a", "--out", p]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "access-dual", "--in", p, "--out", d)[0] == 0
+        assert run(capsys, "access-dual", "--in", d, "--out", p2)[0] == 0
+        assert (tmp_path / "p.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
+
+
+class TestAccessFileAtTwenty:
+    def test_threshold_file_round_trip(self, capsys, tmp_path):
+        """The 10-of-20 threshold structure has C(20, 10) minimal sets."""
+        t20, d20, t20b = (tmp_path / name for name in ("t20.json", "d20.json", "t20b.json"))
+        save_access_structure(threshold_structure(10, [f"p{i}" for i in range(20)]), t20)
+        assert run(capsys, "access-dual", "--in", str(t20), "--out", str(d20))[0] == 0
+        assert run(capsys, "access-dual", "--in", str(d20), "--out", str(t20b))[0] == 0
+        assert t20.read_bytes() == t20b.read_bytes()
+        assert is_own_dump(t20)
+
+
+class TestExpandedPortByAtoms:
+    def test_atoms_realize_the_port_of_their_orientation(self, capsys, tmp_path, monkeypatch):
+        """Three splits turn the base into its atoms a_1, a_2, b_1, b_2, b_3."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "base.json").write_text(
+            '{"ground": ["a", "b"], "mode": "int", "ranks": {"a": 2, "b": 3, "a,b": 4}}\n')
+        for argv in (
+            ["split", "--in", "base.json", "--element", "a", "--alphas", "1,1",
+             "--labels", "a_1,a_2", "--out", "s1.json"],
+            ["split", "--in", "s1.json", "--element", "b", "--alphas", "1,2",
+             "--labels", "b_1,b_r", "--out", "s2.json"],
+            ["split", "--in", "s2.json", "--element", "b_r", "--alphas", "1,1",
+             "--labels", "b_2,b_3", "--out", "atoms.json"],
+            ["dual", "--in", "atoms.json", "--out", "atoms_dual.json"],
+            ["port", "--in", "base.json", "--expanded", "--secret", "b_2", "--out", "port.json"],
+            ["port", "--in", "base.json", "--expanded", "--dual", "--secret", "b_2",
+             "--out", "port_dual.json"],
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+        realizes = ["realizes", "--secret", "b_2", "--in"]
+        assert run(capsys, *realizes, "atoms.json", "--access", "port.json")[:2] == (0, "realizes\n")
+        assert run(capsys, *realizes, "atoms_dual.json", "--access", "port_dual.json")[:2] == \
+            (0, "realizes\n")
+        assert run(capsys, *realizes, "atoms_dual.json", "--access", "port.json")[0] == 1
+
+
+def expand_query(capsys, dual_flag, query):
+    code, out, _ = run(capsys, "expand", "--in", data_file("table2_tight.json"),
+                       "--query", query, *dual_flag)
+    assert code == 0
+    return out
+
+
+DUAL_FLAGS = pytest.mark.parametrize("dual_flag", [[], ["--dual"]], ids=["primal", "dual"])
+
+
+@DUAL_FLAGS
+class TestQuerySpellings:
+    def test_counts_and_atom_names_agree(self, capsys, dual_flag):
+        """The counts "a:2,b:1" and the atom names "a_1,a_2,b_1" spell the
+        same subset."""
+        counts = expand_query(capsys, dual_flag, "a:2,b:1")
+        assert counts.strip()
+        assert counts == expand_query(capsys, dual_flag, "a_1,a_2,b_1")
+
+
+@DUAL_FLAGS
+class TestEmptyAndFullAtomSets:
+    def test_ranks(self, capsys, dual_flag):
+        """All 175 atoms have rank h(E) = 89, in the dual 175 - 89 = 86, and
+        the empty set 0 both ways: pins which row of the oracle's table holds
+        h and which the element bits."""
+        full = expand_query(capsys, dual_flag, "a:37,b:31,c:31,d:38,e:38")
+        assert full == ("86\n" if dual_flag else "89\n")
+        assert expand_query(capsys, dual_flag, "") == "0\n"
+
+
 def subcommands() -> dict:
     """{name: subparser}, read from the parser itself."""
     parser = build_parser()
@@ -649,15 +824,16 @@ class TestTolerance:
             run(capsys, name, *valid_args[name])
 
     @pytest.mark.parametrize("bad", ["0", "nan", "-5"])
-    def test_expanded_port_refuses_tolerance(self, capsys, tight_file, bad):
+    def test_expanded_port_refuses_tolerance(self, capsys, bad):
         """An expansion is exact, so matroid_port refuses a tolerance for it
         and the flag is a usage error, whatever its value; without it the
         output stays."""
-        argv = ["port", "--in", tight_file, "--secret", "a_1", "--expanded"]
+        tight = data_file("table2_tight.json")
+        argv = ["port", "--in", tight, "--secret", "a_1", "--expanded"]
         code, out, err = run(capsys, *argv, f"--tolerance={bad}")
         assert (code, out) == (2, "")
         assert err == f"error: an expansion is exact and takes no tolerance, got {float(bad)}\n"
-        expected = json.dumps(expanded_port_doc(tight_file, False, "a_1"), indent=1) + "\n"
+        expected = json.dumps(expanded_port_doc(tight, False, "a_1"), indent=1) + "\n"
         assert run(capsys, *argv) == (0, expected, "")
 
     def test_nan_no_longer_realizes(self, capsys, tmp_path, tight_file):

@@ -392,7 +392,7 @@ class TestBasisR:
 class TestLinearCombine:
     def test_identity_combination(self):
         out = linear_combine([(1, U23)])
-        assert out == U23.rank.to_float()
+        assert out == RankVector(U23.ground, np.asarray(U23.values, float), "float")
 
     def test_scaled_u12(self):
         u12 = uniform_matroid(1, ("a", "b"))

@@ -285,7 +285,7 @@ class TestMatroidPort:
 
 
 def _float_u23():
-    return validate_polymatroid(U23.rank.to_float())
+    return validate_polymatroid(RankVector(U23.ground, np.asarray(U23.values, float), "float"))
 
 
 @pytest.fixture(scope="module")
