@@ -7,19 +7,18 @@ The bundled five-variable distribution is the interesting case: its own
 entropy vector scores positive, its polymatroid dual scores negative.
 """
 
-from polyshare import dual, entropy_vector, mmrv, mmrv_identity_residual, subset_format, tighten
+from polyshare import dual, entropy_vector, mmrv, mmrv_identity_residual, tighten
 from polyshare.entropy import distribution_from_json
-from polyshare.inequalities import mmrv_expression
+from polyshare.inequalities import MMRV
 from polyshare.reproduce import fixture_doc
 
 
-def render(expr, ground):
+def render(rows):
+    """Rows (a, b, given, coeff) of role letters as signed I(a,b|given) terms."""
     parts = []
-    for t in expr.terms:
-        args = ",".join(subset_format(ground, m) for m in t.args)
-        body = f"{t.kind}({args}|{subset_format(ground, t.given)})" if t.given \
-            else f"{t.kind}({args})"
-        parts.append(("- " if t.coeff < 0 else "+ ") + body)
+    for a, b, given, coeff in rows:
+        body = f"I({a},{b}|{given})" if given else f"I({a},{b})"
+        parts.append(("- " if coeff < 0 else "+ ") + body)
     return " ".join(parts).lstrip("+ ")
 
 
@@ -30,7 +29,7 @@ def main():
 
     M = entropy_vector(d)
     print("\nthe expression, role order (a, b, c, d, e):")
-    print(" ", render(mmrv_expression(M.ground), M.ground))
+    print(" ", render(MMRV))
 
     v = mmrv(M)
     print(f"\nvalue on the entropy vector itself: {v:+.7f}")

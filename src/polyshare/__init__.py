@@ -61,7 +61,6 @@ _EXPORTS = {
         "marginal",
     ),
     "inequalities": (
-        "InfoExpression",
         "InfoTerm",
         "conditional_entropy",
         "eval_expression",

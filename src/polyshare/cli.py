@@ -21,11 +21,12 @@ import os
 import sys
 
 
-def _load_pm(path: str):
+def _load_pm(path: str, added: int = 0):
+    """The polymatroid of a rank file, for a result with ``added`` more elements."""
     from .core import load_rank_vector
     from .polymatroid import validate_polymatroid
 
-    return validate_polymatroid(load_rank_vector(path))
+    return validate_polymatroid(load_rank_vector(path, added))
 
 
 def _number(text: str):
@@ -96,7 +97,7 @@ def cmd_mmrv(args) -> tuple:
 def cmd_split(args) -> tuple:
     from .polymatroid import split_atom
 
-    pm = _load_pm(args.infile)
+    pm = _load_pm(args.infile, added=1)
     alphas = [_number(a) for a in _split_list(args.alphas, 2, "alphas")]
     labels = _split_list(args.labels, 2, "labels")
     return _ranks(split_atom(pm, args.element, alphas[0], alphas[1], labels).rank)
@@ -105,7 +106,7 @@ def cmd_split(args) -> tuple:
 def cmd_extend(args) -> tuple:
     from .polymatroid import principal_extension
 
-    pm = _load_pm(args.infile)
+    pm = _load_pm(args.infile, added=1)
     return _ranks(principal_extension(pm, args.element, _number(args.alpha), args.label).rank)
 
 

@@ -76,13 +76,13 @@ def json_field(doc, name: str, kind, where: str):
     return value
 
 
-def check_dense(ground: "GroundSet") -> None:
+def check_dense(ground: "GroundSet", added: int = 0) -> None:
     """Raise before anything is allocated when one value per subset of
-    ``ground`` would exceed the dense cap."""
-    if ground.n > MAX_DENSE_ELEMENTS:
+    ``ground`` and ``added`` more elements would exceed the dense cap."""
+    if ground.n + added > MAX_DENSE_ELEMENTS:
         raise ValueError(
             f"dense storage is capped at {MAX_DENSE_ELEMENTS} elements "
-            f"(got {ground.n}); use a lazy oracle instead"
+            f"(got {ground.n + added}); use a lazy oracle instead"
         )
 
 
@@ -319,16 +319,19 @@ def mu(rank: RankVector, mask: int):
     return total if rank.mode == "int" else float(total)
 
 
-def rank_vector_from_json(doc: dict) -> RankVector:
+def rank_vector_from_json(doc: dict, added: int = 0) -> RankVector:
+    """The rank vector of a document; one that would leave no room for
+    ``added`` more elements within the dense cap is refused before any rank is read."""
     where = "rank-vector file"
     ground = GroundSet(json_field(doc, "ground", list, where))
     mode = json_field(doc, "mode", str, where)
+    check_dense(ground, added)
     return RankVector.from_ranks(ground, json_field(doc, "ranks", dict, where), mode)
 
 
-def load_rank_vector(path) -> RankVector:
+def load_rank_vector(path, added: int = 0) -> RankVector:
     with open(path) as fh:
-        return rank_vector_from_json(json.load(fh))
+        return rank_vector_from_json(json.load(fh), added)
 
 
 def save_rank_vector(rank: RankVector, path) -> None:

@@ -1,149 +1,118 @@
 """Linear information expressions and the MMRV five-variable inequality.
 
-An expression is a weighted sum of conditional entropies H(A|C) and
-conditional mutual informations I(A,B|C); both expand linearly into rank
-values, so evaluation is exact in integer mode.  The MMRV inequality holds for
-every entropy vector but not for every polymatroid; a strictly negative value
-certifies that a polymatroid is not almost entropic.
+One term rule: coeff * I(a;b|c) is coeff * (f(ac) + f(bc) - f(abc) - f(c)),
+and H(a|c) is I(a;a|c).  An expression is any sequence of terms; it expands
+linearly into rank values, so evaluation is exact in integer mode.  The MMRV
+inequality holds for every entropy vector but not for every polymatroid; a
+strictly negative value certifies that a polymatroid is not almost entropic.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
-from .core import GroundSet, check_mask
+from .core import check_mask
 from .polymatroid import Polymatroid
 
 
 @dataclass(frozen=True)
 class InfoTerm:
-    """coeff * H(args[0] | given) or coeff * I(args[0], args[1] | given)."""
+    """coeff * I(a;b|given); b == a gives coeff * H(a|given)."""
 
-    kind: str
-    args: tuple[int, ...]
+    a: int
+    b: int
     given: int = 0
     coeff: float = 1
 
     def __post_init__(self):
-        if self.kind not in ("H", "I"):
-            raise ValueError(f"kind must be 'H' or 'I', got {self.kind!r}")
-        want = 1 if self.kind == "H" else 2
-        if len(self.args) != want:
-            raise ValueError(f"{self.kind} takes {want} argument mask(s)")
-        for mask in (*self.args, self.given):
+        for mask in (self.a, self.b, self.given):
             if isinstance(mask, bool) or not isinstance(mask, numbers.Integral) or mask < 0:
                 raise ValueError(f"mask {mask!r} is not a subset: masks are integers >= 0")
-        combined = self.given
-        for mask in self.args:
-            if mask == 0:
-                raise ValueError("argument masks must be non-empty")
-            if mask & combined:
-                raise ValueError("argument and conditioning masks must be disjoint")
-            combined |= mask
-
-
-@dataclass(frozen=True)
-class InfoExpression:
-    terms: tuple[InfoTerm, ...]
-
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __add__(self, other: "InfoExpression") -> "InfoExpression":
-        return InfoExpression(self.terms + other.terms)
+        c = self.coeff
+        try:  # an int beyond the float range overflows, as it would in float mode
+            finite = not isinstance(c, bool) and isinstance(c, numbers.Real) and math.isfinite(c)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"coefficient {c!r:.40} is not a finite real number in the float range")
+        if not (self.a and self.b):
+            raise ValueError("argument masks must be non-empty")
+        if (self.a | self.b) & self.given or self.a & self.b and self.a != self.b:
+            raise ValueError("argument and conditioning masks must be disjoint")
 
 
 def conditional_entropy(A: int, C: int = 0, coeff=1) -> InfoTerm:
-    return InfoTerm("H", (A,), C, coeff)
+    return InfoTerm(A, A, C, coeff)
 
 
 def mutual_information(A: int, B: int, C: int = 0, coeff=1) -> InfoTerm:
-    return InfoTerm("I", (A, B), C, coeff)
+    return InfoTerm(A, B, C, coeff)
+
+
+def _term_value(f, a: int, b: int, c: int, coeff):
+    return coeff * (f(a | c) + f(b | c) - f(a | b | c) - f(c))
 
 
 def eval_term(term: InfoTerm, M: Polymatroid):
-    for mask in (*term.args, term.given):
+    for mask in (term.a, term.b, term.given):
         check_mask(M.ground, mask)
-    c = term.given
-    if term.kind == "H":
-        raw = M.value(term.args[0] | c) - M.value(c)
-    else:
-        a, b = term.args
-        raw = M.value(a | c) + M.value(b | c) - M.value(a | b | c) - M.value(c)
-    return term.coeff * raw
+    return _term_value(M.value, term.a, term.b, term.given, term.coeff)
 
 
-def eval_expression(expr: InfoExpression, M: Polymatroid):
-    return sum(eval_term(t, M) for t in expr.terms)
+def eval_expression(terms, M: Polymatroid):
+    """Sum of a sequence of terms, in order."""
+    return sum(eval_term(t, M) for t in terms)
 
 
-def _role_masks(ground: GroundSet, roles=None) -> tuple[int, ...]:
-    """The bits of the labels playing a, b, c, d, e, in that order.
+# Rows (a, b, given, coeff) in role letters: "bc" is the union of the labels
+# playing b and c, and "" is the empty set.
+MMRV = (
+    ("a", "b", "c", 1),
+    ("b", "c", "a", 1),
+    ("c", "a", "b", 1),
+    ("b", "c", "d", 1),
+    ("b", "c", "e", 1),
+    ("d", "e", "", 1),
+    ("b", "c", "", -1),
+)
+# 3 I(a;de|bc), non-negative on every polymatroid; MMRV + MMRV_SLACK is the
+# sum of the ten plainly non-negative terms of MMRV_DECOMPOSITION
+MMRV_SLACK = (("a", "de", "bc", 3),)
+MMRV_DECOMPOSITION = (
+    ("a", "d", "b", 1),
+    ("a", "d", "c", 1),
+    ("a", "e", "b", 1),
+    ("a", "e", "c", 1),
+    ("b", "c", "ad", 1),
+    ("b", "c", "ae", 1),
+    ("a", "bc", "de", 1),
+    ("d", "e", "a", 1),
+    ("a", "e", "bcd", 1),
+    ("a", "d", "bce", 1),
+)
 
-    roles names them on any ground set; without roles the ground set must
-    have five elements, which play the roles in their own order.
-    """
+
+def _table_value(M: Polymatroid, rows, roles=None):
+    """Sum of role-letter rows on M, in order.  roles names the labels
+    playing a, b, c, d, e on any ground set; without roles the ground set
+    must have five elements, which play the roles in their own order."""
+    ground = M.ground
     if roles is None and ground.n != 5:
         raise ValueError(f"need a five-element ground set, got {ground.n} elements")
     labels = tuple(roles) if roles is not None else ground.labels
     if len(labels) != 5 or len(set(labels)) != 5:
         raise ValueError(f"roles must be five distinct labels, got {labels}")
-    return tuple(ground.bit(lbl) for lbl in labels)
-
-
-def mmrv_expression(ground: GroundSet, roles=None) -> InfoExpression:
-    """I(a,b|c) + I(b,c|a) + I(c,a|b) + I(b,c|d) + I(b,c|e) + I(d,e) - I(b,c)."""
-    a, b, c, d, e = _role_masks(ground, roles)
-    return InfoExpression(
-        [
-            mutual_information(a, b, c),
-            mutual_information(b, c, a),
-            mutual_information(c, a, b),
-            mutual_information(b, c, d),
-            mutual_information(b, c, e),
-            mutual_information(d, e),
-            mutual_information(b, c, coeff=-1),
-        ]
-    )
+    bit = dict(zip("abcde", map(ground.bit, labels)))
+    mask = {letters: sum(map(bit.__getitem__, letters)) for row in rows for letters in row[:3]}
+    return sum(_term_value(M.value, mask[a], mask[b], mask[c], k) for a, b, c, k in rows)
 
 
 def mmrv(M: Polymatroid, roles=None):
     """Value of the MMRV inequality; negative means not almost entropic."""
-    return eval_expression(mmrv_expression(M.ground, roles), M)
-
-
-def mmrv_slack_expression(ground: GroundSet, roles=None) -> InfoExpression:
-    """MMRV plus 3*I(a, de|bc), which is non-negative on every polymatroid."""
-    a, b, c, d, e = _role_masks(ground, roles)
-    return mmrv_expression(ground, roles) + InfoExpression(
-        [mutual_information(a, d | e, b | c, coeff=3)]
-    )
-
-
-def mmrv_decomposition(ground: GroundSet, roles=None) -> InfoExpression:
-    """Ten plainly non-negative terms summing to mmrv_slack_expression."""
-    a, b, c, d, e = _role_masks(ground, roles)
-    return InfoExpression(
-        [
-            mutual_information(a, d, b),
-            mutual_information(a, d, c),
-            mutual_information(a, e, b),
-            mutual_information(a, e, c),
-            mutual_information(b, c, a | d),
-            mutual_information(b, c, a | e),
-            mutual_information(a, b | c, d | e),
-            mutual_information(d, e, a),
-            mutual_information(a, e, b | c | d),
-            mutual_information(a, d, b | c | e),
-        ]
-    )
+    return _table_value(M, MMRV, roles)
 
 
 def mmrv_identity_residual(M: Polymatroid, roles=None):
-    """MMRV(M) + 3*I(a,de|bc) minus the ten-term decomposition.
-
-    Zero (up to float noise) on every set function, polymatroid or not; this
-    is an identity check, not an inequality check.
-    """
-    lhs = eval_expression(mmrv_slack_expression(M.ground, roles), M)
-    rhs = eval_expression(mmrv_decomposition(M.ground, roles), M)
-    return lhs - rhs
+    """MMRV(M) + 3*I(a,de|bc) minus the ten-term decomposition: zero (up to
+    float noise) on every set function, an identity check, not an inequality."""
+    return _table_value(M, MMRV + MMRV_SLACK, roles) - _table_value(M, MMRV_DECOMPOSITION, roles)

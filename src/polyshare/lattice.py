@@ -3,7 +3,7 @@
 Every dense object in polyshare is an array with one entry per subset mask.
 The recurring step "for each element i, pair every mask without i with the
 same mask plus i" is a reshape: bit i splits the index into (high bits, bit i,
-low bits), so ``split`` and ``pair`` return views, not copies, and the masks
+low bits), so ``split`` returns views, not copies, and the masks
 themselves come from the same view of ``masks(n)``.  This is the bitwise
 layout of Yates' transform (zeta/Moebius over subsets).
 """
@@ -55,12 +55,6 @@ def least_over(values, levels) -> np.ndarray:
         least = out[(..., slice(0, 1), *low)] + np.reshape(levels[i], (-1,) + (1,) * i)
         out = np.minimum(least, out[(..., slice(1, 2), *low)], out=least)
     return out.reshape(-1)
-
-
-def pair(a: np.ndarray, i: int, j: int):
-    """Views (A, A+i, A+j, A+i+j) over the masks A avoiding i < j."""
-    view = a.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
-    return view[:, 0, :, 0], view[:, 0, :, 1], view[:, 1, :, 0], view[:, 1, :, 1]
 
 
 def _bits(family: np.ndarray) -> int:

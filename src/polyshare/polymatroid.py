@@ -271,12 +271,10 @@ def split_atom(M: Polymatroid, a: str, alpha1, alpha2, labels) -> Polymatroid:
         raise ValueError(f"alpha1 + alpha2 = {a1 + a2} but f({a}) = {ha}")
     new_ground = GroundSet(ground.labels[:k] + (l1, l2) + ground.labels[k + 1 :])
     h_plain, h_with = lattice.split(M.values, k)
-    out = np.empty(2 * len(M.values), dtype=M.values.dtype)
-    # old bits above a shift past both atoms, which take bits k and k + 1
+    # old bits above a shift past both atoms, which take bits k and k + 1: the
+    # result is one row (A, A + l1, A + l2, A + l1 + l2) per mask A avoiding both
     parts = (h_plain, np.minimum(h_plain + a1, h_with), np.minimum(h_plain + a2, h_with), h_with)
-    for cell, part in zip(lattice.pair(out, k, k + 1), parts):
-        cell[:, 0] = part
-    return Polymatroid(RankVector(new_ground, out, M.mode))
+    return Polymatroid(RankVector(new_ground, np.stack(parts, axis=1).reshape(-1), M.mode))
 
 
 def collapse_pair(M: Polymatroid, l1: str, l2: str, label: str) -> Polymatroid:

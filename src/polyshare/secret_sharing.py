@@ -139,25 +139,31 @@ def minimal_qualified(A: AccessStructure) -> list[int]:
     return lattice.minimal(A.qualified)
 
 
-def _secret_gaps(M, secret: str, tolerance):
-    """(participants, gaps, f(secret), tolerance) of a dense polymatroid or an
-    expansion M: the participants are M's elements but the secret, the gaps
-    f(secret + S) - f(S) for every participant mask S (None past
-    MAX_DENSE_ELEMENTS participants), and a secret of rank within the
-    tolerance, a loop, is rejected.  An expansion is exact and takes no
-    tolerance; its secret has the ``_atom_rank`` of its block b,
-    and its gaps compare the count-space rank grid ``lattice.least_over(h,
-    [range(s_i + 1)])`` at each mask's counts with one stride of b further."""
+def _secret_rank(M, secret: str, tolerance=None):
+    """(f(secret), tolerance) of a dense polymatroid or an expansion M, and the
+    one loop rule: a secret of rank within the tolerance is refused.  An
+    expansion is exact and takes no tolerance; its secret has the
+    ``_atom_rank`` of its block."""
     if isinstance(M, ExpandedMatroid):
         if tolerance is not None:
             raise ValueError(f"an expansion is exact and takes no tolerance, got {tolerance}")
-        sblock, labels, tol = M.block_of(secret), M.element_names, 0
-        fs = _atom_rank(M, sblock)
+        tol, fs = 0, _atom_rank(M, M.block_of(secret))
     else:
-        labels, tol = M.ground.labels, resolve_tol(tolerance, default_decision_tol(M.mode))
-        fs = M.rank_of(secret)
+        tol, fs = resolve_tol(tolerance, default_decision_tol(M.mode)), M.rank_of(secret)
     if fs <= tol:
         raise ValueError(f"secret {secret!r} is a loop (rank {fs}); the secret must be non-trivial")
+    return fs, tol
+
+
+def _secret_gaps(M, secret: str, tolerance):
+    """(participants, gaps, f(secret), tolerance) of M and a secret that
+    ``_secret_rank`` takes: the participants are M's elements but the secret,
+    and the gaps f(secret + S) - f(S) for every participant mask S (None past
+    MAX_DENSE_ELEMENTS participants).  An expansion's gaps compare the
+    count-space rank grid ``lattice.least_over(h, [range(s_i + 1)])`` at each
+    mask's counts with one stride of the secret's block further."""
+    fs, tol = _secret_rank(M, secret, tolerance)
+    labels = M.element_names if isinstance(M, ExpandedMatroid) else M.ground.labels
     participants = GroundSet(tuple(label for label in labels if label != secret))
     if not isinstance(M, ExpandedMatroid):
         without, with_secret = lattice.split(M.values, M.ground.index(secret))
@@ -167,7 +173,7 @@ def _secret_gaps(M, secret: str, tolerance):
     strides = np.cumprod([1] + [size + 1 for size in M.block_sizes[:-1]])
     ranks = lattice.least_over(M._h, [range(size + 1) for size in M.block_sizes])
     idx = lattice.additive(strides[list(map(M.block_of, participants.labels))])
-    return participants, ranks[idx + strides[sblock]] - ranks[idx], fs, tol
+    return participants, ranks[idx + strides[M.block_of(secret)]] - ranks[idx], fs, tol
 
 
 def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
@@ -229,16 +235,14 @@ def _atom_rank(M: ExpandedMatroid, block: int) -> int:
 
 def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
+    fs, _ = _secret_rank(M, secret)
     if isinstance(M, ExpandedMatroid):
-        sblock = M.block_of(secret)
-        fs, exact = _atom_rank(M, sblock), True
+        sblock, exact = M.block_of(secret), True
         # every block with an atom besides the secret
         others = [_atom_rank(M, i) for i, size in enumerate(M.block_sizes) if size > (i == sblock)]
     else:
-        fs, exact = M.rank_of(secret), M.mode == "int"
+        exact = M.mode == "int"
         others = [M.value(1 << i) for i in range(M.ground.n) if M.ground.labels[i] != secret]
-    if fs == 0:
-        raise ValueError(f"secret {secret!r} has rank zero")
     if not others:
         raise ValueError("no participants besides the secret")
     top = max(others)

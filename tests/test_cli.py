@@ -878,6 +878,21 @@ class TestDenseCap:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "capped at 20 elements" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("split", "--element", "x0", "--alphas", "0,1", "--labels", "p,q"),
+        ("extend", "--element", "x0", "--alpha", "1", "--label", "z"),
+    ])
+    def test_result_past_the_cap_refused_before_the_ranks(self, capsys, tmp_path, argv):
+        """A 20-element input has no room for one more element: the ground set
+        alone decides, so an empty ranks object is not reported missing."""
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"ground": [f"x{i}" for i in range(20)],
+                                    "mode": "int", "ranks": {}}))
+        code, out, err = run(capsys, argv[0], "--in", str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == ("error: dense storage is capped at 20 elements (got 21); "
+                       "use a lazy oracle instead\n")
+
     def test_access_dual_of_64_participants(self, capsys, tmp_path):
         path = tmp_path / "wide.json"
         participants = [f"p{i}" for i in range(64)]

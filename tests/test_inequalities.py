@@ -1,11 +1,14 @@
 """Information expressions and the MMRV inequality."""
 
+import math
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from polyshare import (
     GroundSet,
-    InfoExpression,
     InfoTerm,
     Polymatroid,
     RankVector,
@@ -21,7 +24,7 @@ from polyshare import (
     uniform_matroid,
     validate_polymatroid,
 )
-from polyshare.inequalities import eval_term, mmrv_slack_expression
+from polyshare.inequalities import MMRV, MMRV_SLACK, _table_value, eval_term
 
 from generators import coverage_polymatroid, pm
 
@@ -55,17 +58,27 @@ class TestInfoTerm:
             build()
 
     def test_numpy_integer_masks_accepted(self):
-        assert mutual_information(np.int64(1), np.uint8(2), np.int32(4)).args == (1, 2)
+        term = mutual_information(np.int64(1), np.uint8(2), np.int32(4))
+        assert (term.a, term.b, term.given) == (1, 2, 4)
 
-    def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            InfoTerm("J", (1, 2))
+    def test_conditional_entropy_is_the_term_with_b_equal_to_a(self):
+        assert conditional_entropy(0b011, 0b100, coeff=2) == InfoTerm(0b011, 0b011, 0b100, 2)
+        assert mutual_information(0b011, 0b011, 0b100) == conditional_entropy(0b011, 0b100)
 
-    def test_arity_enforced(self):
-        with pytest.raises(ValueError):
-            InfoTerm("H", (1, 2))
-        with pytest.raises(ValueError):
-            InfoTerm("I", (1,))
+    @pytest.mark.parametrize("coeff", [
+        "2", None, True, False, np.True_, float("nan"), float("inf"), -math.inf,
+        np.float64("nan"), 1j, [1], 10**400, -(10**400), Fraction(10**400, 3),
+    ], ids=lambda coeff: f"{coeff!r:.20}")
+    def test_coefficient_must_be_a_finite_real(self, coeff):
+        refused = r"^coefficient .* is not a finite real number in the float range$"
+        with pytest.raises(ValueError, match=refused) as info:
+            conditional_entropy(1, coeff=coeff)
+        assert repr(coeff)[:40] in str(info.value)
+
+    @pytest.mark.parametrize("coeff", [0, -3, 2.5, np.int64(-2), np.float64(0.5),
+                                       Fraction(1, 3), 2**62 + 1])
+    def test_finite_real_coefficients_accepted(self, coeff):
+        assert mutual_information(1, 2, coeff=coeff).coeff is coeff
 
 
 class TestEval:
@@ -94,10 +107,25 @@ class TestEval:
 
     def test_expression_sums_terms(self):
         u23 = uniform_matroid(2, ("a", "b", "c"))
-        expr = InfoExpression(
-            [conditional_entropy(0b001), conditional_entropy(0b010, coeff=2)]
-        )
-        assert eval_expression(expr, u23) == 3
+        terms = [conditional_entropy(0b001), conditional_entropy(0b010, coeff=2)]
+        assert eval_expression(terms, u23) == 3
+        assert eval_expression(iter(terms), u23) == 3
+        assert eval_expression((), u23) == 0
+
+    def test_conditional_entropy_is_f_ac_minus_f_c(self):
+        """H(a|c) through the one term rule equals f(ac) - f(c) exactly, in
+        value and in type, on int and float polymatroids."""
+        rng = np.random.default_rng(41)
+        for mode in ("int", "float"):
+            for _ in range(20):
+                p = coverage_polymatroid(rng, 4, mode=mode, truncate=True)
+                for a in range(1, 16):
+                    for c in range(16):
+                        if a & c:
+                            continue
+                        got = eval_term(conditional_entropy(a, c), p)
+                        want = p.value(a | c) - p.value(c)
+                        assert got == want and type(got) is type(want)
 
     def test_every_shannon_term_nonnegative_on_random_polymatroids(self):
         rng = np.random.default_rng(31)
@@ -187,14 +215,77 @@ class TestIdentity:
     def test_slack_nonnegative_even_where_mmrv_fails(self, middle):
         d = dual(middle)
         assert mmrv(d) == -1
-        slack = eval_expression(mmrv_slack_expression(d.ground), d)
-        assert slack >= 0
+        assert _table_value(d, MMRV + MMRV_SLACK) >= 0
 
     def test_slack_nonnegative_on_random_polymatroids(self):
         rng = np.random.default_rng(53)
         for _ in range(40):
             p = coverage_polymatroid(rng, 5, mode="float", truncate=True)
-            assert eval_expression(mmrv_slack_expression(p.ground), p) >= -1e-9
+            assert _table_value(p, MMRV + MMRV_SLACK) >= -1e-9
 
     def test_identity_holds_under_role_permutation(self, m_xi):
         assert abs(mmrv_identity_residual(m_xi, roles=("e", "d", "c", "b", "a"))) <= 1e-9
+
+
+def reference_mmrv(f, a, b, c, d, e):
+    """(MMRV, identity residual) from the role masks a..e, with the seven MMRV
+    terms, the slack 3 I(a;de|bc) and the ten-term decomposition written out
+    as four-term rank sums f(xz) + f(yz) - f(xyz) - f(z), summed in order."""
+    mmrv_terms = [
+        f(a | c) + f(b | c) - f(a | b | c) - f(c),  # I(a;b|c)
+        f(b | a) + f(c | a) - f(b | c | a) - f(a),  # I(b;c|a)
+        f(c | b) + f(a | b) - f(c | a | b) - f(b),  # I(c;a|b)
+        f(b | d) + f(c | d) - f(b | c | d) - f(d),  # I(b;c|d)
+        f(b | e) + f(c | e) - f(b | c | e) - f(e),  # I(b;c|e)
+        f(d) + f(e) - f(d | e) - f(0),  # I(d;e)
+        -1 * (f(b) + f(c) - f(b | c) - f(0)),  # -I(b;c)
+    ]
+    slack = 3 * (f(a | b | c) + f(d | e | b | c) - f(a | d | e | b | c) - f(b | c))
+    decomposition = [
+        f(a | b) + f(d | b) - f(a | d | b) - f(b),  # I(a;d|b)
+        f(a | c) + f(d | c) - f(a | d | c) - f(c),  # I(a;d|c)
+        f(a | b) + f(e | b) - f(a | e | b) - f(b),  # I(a;e|b)
+        f(a | c) + f(e | c) - f(a | e | c) - f(c),  # I(a;e|c)
+        f(b | a | d) + f(c | a | d) - f(b | c | a | d) - f(a | d),  # I(b;c|ad)
+        f(b | a | e) + f(c | a | e) - f(b | c | a | e) - f(a | e),  # I(b;c|ae)
+        f(a | d | e) + f(b | c | d | e) - f(a | b | c | d | e) - f(d | e),  # I(a;bc|de)
+        f(d | a) + f(e | a) - f(d | e | a) - f(a),  # I(d;e|a)
+        f(a | b | c | d) + f(e | b | c | d) - f(a | e | b | c | d) - f(b | c | d),  # I(a;e|bcd)
+        f(a | b | c | e) + f(d | b | c | e) - f(a | d | b | c | e) - f(b | c | e),  # I(a;d|bce)
+    ]
+    return sum(mmrv_terms), sum(mmrv_terms + [slack]) - sum(decomposition)
+
+
+class TestTablesAgainstReference:
+    """``mmrv`` and ``mmrv_identity_residual`` read role tables; they must
+    equal the written-out sums exactly, in value and in Python type."""
+
+    @staticmethod
+    def check(p, roles):
+        bits = [p.ground.bit(label) for label in (roles or p.ground.labels)]
+        want = reference_mmrv(p.value, *bits)
+        got = (mmrv(p, roles), mmrv_identity_residual(p, roles))
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_permuted_roles(self, mode):
+        rng = np.random.default_rng(59 if mode == "int" else 61)
+        orders = list(permutations("abcde"))
+        for _ in range(30):
+            p = coverage_polymatroid(rng, 5, mode=mode, truncate=bool(rng.integers(2)))
+            self.check(p, None)
+            for k in rng.choice(len(orders), size=4, replace=False):
+                self.check(p, orders[k])
+
+    @pytest.mark.parametrize("mode", ["int", "float"])
+    def test_roles_on_six_elements(self, mode):
+        rng = np.random.default_rng(67 if mode == "int" else 71)
+        for _ in range(20):
+            p = coverage_polymatroid(rng, 6, mode=mode, truncate=True)
+            self.check(p, tuple(rng.permutation(p.ground.labels)[:5].tolist()))
+
+    def test_bundled_vectors(self, m_xi, middle):
+        for p in (m_xi, dual(m_xi), middle, dual(middle)):
+            self.check(p, None)
+            self.check(p, ("e", "c", "a", "d", "b"))

@@ -14,7 +14,6 @@ from polyshare.lattice import (
     least_over,
     masks,
     minimal,
-    pair,
     sizes,
     split,
     up_closure,
@@ -88,18 +87,6 @@ class TestPerMaskReferences:
             assert with_i.ravel().tolist() == a[[m | 1 << i for m in lower]].tolist()
             assert np.shares_memory(with_i, a)
             assert split(masks(n), i)[0].ravel().tolist() == lower
-
-    def test_pair_views(self, n):
-        a = np.random.default_rng(n).random(1 << n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                bi, bj = 1 << i, 1 << j
-                lower = [m for m in range(1 << n) if not m & (bi | bj)]
-                views = pair(a, i, j)
-                for view, add in zip(views, (0, bi, bj, bi | bj)):
-                    assert view.ravel().tolist() == a[[m | add for m in lower]].tolist()
-                    assert np.shares_memory(view, a)
-                assert pair(masks(n), i, j)[0].ravel().tolist() == lower
 
 
 @st.composite

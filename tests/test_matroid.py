@@ -559,7 +559,7 @@ def unit_row_sigma(E, secret):
     sblock = E.block_of(secret)
     others = [rank for i, rank in ranks.items() if not (i == sblock and E.block_sizes[i] == 1)]
     if ranks[sblock] == 0:
-        return "secret .* has rank zero"
+        return "secret .* is a loop"
     return Fraction(max(others), ranks[sblock]) if others else "no participants"
 
 
@@ -593,7 +593,7 @@ class TestAtomRanks:
             seen |= self.outcomes(helgason_expand(M, dualized))
         assert "ratio" in seen
         if dualized:  # an atom that is a loop of the dual expansion
-            assert "secret .* has rank zero" in seen
+            assert "secret .* is a loop" in seen
 
     @pytest.mark.parametrize("dualized", [False, True])
     def test_bundled_base(self, tight_pm, dualized):

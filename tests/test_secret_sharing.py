@@ -559,15 +559,15 @@ class TestSigma:
 
     def test_rank_zero_secret_rejected(self):
         M = pm({"a": 0, "b": 1, "a,b": 1})
-        with pytest.raises(ValueError, match="rank zero"):
+        with pytest.raises(ValueError, match="is a loop"):
             sigma(M, "a")
 
     def test_lonely_secret_of_rank_zero_is_a_rank_zero_error(self):
-        # both checks fail; the secret's rank is checked first
+        # both checks fail; the loop rule is checked first
         M = validate_polymatroid(
             RankVector.from_ranks(GroundSet(("a",)), {"a": 0}, "int")
         )
-        with pytest.raises(ValueError, match="rank zero"):
+        with pytest.raises(ValueError, match="is a loop"):
             sigma(M, "a")
 
     def test_lonely_secret_rejected(self):
@@ -576,6 +576,29 @@ class TestSigma:
         )
         with pytest.raises(ValueError, match="no participants"):
             sigma(M, "a")
+
+    def test_one_loop_rule_for_sigma_and_the_ports(self):
+        """A secret of rank within the decision tolerance is a loop to sigma,
+        matroid_port and realizes alike, with one message."""
+        M = pm({"s": 1e-8, "p": 1, "s,p": 1}, mode="float")
+        loop = r"^secret 's' is a loop \(rank 1e-08\); the secret must be non-trivial$"
+        with pytest.raises(ValueError, match=loop):
+            sigma(M, "s")
+        with pytest.raises(ValueError, match=loop):
+            matroid_port(M, "s")
+        with pytest.raises(ValueError, match=loop):
+            realizes(M, threshold_structure(1, ("p",)), "s")
+        assert matroid_port(M, "s", tolerance=1e-9).participants.labels == ("p",)
+
+    def test_sigma_builds_no_gap_table(self, tight_pm, monkeypatch):
+        import polyshare.secret_sharing as ss
+
+        def refuse(*args):
+            raise AssertionError("sigma built a gap table")
+
+        monkeypatch.setattr(ss, "_secret_gaps", refuse)
+        assert sigma(tight_pm, "a") == Fraction(38, 37)
+        assert sigma(helgason_expand(tight_pm), "a_1") == 1
 
     def test_unknown_expansion_secret(self, tight_pm):
         E = helgason_expand(tight_pm)
