@@ -5,9 +5,12 @@ the vector of marginal entropies always lands inside the polymatroid cone, so
 entropy_vector returns a validated Polymatroid.
 """
 
+import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,10 +123,9 @@ def _dense_ranks(keys: np.ndarray, span: int):
     if span <= COUNT_SPAN * keys.size:
         ranks = np.zeros(span, dtype=np.int64)
         ranks[keys] = 1
-        np.cumsum(ranks, out=ranks)  # in int64 throughout: no cast from bool
-        count = int(ranks[-1])
-        ranks -= 1
-        return ranks[keys], count
+        ranks[0] -= 1  # so the cumulative sum counts the occupied keys below each
+        np.add.accumulate(ranks, out=ranks)  # in int64 throughout: no cast from bool
+        return ranks[keys], int(ranks[-1]) + 1
     uniq, inverse = np.unique(keys, return_inverse=True)
     return inverse.reshape(keys.shape), uniq.shape[0]
 
@@ -140,25 +142,15 @@ def _codes(column: np.ndarray):
 def _labels(rows: np.ndarray):
     """Lexicographic rank of each row among the distinct rows, and their count.
 
-    A row is read as a mixed-radix number, first column most significant,
-    each digit its value less the column's least.  Where the next digit
-    would take the number past int64, the labels so far are replaced by
-    their ranks, and a column too wide even then by its value codes.
+    Column by column, first column most significant: each label so far is
+    extended by the column's value code and the pairs are ranked again, so
+    no key exceeds rows * rows.
     """
     labels, count = np.zeros(rows.shape[0], dtype=np.int64), 1
-    lows, highs = rows.min(axis=0).tolist(), rows.max(axis=0).tolist()
-    for column, low, high in zip(rows.T, lows, highs):
-        span = high - low + 1
-        if count * span > INT64_MAX and count > 1:
-            labels, count = _dense_ranks(labels, count)
-        if count * span > INT64_MAX:
-            digits, span = _codes(column)
-        else:
-            digits = column - low
-        labels *= span
-        labels += digits
-        count *= span
-    return _dense_ranks(labels, count)
+    for column in rows.T:
+        codes, card = _codes(column)
+        labels, count = _dense_ranks(labels * card + codes, count * card)
+    return labels, count
 
 
 def marginal(d: JointDistribution, A: int) -> JointDistribution:
@@ -173,16 +165,82 @@ def marginal(d: JointDistribution, A: int) -> JointDistribution:
     return JointDistribution(GroundSet(d.variables.labels_of(A)), rows[first], summed)
 
 
+class _Plan(NamedTuple):
+    """The batches of entropy_vector's walk: read-only, flat and narrow."""
+
+    batches: np.ndarray  # per batch: end of its children, first parent's slot, children pushed
+    parent: np.ndarray  # per child in batch order: parent's slot less the batch's first (int16)
+    column: np.ndarray  # the column the child adds (int8)
+    mask: np.ndarray  # the child's subset (int32)
+    depth: int  # most slots the stack holds
+    widest: int  # most children of one batch
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(n: int, width: int) -> _Plan:
+    """The walk over the subsets of n columns, in batches of at most width
+    children (at least one parent each).
+
+    A stack of slots holds the subsets still to expand, the empty set first.
+    A batch takes the most slots from the top whose children number at most
+    width, at least one, so it may draw on the children of several earlier
+    batches.  Its children add one column above their parent's highest: the
+    children below column n - 1 first, parent by parent, then one child per
+    parent on column n - 1, which has no children of its own.  The former
+    take over the batch's slots, so the top of the stack holds the subsets
+    with the fewest children.
+    """
+    total = (1 << n) - 1
+    parent = np.empty(total, np.int16)
+    column = np.empty(total, np.int8)
+    mask = np.empty(total, np.int32)
+    # the subsets on the stack, masks and highest columns: only those without
+    # column n - 1 are pushed, at most 2^(n-1) with the empty set
+    masks = np.zeros(max(1, total + 1 >> 1), np.int32)
+    tops = np.full(masks.shape, -1, np.int8)
+    batches, end, top, depth, widest = [], 0, int(n > 0), 1, 0
+    while top:
+        # every slot has a child, so the top width + 1 slots decide the batch
+        fans = n - 1 - tops[max(0, top - width - 1) : top][::-1]
+        base = top - max(1, int(np.searchsorted(np.cumsum(fans), width, side="right")))
+        k = top - base
+        highest = tops[base:top].astype(np.int64)
+        inner = n - 2 - highest  # children below column n - 1, per parent
+        push = int(inner.sum())
+        cols = np.arange(push) - np.repeat(np.cumsum(inner) - inner - highest - 1, inner)
+        par = np.concatenate([np.repeat(np.arange(k), inner), np.arange(k)])
+        col = np.concatenate([cols, np.full(k, n - 1)])
+        stop = end + par.shape[0]
+        parent[end:stop], column[end:stop] = par, col
+        mask[end:stop] = masks[base:top][par] | 1 << col
+        masks[base : base + push], tops[base : base + push] = mask[end : end + push], cols
+        batches.append((stop, base, push))
+        widest = max(widest, stop - end)
+        end, top = stop, base + push
+        depth = max(depth, top)
+    for a in (parent, column, mask):
+        a.setflags(write=False)
+    table = np.array(batches, dtype=np.int32).reshape(-1, 3)
+    table.setflags(write=False)
+    return _Plan(table, parent, column, mask, depth, widest)
+
+
 def entropy_vector(d: JointDistribution) -> Polymatroid:
     """H of every marginal, as a float-mode polymatroid (always valid).
 
-    Depth first over batches of subsets.  A batch is expanded into all of
-    its children at once, each child adding one column above its parent's
-    highest, and one _dense_ranks call labels every child's rows from its
-    parent's labels.  A batch expands into at most BATCH_CELLS label cells
-    (children x rows), or into one subset's children where those alone take
-    more, and the stack holds one batch's children per level, so the labels
-    held at any time take O(n * (BATCH_CELLS + n * rows)) cells.
+    Depth first over batches of subsets, on the plan that _plan builds once
+    per n and width = BATCH_CELLS // rows and keeps: which subsets on the
+    stack a batch expands, each child's parent, column and mask.  Widths of
+    C(n, n // 2) or more give one plan, as no batch can be wider.  A batch is
+    expanded into all of its children at once, each child adding one column
+    above its parent's highest, and one _dense_ranks call labels every
+    child's rows from its parent's labels.  A batch fills from the top of the
+    stack, across the children of as many earlier batches as fit: at most
+    BATCH_CELLS label cells (children x rows), or one subset's children where
+    those alone take more.  Children on column n - 1 have none and are not
+    pushed; the others take over their parents' slots of one (depth x rows)
+    label array, so the labels held take O(n * (BATCH_CELLS + n * rows))
+    cells, and the plan about 7 bytes per subset.
 
     Zero-probability rows are dropped first.  bincount adds their 0.0 to a
     group's mass exactly, so every group of positive mass keeps its mass and
@@ -191,7 +249,8 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
     labels' masses, and a batch puts child k's run left-aligned in row k of
     a (children x longest run) grid and sums every row in one np.add.reduce
     masked to the filled cells.  numpy runs its pairwise add loop once per
-    unmasked run, so each sum is that of np.add.reduce over the run alone.
+    unmasked run, so each sum is that of np.add.reduce over the run alone,
+    whatever batch the child falls in.
     """
     check_dense(d.variables)
     n = d.variables.n
@@ -202,20 +261,22 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
     coded = [_codes(outcomes[:, j]) for j in range(n)]
     codes = np.array([c for c, _ in coded], dtype=np.int64)
     cards = np.array([k for _, k in coded], dtype=np.int64)
-    # a batch has at most max(BATCH_CELLS // rows, n) children
-    weights = np.tile(probs, max(BATCH_CELLS // rows, n))
-
-    def expand(masks, tops, labels, counts):
-        """Write the entropies of a batch's children; return the children."""
-        fan = n - 1 - tops
-        parent = np.repeat(np.arange(masks.shape[0]), fan)
-        column = np.arange(parent.shape[0]) - np.repeat(np.cumsum(fan) - fan - tops - 1, fan)
-        spans = counts[parent] * cards[column]
+    plan = _plan(n, min(BATCH_CELLS // rows, math.comb(n, n // 2)))
+    weights = np.tile(probs, plan.widest)
+    # the stack: each slot's row labels and label count, the empty set first
+    labels = np.empty((plan.depth, rows), dtype=np.int64)
+    counts = np.empty(plan.depth, dtype=np.int64)
+    labels[0], counts[0] = 0, 1
+    start = 0
+    for stop, base, push in plan.batches.tolist():
+        parent, column = plan.parent[start:stop], plan.column[start:stop]
+        card = cards[column]
+        spans = counts[base:][parent] * card
         # the children's keys occupy disjoint ranges, in child order
-        keys = labels[parent]
-        keys *= cards[column, None]
+        keys = labels[base:][parent]
+        keys *= card[:, None]
         keys += codes[column]
-        keys += (np.cumsum(spans) - spans)[:, None]
+        keys += (spans.cumsum() - spans)[:, None]
         ranks, total = _dense_ranks(keys, int(spans.sum()))
         del keys
         terms = np.bincount(ranks.ravel(), weights=weights[: ranks.size])
@@ -223,7 +284,6 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
         # each child's labels are a run of ranks from its least one on, up
         # to the next child's least (np.diff with append= costs more here)
         first = ranks.min(axis=1)
-        ranks -= first[:, None]
         sizes = -first
         sizes[:-1] += first[1:]
         sizes[-1] += total
@@ -231,22 +291,10 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
         filled = np.arange(sizes.max()) < sizes[:, None]
         grid = np.zeros(filled.shape)
         grid[filled] = terms
-        children = masks[parent] | np.left_shift(1, column)
-        values[children] = -np.add.reduce(grid, axis=1, where=filled)
-        return children, column, ranks, sizes
-
-    # each entry: subsets' masks, highest columns, row labels and label counts
-    stack = [(np.zeros(1, np.int64), np.full(1, -1), np.zeros((1, rows), np.int64), np.ones(1, np.int64))]
-    while stack:
-        masks, tops, labels, counts = stack.pop()
-        # the batch is the longest run of subsets, at least one, whose
-        # children take at most BATCH_CELLS cells; the rest waits its turn
-        reach = np.cumsum(n - 1 - tops) * rows
-        take = max(1, int(np.searchsorted(reach, BATCH_CELLS, side="right")))
-        if take < masks.shape[0]:
-            stack.append((masks[take:], tops[take:], labels[take:], counts[take:]))
-        if reach[take - 1]:
-            stack.append(expand(masks[:take], tops[:take], labels[:take], counts[:take]))
+        values[plan.mask[start:stop]] = -np.add.reduce(grid, axis=1, where=filled)
+        np.subtract(ranks[:push], first[:push, None], out=labels[base : base + push])
+        counts[base : base + push] = sizes[:push]
+        start = stop
     return validate_polymatroid(RankVector(d.variables, values, "float"))
 
 

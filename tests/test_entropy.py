@@ -360,6 +360,59 @@ class TestAgainstReferences:
         assert glued.outcomes.tolist() == [[1, 5], [1, -5], [1, 0], [0, 5], [0, -5], [0, 0]]
 
 
+def distinct_rows(rng, n, rows):
+    """rows distinct outcome rows on n variables, all of positive
+    probability, so that the walk's width is BATCH_CELLS // rows."""
+    out = rng.integers(0, 3, size=(rows, n))
+    out[:, 0] = rng.permutation(rows)
+    probs = rng.random(rows) + 0.05
+    return JointDistribution(ground(n), out, probs / probs.sum())
+
+
+class TestPlan:
+    """The walk follows one plan per n and width, built once; every batch of
+    it gives the per-subset reference's bits."""
+
+    def test_batches_draw_on_several_earlier_batches(self):
+        d = wide_distribution(np.random.default_rng(91), 10, 400)
+        plan = entropy._plan(10, BATCH_CELLS // int(np.count_nonzero(d.probs)))
+        assert np.array_equal(np.sort(plan.mask), np.arange(1, 1 << 10))
+        # the batch that pushed each slot; the empty set's is none
+        owner = np.full(plan.depth, -1)
+        start, mixed = 0, 0
+        for b, (stop, base, push) in enumerate(plan.batches.tolist()):
+            mixed += np.unique(owner[base + plan.parent[start:stop]]).size > 1
+            owner[base : base + push] = b
+            start = stop
+        assert mixed >= 10
+        assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+
+    def test_same_shape_reuses_the_plan(self):
+        rng = np.random.default_rng(92)
+        entropy._plan.cache_clear()
+        for _ in range(2):
+            d = distinct_rows(rng, 8, 300)
+            assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+        info = entropy._plan.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_width_change_builds_another_plan(self):
+        rng = np.random.default_rng(93)
+        entropy._plan.cache_clear()
+        for rows in (300, 260, 600):  # widths 54, 63 and 27, all below C(8, 4)
+            d = distinct_rows(rng, 8, rows)
+            assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+        assert entropy._plan.cache_info().misses == 3
+        # at n=5 no batch holds more than C(5, 2) = 10 children, so widths
+        # 109 and 65 give the same plan
+        for rows in (150, 250):
+            d = distinct_rows(rng, 5, rows)
+            assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
+        info = entropy._plan.cache_info()
+        assert (info.hits, info.misses) == (1, 4)
+        assert entropy._plan(5, 10).widest == 10
+
+
 class TestSummation:
     """Each entropy is one masked reduce over a grid row after the
     zero-probability rows are dropped; both must leave every bit as the
@@ -411,9 +464,9 @@ class TestSummation:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [13, 14])
+@pytest.mark.parametrize("n", [13, 14, 16])
 def test_entropy_vector_sweep_wide(n):
-    """n=13 and n=14 against the per-subset reference, exactly, with
+    """n=13, n=14 and n=16 against the per-subset reference, exactly, with
     zero-probability rows and wide-valued columns."""
     d = wide_distribution(np.random.default_rng(n), n, 300)
     assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
@@ -458,18 +511,21 @@ class TestDenseRanks:
 def test_entropy_vector_memory_is_bounded():
     """At n=16 and 300 rows a single level's labels would take
     C(16, 8) * 300 * 8 B, about 31 MB.  The batched walk holds the values,
-    one batch's children per level and a few batch-sized temporaries."""
+    the stack's labels and a few batch-sized temporaries; the first call
+    also builds the plan, 7 B per subset."""
     n, rows = 16, 300
     d = wide_distribution(np.random.default_rng(16), n, rows)
     batch = 8 * max(BATCH_CELLS, n * rows)
-    tracemalloc.start()
-    try:
-        entropy_vector(d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (1 << n) + (n + 10) * batch  # about 3.9 MB
-    assert peak < 31e6 / 8  # an eighth of one level's labels
+    entropy._plan.cache_clear()
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            entropy_vector(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (1 << n) + (n + 10) * batch  # about 3.9 MB
+        assert peak < 31e6 / 8  # an eighth of one level's labels
 
 
 class TestMarginal:
