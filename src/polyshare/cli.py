@@ -172,9 +172,9 @@ def cmd_access_dual(args) -> tuple:
     with open(args.infile) as fh:
         doc = json.load(fh)
     base_dir = os.path.dirname(os.path.abspath(args.infile))
+    structure = access_structure_from_json(doc, base_dir)  # a pointer's port is built, so checked
     expanded = expanded_port_spec(doc)
     if expanded is None:
-        structure = access_structure_from_json(doc, base_dir)
         return 0, dual_structure(structure), None
     base_file, dualized, secret = expanded
     base_file = _relative_to_out(os.path.join(base_dir, base_file), args.out)

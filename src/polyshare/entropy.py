@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import GroundSet, RankVector, check_dense, json_field
+from .core import GroundSet, RankVector, check_dense, check_mask, json_field
 from .polymatroid import Polymatroid, validate_polymatroid
 
 SUM_TOL = 1e-9
@@ -98,6 +98,9 @@ def distribution_from_json(doc: dict) -> JointDistribution:
         prob = json_field(row, "prob", (int, float), f"distribution row {i}")
         if not all(type(v) is int for v in values):
             raise ValueError(f"distribution row {i} field 'values' must hold integers")
+        if len(values) != variables.n:
+            raise ValueError(f"distribution row {i} field 'values' holds {len(values)} values "
+                             f"for {variables.n} variables")
         outcomes.append(values)
         probs.append(prob)
     return JointDistribution(variables, outcomes, probs)
@@ -155,6 +158,7 @@ def _labels(rows: np.ndarray):
 
 def marginal(d: JointDistribution, A: int) -> JointDistribution:
     """Distribution of the variables in A, other coordinates summed out."""
+    check_mask(d.variables, A)
     if A == 0:
         raise ValueError("marginal over the empty set is not defined")
     rows = d.outcomes[:, _columns(d, A)]

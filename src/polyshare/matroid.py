@@ -8,11 +8,12 @@ and the query syntax to per-block counts.
 """
 
 import operator
+from itertools import accumulate
 
 import numpy as np
 
 from . import lattice
-from .core import DuplicateLabel, ModeError, RankVector, UnknownLabel
+from .core import MAX_DENSE_ELEMENTS, DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel
 from .polymatroid import Polymatroid, dual
 
 # at about 123 B per entry, the rank_of_counts memo stays under ~8 MB
@@ -88,6 +89,8 @@ class ExpandedMatroid:
         bits ^= 1
         self._rows.setflags(write=False)
         self._h = self._rows[0]
+        # an atom's rank: the least h(A) + [i not in A], at A = {} or {i} as h is monotone
+        self.atom_ranks = tuple(min(1, int(self._h[1 << i])) for i in range(ground.n))
         self._memo: dict[tuple[int, ...], int] = {}
 
     @property
@@ -173,6 +176,34 @@ class ExpandedMatroid:
 
     def rank(self, S) -> int:
         return self.rank_of_counts(self.counts_of(S))
+
+    def port(self, secret: str):
+        """(participants, answer) of the port at the atom ``secret``, whose
+        participants are the other atoms, block by block.  Up to
+        MAX_DENSE_ELEMENTS of them, the answer is the gap r(secret + S) - r(S)
+        of every participant mask S, read off the count-space rank grid
+        ``lattice.least_over(h, [range(s_i + 1)])``; past that, the test of
+        r(secret + S) = r(S): (2, 2C) plus 1 at 1 + b times ``_rows`` is
+        2(h(A) + C(E - A)) + [b not in A] (at most 2 * n_elements + 1), and S
+        passes iff some A holding b attains the rank, iff the least term is even."""
+        sblock = self.block_of(secret)
+        participants = GroundSet(tuple(name for name in self.element_names if name != secret))
+        counts = [size - (i == sblock) for i, size in enumerate(self.block_sizes)]
+        if participants.n <= MAX_DENSE_ELEMENTS:
+            strides = np.cumprod([1] + [size + 1 for size in self.block_sizes[:-1]])
+            ranks = lattice.least_over(self._h, [range(size + 1) for size in self.block_sizes])
+            idx = lattice.additive(np.repeat(strides, counts))
+            return participants, ranks[idx + strides[sblock]] - ranks[idx]
+        block_masks = [(1 << end) - (1 << end - c) for end, c in zip(accumulate(counts), counts)]
+        rows = self._rows
+
+        def member(mask: int) -> bool:
+            row = [2, *[(mask & bm).bit_count() << 1 for bm in block_masks]]
+            row[1 + sblock] += 1
+            terms = row @ rows
+            return not terms[terms.argmin()] & 1
+
+        return participants, member
 
 
 def helgason_expand(M: Polymatroid, dualized: bool = False) -> ExpandedMatroid:

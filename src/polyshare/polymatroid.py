@@ -33,21 +33,14 @@ from .core import (
 
 VALIDATION_TOL = 1e-9
 DECISION_TOL = 1e-6
+ROUNDING_TOL = 1e-3
 
 
-def default_validation_tol(mode: str):
-    return 0 if mode == "int" else VALIDATION_TOL
-
-
-def default_decision_tol(mode: str):
-    return 0 if mode == "int" else DECISION_TOL
-
-
-def resolve_tol(tolerance, default):
-    """``tolerance`` as a float, or ``default`` for None; only what
-    ``_require_mode_value`` takes as a float passes."""
+def resolve_tol(tolerance, default, mode: str):
+    """``tolerance`` as a float; for None, 0 in int mode (exact) and else
+    ``default``.  Only what ``_require_mode_value`` takes as a float passes."""
     if tolerance is None:
-        return default
+        return 0 if mode == "int" else default
     try:
         return _require_mode_value("float", tolerance, "tolerance")
     except ValueError:
@@ -127,7 +120,7 @@ class Polymatroid:
 def check_polymatroid(rank: RankVector, tolerance=None) -> list[Violation]:
     """Every violated elemental inequality, empty list when rank is valid:
     the monotone ones by element, then the submodular ones by pair and subset."""
-    tol = resolve_tol(tolerance, default_validation_tol(rank.mode))
+    tol = resolve_tol(tolerance, VALIDATION_TOL, rank.mode)
     g, full, f = rank.ground, rank.ground.full_mask, rank.value
     monotone, submodular = [], []
     for i in range(g.n):
@@ -180,13 +173,13 @@ def tighten(M: Polymatroid) -> Polymatroid:
 
 
 def is_tight(M: Polymatroid) -> bool:
-    return bool((np.abs(_private(M)) <= default_decision_tol(M.mode)).all())
+    return bool((np.abs(_private(M)) <= resolve_tol(None, DECISION_TOL, M.mode)).all())
 
 
 def is_connected(M: Polymatroid):
     """(True, None), or (False, (A, B)) for the first proper bipartition with
     f(A) + f(B) = f(M) within the mode's decision tolerance."""
-    tol = default_decision_tol(M.mode)
+    tol = resolve_tol(None, DECISION_TOL, M.mode)
     n = M.ground.n
     if n == 1:
         return True, None
@@ -267,7 +260,7 @@ def split_atom(M: Polymatroid, a: str, alpha1, alpha2, labels) -> Polymatroid:
     ha = M.value(1 << k)
     a1 = _require_mode_value(M.mode, alpha1, "alpha1")
     a2 = _require_mode_value(M.mode, alpha2, "alpha2")
-    if abs((a1 + a2) - ha) > default_validation_tol(M.mode):
+    if abs((a1 + a2) - ha) > resolve_tol(None, VALIDATION_TOL, M.mode):
         raise ValueError(f"alpha1 + alpha2 = {a1 + a2} but f({a}) = {ha}")
     new_ground = GroundSet(ground.labels[:k] + (l1, l2) + ground.labels[k + 1 :])
     h_plain, h_with = lattice.split(M.values, k)
@@ -321,9 +314,9 @@ def round_to_integer(rank: RankVector, residual_tol=None) -> RankVector:
     """Snap a float vector onto the integers and validate it exactly.
 
     Raises ResidualTooLarge when any value sits further than residual_tol
-    (default 1e-3) from an integer, naming the worst subset.
+    (default ROUNDING_TOL) from an integer, naming the worst subset.
     """
-    residual_tol = resolve_tol(residual_tol, 1e-3)
+    residual_tol = resolve_tol(residual_tol, ROUNDING_TOL, "float")
     vals = np.asarray(rank.values, dtype=np.float64)
     rounded = np.rint(vals)
     resid = np.abs(vals - rounded)
@@ -343,4 +336,5 @@ def uniform_matroid(k: int, labels) -> Polymatroid:
         raise ValueError(f"uniform matroid rank k must be an integer >= 0, got {k!r}")
     ground = GroundSet(labels)
     check_dense(ground)
+    k = min(int(k), ground.n)  # the same ranks, and no k past int64 reaches numpy
     return Polymatroid(RankVector(ground, np.minimum(lattice.sizes(ground.n), k), "int"))

@@ -18,6 +18,7 @@ from .entropy import distribution_from_json, entropy_vector
 from .inequalities import mmrv
 from .matroid import block_collapse, expanded_mmrv, helgason_expand
 from .polymatroid import (
+    ROUNDING_TOL,
     basis_r,
     dual,
     linear_combine,
@@ -30,7 +31,6 @@ MMRV_ENTROPY_EXPECTED = 0.108494
 MMRV_ENTROPY_TOL = 1e-4
 MMRV_DUAL_EXPECTED = -0.0715364
 MMRV_DUAL_TOL = 1e-5
-ROUNDING_TOL = 1e-3
 LEFT_COLUMN_TOL = 1e-4
 EXPANSION_SIZE = 175
 

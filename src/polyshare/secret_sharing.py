@@ -26,7 +26,7 @@ from .core import (
     load_rank_vector,
 )
 from .matroid import ExpandedMatroid, helgason_expand
-from .polymatroid import default_decision_tol, resolve_tol, validate_polymatroid
+from .polymatroid import DECISION_TOL, resolve_tol, validate_polymatroid
 
 
 class AccessStructure:
@@ -142,14 +142,14 @@ def minimal_qualified(A: AccessStructure) -> list[int]:
 def _secret_rank(M, secret: str, tolerance=None):
     """(f(secret), tolerance) of a dense polymatroid or an expansion M, and the
     one loop rule: a secret of rank within the tolerance is refused.  An
-    expansion is exact and takes no tolerance; its secret has the
-    ``_atom_rank`` of its block."""
+    expansion is exact and takes no tolerance; its secret has the atom rank
+    of its block."""
     if isinstance(M, ExpandedMatroid):
         if tolerance is not None:
             raise ValueError(f"an expansion is exact and takes no tolerance, got {tolerance}")
-        tol, fs = 0, _atom_rank(M, M.block_of(secret))
+        tol, fs = 0, M.atom_ranks[M.block_of(secret)]
     else:
-        tol, fs = resolve_tol(tolerance, default_decision_tol(M.mode)), M.rank_of(secret)
+        tol, fs = resolve_tol(tolerance, DECISION_TOL, M.mode), M.rank_of(secret)
     if fs <= tol:
         raise ValueError(f"secret {secret!r} is a loop (rank {fs}); the secret must be non-trivial")
     return fs, tol
@@ -158,51 +158,26 @@ def _secret_rank(M, secret: str, tolerance=None):
 def _secret_gaps(M, secret: str, tolerance):
     """(participants, gaps, f(secret), tolerance) of M and a secret that
     ``_secret_rank`` takes: the participants are M's elements but the secret,
-    and the gaps f(secret + S) - f(S) for every participant mask S (None past
-    MAX_DENSE_ELEMENTS participants).  An expansion's gaps compare the
-    count-space rank grid ``lattice.least_over(h, [range(s_i + 1)])`` at each
-    mask's counts with one stride of the secret's block further."""
+    and the gaps f(secret + S) - f(S) for every participant mask S; past
+    MAX_DENSE_ELEMENTS participants of an expansion, its membership test
+    ``ExpandedMatroid.port`` gives in their place."""
     fs, tol = _secret_rank(M, secret, tolerance)
-    labels = M.element_names if isinstance(M, ExpandedMatroid) else M.ground.labels
-    participants = GroundSet(tuple(label for label in labels if label != secret))
-    if not isinstance(M, ExpandedMatroid):
-        without, with_secret = lattice.split(M.values, M.ground.index(secret))
-        return participants, (with_secret - without).ravel(), fs, tol
-    if participants.n > MAX_DENSE_ELEMENTS:
-        return participants, None, fs, tol
-    strides = np.cumprod([1] + [size + 1 for size in M.block_sizes[:-1]])
-    ranks = lattice.least_over(M._h, [range(size + 1) for size in M.block_sizes])
-    idx = lattice.additive(strides[list(map(M.block_of, participants.labels))])
-    return participants, ranks[idx + strides[M.block_of(secret)]] - ranks[idx], fs, tol
+    if isinstance(M, ExpandedMatroid):
+        return *M.port(secret), fs, tol
+    participants = GroundSet(tuple(label for label in M.ground.labels if label != secret))
+    without, with_secret = lattice.split(M.values, M.ground.index(secret))
+    return participants, (with_secret - without).ravel(), fs, tol
 
 
 def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
     """Access structure {S : f(secret + S) = f(S)}: a table of the gaps of
-    ``_secret_gaps`` within the tolerance, else a membership oracle.  A
-    secret with private information leaves the full set unqualified, which
-    the structure invariants reject.
-
-    The oracle keeps no table of its own: the row (2, 2C) plus 1 at 1 + b
-    times the expansion's ``_rows`` is 2(h(A) + C(E - A)) + [b not in A], and
-    S is qualified iff some A holding b attains the rank, iff the least term
-    is even.  int64 holds every term, at most 2 * n_elements + 1 with every
-    atom's name in memory.
-    """
+    ``_secret_gaps`` within the tolerance, else the membership test given in
+    their place.  A secret with private information leaves the full set
+    unqualified, which the structure invariants reject."""
     participants, gaps, _, tol = _secret_gaps(M, secret, tolerance)
-    if gaps is not None:
-        return AccessStructure(participants, qualified=np.abs(gaps) <= tol)
-    sblock = M.block_of(secret)
-    block_masks = [0] * M.base.ground.n
-    for i, name in enumerate(participants.labels):
-        block_masks[M.block_of(name)] |= 1 << i
-
-    def member(mask: int) -> bool:
-        row = [2, *[(mask & bm).bit_count() << 1 for bm in block_masks]]
-        row[1 + sblock] += 1
-        terms = row @ M._rows
-        return not terms[terms.argmin()] & 1
-
-    return AccessStructure(participants, oracle=member)
+    if callable(gaps):
+        return AccessStructure(participants, oracle=gaps)
+    return AccessStructure(participants, qualified=np.abs(gaps) <= tol)
 
 
 def realizes(M, A: AccessStructure, secret: str, tolerance=None):
@@ -214,7 +189,7 @@ def realizes(M, A: AccessStructure, secret: str, tolerance=None):
     and the counterexample is the smallest failing mask.
     """
     participants, gaps, fs, tol = _secret_gaps(M, secret, tolerance)
-    if gaps is None:
+    if callable(gaps):
         raise ValueError(f"a port on more than {MAX_DENSE_ELEMENTS} participants "
                          "cannot be checked set by set")
     if participants.labels != A.participants.labels:
@@ -228,18 +203,13 @@ def realizes(M, A: AccessStructure, secret: str, tolerance=None):
     return True, None
 
 
-def _atom_rank(M: ExpandedMatroid, block: int) -> int:
-    """An atom's rank: least h(A) + [block not in A], at A = {} or {block} as h is monotone."""
-    return min(1, int(M._h[1 << block]))
-
-
 def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
     fs, _ = _secret_rank(M, secret)
     if isinstance(M, ExpandedMatroid):
         sblock, exact = M.block_of(secret), True
         # every block with an atom besides the secret
-        others = [_atom_rank(M, i) for i, size in enumerate(M.block_sizes) if size > (i == sblock)]
+        others = [M.atom_ranks[i] for i, size in enumerate(M.block_sizes) if size > (i == sblock)]
     else:
         exact = M.mode == "int"
         others = [M.value(1 << i) for i in range(M.ground.n) if M.ground.labels[i] != secret]

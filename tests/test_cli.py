@@ -438,9 +438,29 @@ class TestPortCommands:
         flipped_file = str(tmp_path / "flipped.json")
         code, _, _ = run(capsys, "access-dual", "--in", port_file, "--out", flipped_file)
         assert code == 0
-        doc = read_json(flipped_file)
-        assert doc["port"]["expanded"]["dualized"] is True
-        assert doc["port"]["secret"] == "a_1"
+        want = json.dumps(expanded_port_doc("base.json", True, "a_1"), indent=1) + "\n"
+        with open(flipped_file) as fh:
+            assert fh.read() == want
+
+    @pytest.mark.parametrize("base, secret, code", [
+        ("missing.json", "a_1", 2),
+        ("base.json", "zz_1", 2),
+        ("base.json", "a_99", 2),
+        ("left.json", "a_1", 1),
+    ])
+    def test_expanded_access_dual_refuses_what_port_refuses(self, capsys, tmp_path, base, secret,
+                                                             code):
+        """A pointer to a missing or invalid base, or to an atom the base
+        has not, exits as ``port --expanded`` does on it and writes no file."""
+        save_rank_vector(pm({"a": 2, "b": 2, "a,b": 3}).rank, tmp_path / "base.json")
+        (tmp_path / "left.json").write_text(json.dumps(fixture_doc("table2_left.json")))
+        pointer = tmp_path / "pointer.json"
+        pointer.write_text(json.dumps(expanded_port_doc(base, False, secret)))
+        out = tmp_path / "out.json"
+        assert run(capsys, "port", "--in", str(tmp_path / base), "--secret", secret,
+                   "--expanded", "--out", str(out))[0] == code
+        assert run(capsys, "access-dual", "--in", str(pointer), "--out", str(out))[0] == code
+        assert not out.exists()
 
     def test_realizes_failure_prints_witness(self, capsys, tmp_path, u23_file):
         access_file = str(tmp_path / "access.json")

@@ -1,5 +1,6 @@
 """Distributions, entropy vectors, and the max-entropy gluing."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -260,6 +261,11 @@ class TestJointDistribution:
         ({"variables": ["a"], "rows": [{"values": [0], "prob": 10**400}]}, "must be finite"),
         ({"variables": ["a"], "rows": [{"values": [2**63], "prob": 1}]}, "64-bit signed"),
         ({"variables": ["a"], "rows": [{"values": [-(2**63) - 1], "prob": 1}]}, "64-bit signed"),
+        ({"variables": ["a", "b"], "rows": [{"values": [0, 1], "prob": 0.5},
+                                            {"values": [1], "prob": 0.5}]},
+         "row 1 field 'values' holds 1 values for 2 variables"),
+        ({"variables": ["a", "b"], "rows": [{"values": [0, 1, 0], "prob": 1}]},
+         "row 0 field 'values' holds 3 values for 2 variables"),
     ])
     def test_malformed_document_names_the_field(self, doc, field):
         with pytest.raises(ValueError, match=field):
@@ -548,6 +554,12 @@ class TestMarginal:
     def test_empty_mask_rejected(self, table1):
         with pytest.raises(ValueError):
             marginal(table1, 0)
+
+    @pytest.mark.parametrize("mask", [0b1001, -1, True, 8, 1.0])
+    def test_mask_off_the_variables_is_refused(self, mask):
+        """No bit past the variables is dropped, and no bool or float counts as a mask."""
+        with pytest.raises(ValueError, match=re.escape(f"mask {mask!r} is not a subset")):
+            marginal(fair_bits("abc"), mask)
 
 
 class TestConditionalProduct:

@@ -18,6 +18,7 @@ from polyshare import (
     RankVector,
     UnknownLabel,
     block_collapse,
+    check_polymatroid,
     circuit_connected,
     circuits,
     dual,
@@ -28,6 +29,7 @@ from polyshare import (
     is_qualified,
     matroid_port,
     mmrv,
+    realizes,
     sigma,
     uniform_matroid,
     validate_polymatroid,
@@ -421,6 +423,86 @@ class TestPortsAtTheDenseCap:
             keep = rng.random()
             mask = sum(1 << i for i in range(20) if rng.random() < keep)
             assert is_qualified(A, mask) == reference_member(E, "x0_2", mask), mask
+
+
+def small_polymatroids() -> list[Polymatroid]:
+    """Every integer polymatroid on a, b, c with f(E) <= 3: the candidates
+    with values 0..3 off the empty set that pass the elemental inequalities."""
+    g = GroundSet(("a", "b", "c"))
+    ranks = (RankVector(g, (0, *v), "int") for v in itertools.product(range(4), repeat=7))
+    return [Polymatroid(rank) for rank in ranks if not check_polymatroid(rank)]
+
+
+def dense_expansion_ranks(E) -> np.ndarray:
+    """Rank of every subset of E's atoms from the definition: min over the
+    base subsets A of h(A) + the atoms outside the blocks of A, then, for a
+    dualized E, |T| + r(atoms - T) - r(atoms)."""
+    blocks = np.array([E.block_of(name) for name in E.element_names], dtype=np.int64)
+    atoms = np.arange(1 << blocks.size)[:, None] >> np.arange(blocks.size) & 1
+    base = np.arange(1 << E.base.ground.n)
+    outside = (base[:, None] >> blocks & 1) == 0  # [A, atom]: is the atom outside A's blocks
+    plain = (E.base.values + atoms @ outside.T).min(axis=1)
+    if not E.dualized:
+        return plain
+    return atoms.sum(axis=1) + plain[::-1] - plain[-1]
+
+
+class TestPortCatalogue:
+    """Every port of both orientations of the expansion of each of the 127
+    integer polymatroids on 3 elements with f(E) <= 3, at every atom of rank
+    1 of an expansion of at least 2 atoms, against a dense expansion."""
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        return small_polymatroids()
+
+    @pytest.fixture(scope="class")
+    def catalogue(self, bases):
+        found = []
+        for M in bases:
+            for E in (helgason_expand(M), helgason_expand(M, dualized=True)):
+                if E.n_elements < 2:
+                    continue
+                r = dense_expansion_ranks(E)
+                for j, secret in enumerate(E.element_names):
+                    if r[1 << j] == 1:
+                        low = np.arange(1 << (E.n_elements - 1))  # participant masks as atom masks
+                        S = (low & ((1 << j) - 1)) | ((low >> j) << (j + 1))
+                        found.append((E, secret, r[S | 1 << j] - r[S]))
+        return found
+
+    def test_sizes(self, bases, catalogue):
+        assert len(bases) == 127
+        assert len(catalogue) == 1074
+
+    def test_atom_ranks(self, bases):
+        for M in bases:
+            for E in (helgason_expand(M), helgason_expand(M, dualized=True)):
+                r = dense_expansion_ranks(E)
+                for i, label in enumerate(M.ground.labels):
+                    if E.block_sizes[i]:
+                        assert E.atom_ranks[i] == r[1 << E.element_names.index(f"{label}_1")]
+
+    def test_gaps(self, catalogue):
+        for E, secret, gaps in catalogue:
+            participants, got = E.port(secret)
+            assert participants.labels == tuple(a for a in E.element_names if a != secret)
+            assert got.tolist() == gaps.tolist(), (E.base.values, E.dualized, secret)
+
+    def test_membership(self, catalogue):
+        with mock.patch.object(matroid, "MAX_DENSE_ELEMENTS", 0):
+            for E, secret, gaps in catalogue:
+                member = E.port(secret)[1]
+                got = [member(S) for S in range(gaps.size)]
+                assert got == (gaps == 0).tolist(), (E.base.values, E.dualized, secret)
+
+    def test_realizes(self, catalogue):
+        valid = 0
+        for E, secret, gaps in catalogue:
+            if gaps[-1] == 0:  # the full set qualified; the empty set is not, as r(secret) = 1
+                valid += 1
+                assert realizes(E, matroid_port(E, secret), secret) == (True, None)
+        assert 0 < valid < len(catalogue)
 
 
 class TestOneTableAtTwentyBaseElements:

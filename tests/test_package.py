@@ -86,3 +86,23 @@ def test_every_public_definition_is_exported_or_used():
                 used.add(node.value)
     exported = {name for _, name in EXPORTS}
     assert [(f, name) for f, name in defined if name not in exported | used] == []
+
+
+def test_private_attributes_are_read_only_by_their_own_module():
+    """A ``_``-prefixed, non-dunder attribute read through anything but
+    ``self`` is one that the same module uses on ``self``: no module reads
+    another's private state."""
+    foreign = []
+    for path in sorted(glob.glob(os.path.join(SRC, "polyshare", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        mine = [isinstance(a.value, ast.Name) and a.value.id == "self" for a in attributes]
+        on_self = {a.attr for a, on in zip(attributes, mine) if on}
+        foreign += [
+            (os.path.basename(path), a.lineno, a.attr)
+            for a, on in zip(attributes, mine)
+            if not on and isinstance(a.ctx, ast.Load) and a.attr.startswith("_")
+            and not a.attr.endswith("__") and a.attr not in on_self
+        ]
+    assert foreign == []

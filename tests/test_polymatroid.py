@@ -37,10 +37,11 @@ from polyshare import (
 from polyshare import lattice
 from polyshare.core import rank_document, subset_format
 from polyshare.polymatroid import (
+    DECISION_TOL,
     VALIDATION_TOL,
     Violation,
     collapse_pair,
-    default_validation_tol,
+    resolve_tol,
 )
 
 from generators import assert_polymatroids_equal, ground, pm, random_distribution
@@ -102,7 +103,7 @@ class TestValidate:
 def reference_check_polymatroid(rank: RankVector, tolerance=None) -> list[Violation]:
     """The four-term check: f(M) - f(M - i) per element, then
     f(iA) + f(jA) - f(ijA) - f(A) per pair over the masks A avoiding both."""
-    tol = default_validation_tol(rank.mode) if tolerance is None else tolerance
+    tol = (0 if rank.mode == "int" else VALIDATION_TOL) if tolerance is None else tolerance
     g = rank.ground
     full = g.full_mask
     vals = rank.values
@@ -285,6 +286,24 @@ class TestUniformMatroid:
 
     def test_numpy_integer_rank(self):
         assert_polymatroids_equal(uniform_matroid(np.int64(2), ("a", "b", "c")), U23)
+
+    @pytest.mark.parametrize(
+        "k", [3, 4, 2**63, pytest.param(10**400, id="10**400"), np.uint64(2**63)]
+    )
+    def test_rank_past_the_ground_set_is_the_free_matroid(self, k):
+        free = uniform_matroid(k, ("a", "b", "c"))
+        assert free.values.dtype == np.int64
+        assert free.values.tolist() == lattice.sizes(3).tolist()
+
+
+@pytest.mark.parametrize("mode, default, want", [
+    ("int", VALIDATION_TOL, 0), ("float", VALIDATION_TOL, VALIDATION_TOL),
+    ("int", DECISION_TOL, 0), ("float", DECISION_TOL, DECISION_TOL),
+])
+def test_resolve_tol_defaults_by_mode(mode, default, want):
+    """No tolerance given: exact in int mode, the default in float mode; one given is kept."""
+    assert resolve_tol(None, default, mode) == want
+    assert resolve_tol(0.25, default, mode) == 0.25
 
 
 class TestPrincipalExtension:

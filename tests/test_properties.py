@@ -44,7 +44,7 @@ from polyshare import (
     uniform_matroid,
     validate_polymatroid,
 )
-from polyshare import secret_sharing
+from polyshare import matroid, secret_sharing
 from polyshare.core import mu
 
 from generators import LETTERS, assert_polymatroids_equal, ground
@@ -441,7 +441,7 @@ def port_kernel(E, secret, dense):
         return participants, qualified, oracle
 
     with mock.patch.object(secret_sharing, "AccessStructure", capture), mock.patch.object(
-        secret_sharing, "MAX_DENSE_ELEMENTS", 20 if dense else 0
+        matroid, "MAX_DENSE_ELEMENTS", 20 if dense else 0
     ):
         participants, table, oracle = matroid_port(E, secret)
     return participants, (table.__getitem__ if dense else oracle)
