@@ -9,13 +9,15 @@ import numpy as np
 
 from polyshare import (
     GroundSet,
+    InfoTerm,
     JointDistribution,
+    conditional_entropy,
     conditional_product,
     entropy_vector,
+    eval_term,
     marginal,
     subset_format,
 )
-from polyshare.inequalities import conditional_entropy, eval_term, mutual_information
 
 
 def main():
@@ -32,9 +34,9 @@ def main():
     print("same entropy as the whole:", H.value(0b011) == H.value(0b111))
 
     xz = g.mask_of(("x", "z"))
-    print("\nI(x;y) =", round(eval_term(mutual_information(g.bit('x'), g.bit('y')), H), 10))
+    print("\nI(x;y) =", round(eval_term(InfoTerm(g.bit('x'), g.bit('y')), H), 10))
     print("I(x;y|z) =", round(
-        eval_term(mutual_information(g.bit("x"), g.bit("y"), g.bit("z")), H), 10))
+        eval_term(InfoTerm(g.bit("x"), g.bit("y"), g.bit("z")), H), 10))
     print("H(y|x,z) =", round(eval_term(conditional_entropy(g.bit("y"), xz), H), 10))
 
     # marginals drop variables; gluing stitches two overlapping marginals

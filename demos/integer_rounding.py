@@ -38,7 +38,7 @@ def main():
     print(f"\ncombined {len(terms)} terms "
           f"(scale {doc['entropy_scale']} on the entropy vector)")
 
-    snapped = validate_polymatroid(round_to_integer(combo, residual_tol=1e-3))
+    snapped = validate_polymatroid(round_to_integer(combo))
     worst = max(abs(float(c) - int(s)) for c, s in zip(combo.values, snapped.values))
     print(f"every subset within {worst:.2e} of an integer; snapped to int mode")
 

@@ -37,7 +37,7 @@ def main():
         rank_vector_from_json(fixture_doc("table2_middle.json"))))
     E = helgason_expand(base)
     sizes = dict(zip(base.ground.labels, E.block_sizes))
-    print(f"\nexpansion of the tight fixture: {E.n_elements} atoms, "
+    print(f"\nexpansion of the tight fixture: {len(E.element_names)} atoms, "
           f"blocks {sizes}")
 
     # ranks by count: which block each atom came from is all that matters

@@ -63,10 +63,9 @@ _EXPORTS = {
     "inequalities": (
         "InfoTerm",
         "conditional_entropy",
-        "eval_expression",
+        "eval_term",
         "mmrv",
         "mmrv_identity_residual",
-        "mutual_information",
     ),
     "matroid": (
         "ExpandedMatroid",

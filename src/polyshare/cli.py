@@ -53,6 +53,8 @@ def _ranks(rank) -> tuple:
 
 
 def cmd_validate(args) -> tuple:
+    from dataclasses import asdict
+
     from .core import load_rank_vector
     from .polymatroid import check_polymatroid
 
@@ -64,7 +66,7 @@ def cmd_validate(args) -> tuple:
         f"{v.lhs} < {v.rhs}"
         for v in violations
     ]
-    return 1, {"valid": False, "violations": [v.as_dict() for v in violations]}, lines
+    return 1, {"valid": False, "violations": [asdict(v) for v in violations]}, lines
 
 
 def cmd_dual(args) -> tuple:
@@ -119,7 +121,7 @@ def cmd_expand(args) -> tuple:
         value = expansion.rank(args.query)
         return 0, {"rank": value, "query": args.query}, [str(value)]
     doc = {
-        "elements": expansion.n_elements,
+        "elements": len(expansion.element_names),
         "dualized": expansion.dualized,
         "blocks": dict(zip(pm.ground.labels, expansion.block_sizes)),
         "full_rank": expansion.rank_of_counts(expansion.block_sizes),

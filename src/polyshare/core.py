@@ -119,7 +119,10 @@ class GroundSet:
         return 1 << self.index(label)
 
     def mask_of(self, labels) -> int:
-        """Mask with exactly the given labels set; duplicates are rejected."""
+        """Mask with exactly the given labels set; duplicates and a string are rejected."""
+        if isinstance(labels, str):
+            raise ValueError(f"mask_of takes an iterable of labels, not the string {labels!r:.40}; "
+                             "subset_parse reads a comma-joined key")
         mask = 0
         for lbl in labels:
             b = self.bit(lbl)

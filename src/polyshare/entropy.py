@@ -85,10 +85,6 @@ class JointDistribution:
         object.__setattr__(self, "outcomes", rows)
         object.__setattr__(self, "probs", p)
 
-    @property
-    def n_rows(self) -> int:
-        return self.outcomes.shape[0]
-
 
 def distribution_from_json(doc: dict) -> JointDistribution:
     variables = GroundSet(json_field(doc, "variables", list, "distribution file"))
@@ -165,7 +161,7 @@ def marginal(d: JointDistribution, A: int) -> JointDistribution:
     labels, _ = _labels(rows)
     summed = np.bincount(labels, weights=d.probs)
     first = np.empty(summed.shape[0], dtype=np.int64)
-    first[labels] = np.arange(d.n_rows)  # any row of a label gives its values
+    first[labels] = np.arange(len(d.probs))  # any row of a label gives its values
     return JointDistribution(GroundSet(d.variables.labels_of(A)), rows[first], summed)
 
 
@@ -322,7 +318,7 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
     # one label per overlap value, shared by the rows of both inputs
     keys = np.concatenate([d1.outcomes[:, cols1], d2.outcomes[:, cols2]])
     labels, n_keys = _labels(keys)
-    l1, l2 = labels[: d1.n_rows], labels[d1.n_rows :]
+    l1, l2 = labels[: len(d1.probs)], labels[len(d1.probs) :]
     overlap = np.bincount(l1, weights=d1.probs, minlength=n_keys)
     check = np.bincount(l2, weights=d2.probs, minlength=n_keys)
     gap = np.abs(overlap - check)
@@ -341,7 +337,7 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
     sizes = np.bincount(l2, minlength=n_keys)
     firsts = np.cumsum(sizes) - sizes
     reps = np.where(overlap[l1] != 0.0, sizes[l1], 0)
-    i1 = np.repeat(np.arange(d1.n_rows), reps)
+    i1 = np.repeat(np.arange(len(d1.probs)), reps)
     offsets = np.arange(i1.shape[0]) - np.repeat(np.cumsum(reps) - reps, reps)
     i2 = by_key[firsts[l1[i1]] + offsets]
     rows = np.concatenate([d1.outcomes[i1], d2.outcomes[i2][:, extra_cols]], axis=1)

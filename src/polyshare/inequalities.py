@@ -1,10 +1,10 @@
 """Linear information expressions and the MMRV five-variable inequality.
 
 One term rule: coeff * I(a;b|c) is coeff * (f(ac) + f(bc) - f(abc) - f(c)),
-and H(a|c) is I(a;a|c).  An expression is any sequence of terms; it expands
-linearly into rank values, so evaluation is exact in integer mode.  The MMRV
-inequality holds for every entropy vector but not for every polymatroid; a
-strictly negative value certifies that a polymatroid is not almost entropic.
+and H(a|c) is I(a;a|c).  A term expands linearly into rank values, so
+``eval_term`` is exact in integer mode.  The MMRV inequality holds for every
+entropy vector but not for every polymatroid; a strictly negative value
+certifies that a polymatroid is not almost entropic.
 """
 
 import math
@@ -45,10 +45,6 @@ def conditional_entropy(A: int, C: int = 0, coeff=1) -> InfoTerm:
     return InfoTerm(A, A, C, coeff)
 
 
-def mutual_information(A: int, B: int, C: int = 0, coeff=1) -> InfoTerm:
-    return InfoTerm(A, B, C, coeff)
-
-
 def _term_value(f, a: int, b: int, c: int, coeff):
     return coeff * (f(a | c) + f(b | c) - f(a | b | c) - f(c))
 
@@ -57,11 +53,6 @@ def eval_term(term: InfoTerm, M: Polymatroid):
     for mask in (term.a, term.b, term.given):
         check_mask(M.ground, mask)
     return _term_value(M.value, term.a, term.b, term.given, term.coeff)
-
-
-def eval_expression(terms, M: Polymatroid):
-    """Sum of a sequence of terms, in order."""
-    return sum(eval_term(t, M) for t in terms)
 
 
 # Rows (a, b, given, coeff) in role letters: "bc" is the union of the labels
@@ -112,7 +103,7 @@ def mmrv(M: Polymatroid, roles=None):
     return _table_value(M, MMRV, roles)
 
 
-def mmrv_identity_residual(M: Polymatroid, roles=None):
-    """MMRV(M) + 3*I(a,de|bc) minus the ten-term decomposition: zero (up to
-    float noise) on every set function, an identity check, not an inequality."""
-    return _table_value(M, MMRV + MMRV_SLACK, roles) - _table_value(M, MMRV_DECOMPOSITION, roles)
+def mmrv_identity_residual(M: Polymatroid):
+    """MMRV(M) + 3*I(a,de|bc) minus the ten-term decomposition, roles in ground order:
+    zero (up to float noise) on every set function, an identity check, not an inequality."""
+    return _table_value(M, MMRV + MMRV_SLACK) - _table_value(M, MMRV_DECOMPOSITION)

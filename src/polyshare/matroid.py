@@ -88,14 +88,9 @@ class ExpandedMatroid:
         bits &= 1
         bits ^= 1
         self._rows.setflags(write=False)
-        self._h = self._rows[0]
         # an atom's rank: the least h(A) + [i not in A], at A = {} or {i} as h is monotone
-        self.atom_ranks = tuple(min(1, int(self._h[1 << i])) for i in range(ground.n))
+        self.atom_ranks = tuple(min(1, int(self._rows[0, 1 << i])) for i in range(ground.n))
         self._memo: dict[tuple[int, ...], int] = {}
-
-    @property
-    def n_elements(self) -> int:
-        return len(self.element_names)
 
     def block_of(self, name: str) -> int:
         """Index of the base element whose block holds the atom ``name``."""
@@ -184,14 +179,14 @@ class ExpandedMatroid:
         of every participant mask S, read off the count-space rank grid
         ``lattice.least_over(h, [range(s_i + 1)])``; past that, the test of
         r(secret + S) = r(S): (2, 2C) plus 1 at 1 + b times ``_rows`` is
-        2(h(A) + C(E - A)) + [b not in A] (at most 2 * n_elements + 1), and S
+        2(h(A) + C(E - A)) + [b not in A] (at most 2 * len(element_names) + 1), and S
         passes iff some A holding b attains the rank, iff the least term is even."""
         sblock = self.block_of(secret)
         participants = GroundSet(tuple(name for name in self.element_names if name != secret))
         counts = [size - (i == sblock) for i, size in enumerate(self.block_sizes)]
         if participants.n <= MAX_DENSE_ELEMENTS:
             strides = np.cumprod([1] + [size + 1 for size in self.block_sizes[:-1]])
-            ranks = lattice.least_over(self._h, [range(size + 1) for size in self.block_sizes])
+            ranks = lattice.least_over(self._rows[0], [range(s + 1) for s in self.block_sizes])
             idx = lattice.additive(np.repeat(strides, counts))
             return participants, ranks[idx + strides[sblock]] - ranks[idx]
         block_masks = [(1 << end) - (1 << end - c) for end, c in zip(accumulate(counts), counts)]
@@ -216,13 +211,13 @@ def block_collapse(E: ExpandedMatroid) -> Polymatroid:
     dualized, and the base's dual when the base is tight.  The union of the
     blocks in B takes s(B) atoms, so its rank is the least h(A) + s(B - A)
     over the base subsets A: the count-space grid at the levels (0, s_i)."""
-    values = lattice.least_over(E._h, [(0, size) for size in E.block_sizes])
+    values = lattice.least_over(E._rows[0], [(0, size) for size in E.block_sizes])
     return Polymatroid(RankVector(E.base.ground, values, "int"))
 
 
-def expanded_mmrv(E: ExpandedMatroid, roles=None) -> int:
-    """MMRV evaluated on the ranks of unions of blocks: the five of roles,
-    or all of a five-block base in ground order."""
+def expanded_mmrv(E: ExpandedMatroid) -> int:
+    """MMRV evaluated on the ranks of unions of the blocks of a five-element
+    base, roles in ground order."""
     from .inequalities import mmrv
 
-    return mmrv(block_collapse(E), roles=roles)
+    return mmrv(block_collapse(E))

@@ -15,7 +15,7 @@ then reject a valid input.  Property tests check each operation's output.
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class Violation:
     lhs: float
     rhs: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 class ValidationError(ValueError):
     def __init__(self, violations):
@@ -112,7 +109,7 @@ class Polymatroid:
         return self.rank.value(mask)
 
     def rank_of(self, key):
-        """Rank of a subset given as a key string, label iterable, or mask (any number)."""
+        """Rank of a subset given as a key string, label iterable, or an integer mask."""
         mask = key if isinstance(key, numbers.Number) else subset_parse(self.ground, key)
         return self.rank.value(mask)
 
@@ -310,20 +307,19 @@ def linear_combine(terms) -> RankVector:
     return RankVector(ground, out, "float")
 
 
-def round_to_integer(rank: RankVector, residual_tol=None) -> RankVector:
+def round_to_integer(rank: RankVector) -> RankVector:
     """Snap a float vector onto the integers and validate it exactly.
 
-    Raises ResidualTooLarge when any value sits further than residual_tol
-    (default ROUNDING_TOL) from an integer, naming the worst subset.
+    Raises ResidualTooLarge when any value sits further than ROUNDING_TOL
+    from an integer, naming the worst subset.
     """
-    residual_tol = resolve_tol(residual_tol, ROUNDING_TOL, "float")
     vals = np.asarray(rank.values, dtype=np.float64)
     rounded = np.rint(vals)
     resid = np.abs(vals - rounded)
     worst = int(np.argmax(resid))
-    if resid[worst] > residual_tol:
+    if resid[worst] > ROUNDING_TOL:
         raise ResidualTooLarge(
-            subset_format(rank.ground, worst), float(vals[worst]), float(resid[worst]), residual_tol
+            subset_format(rank.ground, worst), float(vals[worst]), float(resid[worst]), ROUNDING_TOL
         )
     out = RankVector(rank.ground, rounded.astype(np.int64), "int")
     validate_polymatroid(out)

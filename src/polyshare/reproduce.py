@@ -49,9 +49,6 @@ class StepRecord:
     passed: bool
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ReproductionReport:
@@ -62,7 +59,7 @@ class ReproductionReport:
         return all(s.passed for s in self.steps)
 
     def as_dict(self) -> dict:
-        return {"passed": self.passed, "steps": [s.as_dict() for s in self.steps]}
+        return {"passed": self.passed, "steps": [asdict(s) for s in self.steps]}
 
     def format_table(self) -> str:
         lines = []
@@ -138,7 +135,7 @@ def _step_mmrv_dual(ctx):
 def _step_combination(ctx):
     combo = ctx.combo
     middle = ctx.middle
-    rounded = round_to_integer(combo, ROUNDING_TOL)
+    rounded = round_to_integer(combo)
     residual = float(np.abs(combo.values - rounded.values).max())
     mismatch = _vector_match(rounded, middle.rank, middle.ground)
     if mismatch:
@@ -167,9 +164,8 @@ def _step_dual_mmrv(ctx):
 
 
 def _step_expansion_size(ctx):
-    E = ctx.E
-    sizes = ",".join(str(s) for s in E.block_sizes)
-    return f"{E.n_elements} atoms (blocks {sizes})", E.n_elements == EXPANSION_SIZE, ""
+    atoms, sizes = len(ctx.E.element_names), ",".join(str(s) for s in ctx.E.block_sizes)
+    return f"{atoms} atoms (blocks {sizes})", atoms == EXPANSION_SIZE, ""
 
 
 def _step_block_recovery(ctx):

@@ -61,7 +61,7 @@ class AccessStructure:
             raise ValueError("the empty set must not be qualified")
         if not is_qualified(self, full):
             raise ValueError("the full participant set must be qualified")
-        if self.is_explicit and (bad := lattice.up_closure(q) & ~q).any():
+        if self.qualified is not None and (bad := lattice.up_closure(q) & ~q).any():
             # every smaller mask is qualified or holds no qualified set, so the least
             # bad one stays qualified less any member outside its qualified subset
             worst = int(bad.argmax())
@@ -72,14 +72,10 @@ class AccessStructure:
                 f"but adding {participants.labels[bit.bit_length() - 1]!r} loses qualification"
             )
 
-    @property
-    def is_explicit(self) -> bool:
-        return self.qualified is not None
-
     def __eq__(self, other):
         if not isinstance(other, AccessStructure):
             return NotImplemented
-        if not (self.is_explicit and other.is_explicit):
+        if self.qualified is None or other.qualified is None:
             return NotImplemented
         return self.participants.labels == other.participants.labels and np.array_equal(
             self.qualified, other.qualified
@@ -116,14 +112,14 @@ def threshold_structure(k: int, labels) -> AccessStructure:
 
 def is_qualified(A: AccessStructure, S: int) -> bool:
     check_mask(A.participants, S)
-    if A.is_explicit:
+    if A.qualified is not None:
         return bool(A.qualified[S])
-    return bool(A.oracle(S))
+    return bool(A.oracle(int(S)))  # an oracle may mix S with Python ints past 64 bits
 
 
 def dual_structure(A: AccessStructure) -> AccessStructure:
     """Qualified in the dual iff the complement is unqualified."""
-    if A.is_explicit:  # reversed order maps each mask to its complement
+    if A.qualified is not None:  # reversed order maps each mask to its complement
         return AccessStructure(A.participants, qualified=~A.qualified[::-1])
     full = A.participants.full_mask
     inner = A.oracle
@@ -132,7 +128,7 @@ def dual_structure(A: AccessStructure) -> AccessStructure:
 
 def minimal_qualified(A: AccessStructure) -> list[int]:
     """Inclusion-minimal qualified sets, ordered by size then mask."""
-    if not A.is_explicit:
+    if A.qualified is None:
         raise ValueError(
             f"structures on more than {MAX_DENSE_ELEMENTS} participants cannot be enumerated"
         )

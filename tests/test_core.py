@@ -43,7 +43,7 @@ from polyshare import (
 )
 from polyshare import core, lattice
 from polyshare.cli import main
-from polyshare.inequalities import conditional_entropy, eval_term, mutual_information
+from polyshare.inequalities import InfoTerm, conditional_entropy, eval_term
 from polyshare.lattice import additive, by_size
 from polyshare.secret_sharing import from_minimal
 
@@ -75,6 +75,13 @@ class TestGroundSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             GroundSet(())
+
+    def test_mask_of_refuses_a_string(self):
+        # read as characters, "ab" would be {a, b} and "a,b" would fail on ","
+        for key in ("ab", "a,b", "a", ""):
+            with pytest.raises(ValueError, match="not the string .*subset_parse reads"):
+                ABC.mask_of(key)
+        assert ABC.mask_of(["a", "b"]) == subset_parse(ABC, "a,b") == 0b011
 
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateLabel):
@@ -311,8 +318,8 @@ class TestMaskRange:
     @pytest.mark.parametrize("term", [
         (conditional_entropy, 4), (conditional_entropy, -1), (conditional_entropy, 1 << 40),
         (conditional_entropy, True), (conditional_entropy, np.True_), (conditional_entropy, 2, 4),
-        (conditional_entropy, 2, True), (conditional_entropy, 1, -4), (mutual_information, 1, 4),
-        (mutual_information, 2, True), (mutual_information, 1, 2, 4),
+        (conditional_entropy, 2, True), (conditional_entropy, 1, -4), (InfoTerm, 1, 4),
+        (InfoTerm, 2, True), (InfoTerm, 1, 2, 4),
     ])
     def test_expressions_read_masks(self, term):
         """A negative or boolean mask is refused when the term is built, one

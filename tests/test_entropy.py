@@ -119,7 +119,7 @@ def assert_matches_references(d, rng):
             rows, probs = reference_marginal(d, mask)
             assert m.variables.labels == g.labels_of(mask)
             assert np.array_equal(m.outcomes, rows) and np.array_equal(m.probs, probs)
-            order = rng.permutation(m.n_rows)  # row order must carry through
+            order = rng.permutation(len(m.probs))  # row order must carry through
             parts.append(JointDistribution(m.variables, m.outcomes[order], m.probs[order]))
         assert_same_distribution(
             conditional_product(*parts), reference_conditional_product(*parts)
@@ -171,7 +171,7 @@ def wide_distribution(rng, n, rows):
 class TestJointDistribution:
     def test_table1_shape_and_total(self, table1):
         assert table1.variables.labels == ("a", "b", "c", "d", "e")
-        assert table1.n_rows == 8
+        assert len(table1.probs) == 8
         assert set(table1.outcomes.ravel().tolist()) == {0, 1}
         assert table1.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert sorted(table1.probs.tolist()) == sorted(
@@ -180,7 +180,7 @@ class TestJointDistribution:
 
     def test_single_row_deterministic(self):
         d = JointDistribution(GroundSet("ab"), [[0, 1]], [1.0])
-        assert d.n_rows == 1
+        assert len(d.probs) == 1
 
     def test_bad_total_rejected(self):
         with pytest.raises(ValueError, match="sum"):

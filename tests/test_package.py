@@ -12,10 +12,20 @@ import pytest
 import polyshare
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(polyshare.__file__)))
+ROOT = os.path.dirname(SRC)
 MIDDLE = os.path.join(SRC, "polyshare", "data", "table2_middle.json")
 MODULES = ("core", "lattice", "polymatroid", "entropy", "inequalities", "matroid",
            "secret_sharing", "reproduce")
 EXPORTS = [(module, name) for module, names in polyshare._EXPORTS.items() for name in names]
+# what reaches the package from outside: the CLI, the reproduction, the demos,
+# the acceptance test and the benchmark workloads
+REACH_ROOTS = ("src/polyshare/cli.py", "src/polyshare/reproduce.py", "demos/*.py",
+               "tests/test_acceptance.py", "perfbench/workloads/*.py")
+
+
+def parse(path) -> ast.Module:
+    with open(path) as fh:
+        return ast.parse(fh.read())
 
 
 def loaded_after(code: str) -> set[str]:
@@ -68,8 +78,7 @@ def test_every_public_definition_is_exported_or_used():
     elsewhere in the package: by name, attribute, import or string."""
     defined, used = [], set()
     for path in sorted(glob.glob(os.path.join(SRC, "polyshare", "*.py"))):
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+        tree = parse(path)
         defined += [
             (os.path.basename(path), node.name)
             for node in tree.body
@@ -94,8 +103,7 @@ def test_private_attributes_are_read_only_by_their_own_module():
     another's private state."""
     foreign = []
     for path in sorted(glob.glob(os.path.join(SRC, "polyshare", "*.py"))):
-        with open(path) as fh:
-            tree = ast.parse(fh.read())
+        tree = parse(path)
         attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
         mine = [isinstance(a.value, ast.Name) and a.value.id == "self" for a in attributes]
         on_self = {a.attr for a, on in zip(attributes, mine) if on}
@@ -106,3 +114,38 @@ def test_private_attributes_are_read_only_by_their_own_module():
             and not a.attr.endswith("__") and a.attr not in on_self
         ]
     assert foreign == []
+
+
+def read_names(tree) -> set[str]:
+    """Names a syntax tree reads: bare names, attributes and imported names."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_every_export_is_reached():
+    """The reach rule: every exported name is read by REACH_ROOTS or timed by
+    perfbench's LAYERS, or read in the body of a package function or class
+    that is reached, transitively."""
+    bodies = {}
+    for path in glob.glob(os.path.join(SRC, "polyshare", "*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+    reached = set()
+    for pattern in REACH_ROOTS:
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            reached |= read_names(parse(path))
+    harness = parse(os.path.join(ROOT, "perfbench", "harness.py"))
+    layers = next(node.value for node in harness.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "LAYERS")
+    reached |= {name for names in ast.literal_eval(layers).values() for name in names}
+    todo = list(reached)
+    while todo:
+        for node in bodies.get(todo.pop(), ()):
+            new = read_names(node) - reached
+            reached |= new
+            todo += new
+    assert sorted({name for _, name in EXPORTS} - reached) == []

@@ -139,14 +139,14 @@ class TestAccessStructure:
 
     def test_oracle_side_skips_the_cap(self):
         A = AccessStructure(P21, oracle=lambda m: m.bit_count() >= 3)
-        assert not A.is_explicit
+        assert A.qualified is None
         assert is_qualified(A, 0b111)
         assert not is_qualified(A, 0b011)
 
     def test_small_oracle_is_materialised_and_checked(self):
         g = GroundSet(("p", "q", "r"))
         A = AccessStructure(g, oracle=lambda m: m.bit_count() >= 2)
-        assert A.is_explicit
+        assert A.qualified is not None
         assert A == threshold_structure(2, g.labels)
         with pytest.raises(ValueError, match="not upward closed"):
             AccessStructure(g, oracle=lambda m: m in (0b001, 0b111))
@@ -252,7 +252,7 @@ class TestDualStructure:
         assert dual_structure(oracle) == dual_structure(threshold_structure(2, g.labels))
         # past the cap the dual stays lazy: at least 2 of 21 dualizes to at least 20 of 21
         dual_lazy = dual_structure(AccessStructure(P21, oracle=lambda m: m.bit_count() >= 2))
-        assert not dual_lazy.is_explicit
+        assert dual_lazy.qualified is None
         full = P21.full_mask
         for m in (0, 0b1, 0b11, full ^ 0b11, full ^ 0b1, full):
             assert is_qualified(dual_lazy, m) == (m.bit_count() >= 20)
@@ -312,7 +312,7 @@ class TestExpandedPort:
 
     def test_oracle_shape(self, port, tight_pm):
         E, A = port
-        assert not A.is_explicit
+        assert A.qualified is None
         assert len(A.participants.labels) == 175 - 1
         assert "a_1" not in A.participants.labels
         assert A.participants.labels[0] == "a_2"
@@ -356,6 +356,15 @@ class TestExpandedPort:
                 start = 2 if label == "a" else 1
                 names.extend(f"{label}_{k}" for k in range(start, start + c))
             assert is_qualified(A, self.mask_for(A, names)) == want, case
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64, np.int32])
+    def test_numpy_masks_answer_as_python_ints(self, port, kind):
+        """The oracle ANDs a mask with block masks past 64 bits, which a
+        numpy integer cannot take: is_qualified hands it a Python int."""
+        _, A = port
+        masks = [m for m in (0, 5, 2**31 - 1, 2**63 - 1, 2**64 - 1) if m <= np.iinfo(kind).max]
+        for B in (A, dual_structure(A)):
+            assert [is_qualified(B, kind(m)) for m in masks] == [is_qualified(B, m) for m in masks]
 
     def test_unknown_atom_rejected(self, tight_pm):
         E = helgason_expand(tight_pm)
@@ -631,7 +640,7 @@ class TestJsonRoundTrips:
             }
         }
         A = access_structure_from_json(doc, base_dir=str(tmp_path))
-        assert not A.is_explicit
+        assert A.qualified is None
         assert len(A.participants.labels) == 174
         direct = matroid_port(helgason_expand(tight_pm), "a_1")
         probe = A.participants.mask_of([f"b_{k}" for k in range(1, 32)])
