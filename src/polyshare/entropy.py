@@ -71,19 +71,31 @@ class JointDistribution:
         rows = rows.astype(np.int64)
         if p.shape != (rows.shape[0],):
             raise ValueError("one probability per outcome row required")
-        if not np.all(p >= 0):  # NaN fails here too
+        self._keep(variables, rows, p.copy())
+
+    def _keep(self, variables, rows, probs, codes=None, cards=None):
+        """Check the probabilities and the rows' distinctness, and keep them.
+
+        codes holds one int64 code per row for each column (a row of codes
+        per column), order-preserving and below that column's bound in cards;
+        marginal and conditional_product hand over the codes of the rows they
+        take, which need not be dense.  Rows from outside are coded here,
+        once their probabilities pass.
+        """
+        if not np.all(probs >= 0):  # NaN fails here too
             raise ValueError("probabilities must be non-negative")
-        total = float(p.sum())
+        total = float(probs.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if _labels(rows)[1] != rows.shape[0]:
+        if codes is None:
+            codes, cards = _code_columns(rows)
+        for a in (rows, probs, codes, cards):
+            a.setflags(write=False)
+        # frozen: the fields are set past the dataclass's __setattr__
+        self.__dict__.update(variables=variables, outcomes=rows, probs=probs, _coded=codes, _cards=cards)
+        if _fold(self._coded, self._cards)[1] != rows.shape[0]:
             raise ValueError("duplicate outcome row")
-        rows.setflags(write=False)
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "outcomes", rows)
-        object.__setattr__(self, "probs", p)
+        return self
 
 
 def distribution_from_json(doc: dict) -> JointDistribution:
@@ -138,18 +150,32 @@ def _codes(column: np.ndarray):
     return _dense_ranks(column - low, span)
 
 
-def _labels(rows: np.ndarray):
-    """Lexicographic rank of each row among the distinct rows, and their count.
+def _code_columns(rows: np.ndarray):
+    """The value codes of each column, one row per column, and each column's code count."""
+    codes = np.empty(rows.shape[::-1], dtype=np.int64)
+    cards = np.empty(rows.shape[1], dtype=np.int64)
+    for j, column in enumerate(rows.T):
+        codes[j], cards[j] = _codes(column)
+    return codes, cards
 
-    Column by column, first column most significant: each label so far is
-    extended by the column's value code and the pairs are ranked again, so
-    no key exceeds rows * rows.
+
+def _fold(codes: np.ndarray, cards: np.ndarray):
+    """Lexicographic rank of each row among the distinct rows, and their count,
+    from the rows' codes (a row of codes per column, each below its card).
+
+    One mixed-radix pass, first column most significant: label * card + code.
+    The labels are ranked again only where count * card would pass
+    COUNT_SPAN * rows, and once at the end, so every key stays below
+    rows * max(card, COUNT_SPAN).
     """
-    labels, count = np.zeros(rows.shape[0], dtype=np.int64), 1
-    for column in rows.T:
-        codes, card = _codes(column)
-        labels, count = _dense_ranks(labels * card + codes, count * card)
-    return labels, count
+    rows = codes.shape[1]
+    labels, count = np.zeros(rows, dtype=np.int64), 1
+    for column, card in zip(codes, cards.tolist()):
+        if count * card > COUNT_SPAN * rows:
+            labels, count = _dense_ranks(labels, count)
+        labels = labels * card + column
+        count *= card
+    return _dense_ranks(labels, count)
 
 
 def marginal(d: JointDistribution, A: int) -> JointDistribution:
@@ -157,12 +183,15 @@ def marginal(d: JointDistribution, A: int) -> JointDistribution:
     check_mask(d.variables, A)
     if A == 0:
         raise ValueError("marginal over the empty set is not defined")
-    rows = d.outcomes[:, _columns(d, A)]
-    labels, _ = _labels(rows)
+    cols = _columns(d, A)
+    codes, cards = d._coded[cols], d._cards[cols]
+    labels, _ = _fold(codes, cards)
     summed = np.bincount(labels, weights=d.probs)
     first = np.empty(summed.shape[0], dtype=np.int64)
     first[labels] = np.arange(len(d.probs))  # any row of a label gives its values
-    return JointDistribution(GroundSet(d.variables.labels_of(A)), rows[first], summed)
+    return object.__new__(JointDistribution)._keep(
+        GroundSet(d.variables.labels_of(A)), d.outcomes[:, cols][first], summed, codes[:, first], cards
+    )
 
 
 class _Plan(NamedTuple):
@@ -255,12 +284,10 @@ def entropy_vector(d: JointDistribution) -> Polymatroid:
     check_dense(d.variables)
     n = d.variables.n
     live = d.probs > 0
-    outcomes, probs = d.outcomes[live], d.probs[live]
+    probs, codes = (d.probs, d._coded) if live.all() else (d.probs[live], d._coded[:, live])
+    cards = d._cards
     rows = probs.shape[0]
     values = np.zeros(1 << n, dtype=np.float64)
-    coded = [_codes(outcomes[:, j]) for j in range(n)]
-    codes = np.array([c for c, _ in coded], dtype=np.int64)
-    cards = np.array([k for _, k in coded], dtype=np.int64)
     plan = _plan(n, min(BATCH_CELLS // rows, math.comb(n, n // 2)))
     weights = np.tile(probs, plan.widest)
     # the stack: each slot's row labels and label count, the empty set first
@@ -315,9 +342,10 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
     cols2 = [d2.variables.index(v) for v in shared]
     extra_cols = [d2.variables.index(v) for v in extra]
 
-    # one label per overlap value, shared by the rows of both inputs
+    # one label per overlap value, shared by the rows of both inputs; they
+    # share no codes, so the overlap columns are coded afresh
     keys = np.concatenate([d1.outcomes[:, cols1], d2.outcomes[:, cols2]])
-    labels, n_keys = _labels(keys)
+    labels, n_keys = _fold(*_code_columns(keys))
     l1, l2 = labels[: len(d1.probs)], labels[len(d1.probs) :]
     overlap = np.bincount(l1, weights=d1.probs, minlength=n_keys)
     check = np.bincount(l2, weights=d2.probs, minlength=n_keys)
@@ -342,5 +370,7 @@ def conditional_product(d1: JointDistribution, d2: JointDistribution) -> JointDi
     i2 = by_key[firsts[l1[i1]] + offsets]
     rows = np.concatenate([d1.outcomes[i1], d2.outcomes[i2][:, extra_cols]], axis=1)
     probs = d1.probs[i1] * d2.probs[i2] / overlap[l1[i1]]
-    return JointDistribution(out_vars, rows, probs)
+    codes = np.concatenate([d1._coded[:, i1], d2._coded[extra_cols][:, i2]])
+    cards = np.concatenate([d1._cards, d2._cards[extra_cols]])
+    return object.__new__(JointDistribution)._keep(out_vars, rows, probs, codes, cards)
 

@@ -90,6 +90,8 @@ def _table_value(M: Polymatroid, rows, roles=None):
     ground = M.ground
     if roles is None and ground.n != 5:
         raise ValueError(f"need a five-element ground set, got {ground.n} elements")
+    if isinstance(roles, str):
+        raise ValueError(f"roles takes an iterable of labels, not the string {roles!r:.40}")
     labels = tuple(roles) if roles is not None else ground.labels
     if len(labels) != 5 or len(set(labels)) != 5:
         raise ValueError(f"roles must be five distinct labels, got {labels}")

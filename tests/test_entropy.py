@@ -23,9 +23,10 @@ from polyshare import entropy
 from polyshare.entropy import (
     BATCH_CELLS,
     COUNT_SPAN,
+    _code_columns,
     _codes,
     _dense_ranks,
-    _labels,
+    _fold,
     distribution_from_json,
 )
 
@@ -478,6 +479,26 @@ def test_entropy_vector_sweep_wide(n):
     assert np.array_equal(entropy_vector(d).values, reference_entropy_vector(d))
 
 
+FOLD_CASES = ("int64 extremes", "sort-branch span", "20 columns x 40 values", "one row", "one column")
+
+
+def fold_rows(rng, case):
+    """Outcome rows, duplicates allowed, shaped for one FOLD_CASES case."""
+    k = int(rng.integers(2, 60))
+    if case == "int64 extremes":
+        pool = np.array([2**63 - 1, -(2**63), 0, -1, 2**63 - 2, -(2**63) + 1], dtype=np.int64)
+        return rng.choice(pool, size=(k, 4))
+    if case == "sort-branch span":  # the middle column's span passes COUNT_SPAN per value
+        rows = rng.integers(0, 3, size=(k, 3))
+        rows[:, 1] = rng.integers(-(1 << 40), 1 << 40, size=k)
+        return rows
+    if case == "20 columns x 40 values":
+        return rng.integers(0, 40, size=(200, 20))
+    if case == "one row":
+        return rng.integers(-5, 5, size=(1, int(rng.integers(1, 12))))
+    return rng.integers(-50, 50, size=(k, 1))
+
+
 class TestDenseRanks:
     """The relabelling kernel against np.unique, on both of its branches."""
 
@@ -510,8 +531,34 @@ class TestDenseRanks:
         assert np.array_equal(codes, inverse) and card == uniq.shape[0]
         rows = np.stack([column, column[::-1], np.zeros_like(column)], axis=1)
         uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        labels, count = _labels(rows)
+        labels, count = _fold(*_code_columns(rows))
         assert np.array_equal(labels, inverse.ravel()) and count == uniq.shape[0]
+
+    @pytest.mark.parametrize("case", FOLD_CASES)
+    def test_fold_matches_unique(self, case, monkeypatch):
+        """The row labelling, coded columns folded in one mixed-radix pass,
+        gives np.unique's lexicographic labels and count."""
+        spans = []
+
+        def spy(keys, span):
+            spans.append(span)
+            return _dense_ranks(keys, span)
+
+        monkeypatch.setattr(entropy, "_dense_ranks", spy)
+        rng = np.random.default_rng(FOLD_CASES.index(case))
+        reranks = 0
+        for _ in range(10):
+            rows = fold_rows(rng, case)
+            uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+            spans.clear()
+            labels, count = _fold(*_code_columns(rows))
+            assert np.array_equal(labels, inverse.ravel()) and count == uniq.shape[0]
+            k, columns = rows.shape
+            folds = spans[columns:]  # after one call per column code
+            assert max(folds) <= k * max(k, COUNT_SPAN)
+            reranks += len(folds) - 1
+        if case == "20 columns x 40 values":
+            assert reranks > 0
 
 
 def test_entropy_vector_memory_is_bounded():
@@ -532,6 +579,54 @@ def test_entropy_vector_memory_is_bounded():
             tracemalloc.stop()
         assert peak < 8 * (1 << n) + (n + 10) * batch  # about 3.9 MB
         assert peak < 31e6 / 8  # an eighth of one level's labels
+
+
+class TestHeldCodes:
+    """A distribution codes each column once, when it is built from outside
+    rows; marginal and conditional_product hand their results codes."""
+
+    def test_entropy_and_marginal_code_nothing(self, monkeypatch):
+        d = wide_distribution(np.random.default_rng(8), 6, 120)
+        calls = []
+
+        def spy(column):
+            calls.append(column.shape)
+            return _codes(column)
+
+        monkeypatch.setattr(entropy, "_codes", spy)
+        entropy_vector(d)
+        entropy_vector(marginal(d, 0b101011))
+        assert calls == []
+        conditional_product(marginal(d, 0b001111), marginal(d, 0b111100))
+        assert len(calls) == 2  # one per overlap column
+
+    def test_codes_need_not_be_dense(self):
+        """Value 1 of column a and value 5 of column b sit in zero-probability
+        rows alone, so the live rows and the glued rows, which drop them,
+        hold codes with a gap; every result has a fresh construction's bits."""
+        d1 = JointDistribution(GroundSet("ab"), [[0, 0], [2, 0], [1, 5], [2, 7]], [0.25, 0.25, 0.0, 0.5])
+        d2 = JointDistribution(GroundSet("bc"), [[0, 3], [0, 4], [5, 3], [7, 4], [7, 1]],
+                               [0.2, 0.3, 0.0, 0.1, 0.4])
+        glued = conditional_product(d1, d2)
+        assert 1 not in glued.outcomes[:, 0] and 5 not in glued.outcomes[:, 1]
+
+        def fresh(d):
+            return JointDistribution(d.variables, d.outcomes, d.probs)
+
+        def entropies(d):
+            return entropy_vector(d).values.tobytes()
+
+        for d in (d1, d2, glued):
+            assert entropies(d) == entropies(fresh(d))
+            for mask in range(1, 1 << d.variables.n):
+                m = marginal(d, mask)
+                assert_same_distribution(m, marginal(fresh(d), mask))
+                assert entropies(m) == entropies(fresh(m))
+        g = glued.variables
+        left, right = marginal(glued, subset_parse(g, "a,b")), marginal(glued, subset_parse(g, "b,c"))
+        glued_again = conditional_product(left, right)
+        assert_same_distribution(glued_again, conditional_product(fresh(left), fresh(right)))
+        assert entropies(glued_again) == entropies(fresh(glued_again))
 
 
 class TestMarginal:

@@ -183,6 +183,14 @@ class TestMmrv:
         with pytest.raises(ValueError, match="distinct"):
             mmrv(m_xi, roles=("a", "a", "c", "d", "e"))
 
+    @pytest.mark.parametrize("roles", ["abcde", "a,b,c,d,e"])
+    def test_string_roles_rejected(self, middle, roles):
+        # a string would be read as its characters, five labels for "abcde"
+        for read in (lambda M: mmrv(M, roles), lambda M: role_residual(M, roles)):
+            with pytest.raises(ValueError, match="roles takes an iterable of labels, not the string"):
+                read(dual(middle))
+        assert mmrv(dual(middle), list("abcde")) == -1
+
     def test_linearity(self, m_xi):
         tripled = validate_polymatroid(linear_combine([(3, m_xi)]))
         assert mmrv(tripled) == pytest.approx(3 * mmrv(m_xi), abs=1e-9)
