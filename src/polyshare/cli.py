@@ -265,14 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--dual", action="store_true", help="answer for the dual of the expansion"
     )
     sub["expand"].add_argument("--query", help='subset, e.g. "a:12,b:3" or "a_1,b_2"')
-    sub["port"].add_argument("--secret", required=True)
+    sub["port"].add_argument(
+        "--secret", required=True, help="an element label; an atom name with --expanded"
+    )
     sub["port"].add_argument(
         "--expanded", action="store_true", help="port of the unit-atom expansion"
     )
     sub["port"].add_argument("--dual", action="store_true", help="port of the dual instead")
-    sub["realizes"].add_argument("--secret", required=True)
+    sub["realizes"].add_argument("--secret", required=True, help="an element label")
     sub["realizes"].add_argument("--access", required=True, help="access-structure file")
-    sub["sigma"].add_argument("--secret", required=True)
+    sub["sigma"].add_argument("--secret", required=True, help="an element label")
     sub["reproduce"].add_argument("--step", type=int, help="run a single step (1-10)")
     return parser
 

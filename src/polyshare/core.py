@@ -112,7 +112,7 @@ class GroundSet:
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label, such as a list
             raise UnknownLabel(f"label {label!r} not in ground set {self.labels}") from None
 
     def bit(self, label: str) -> int:

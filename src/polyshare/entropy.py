@@ -19,7 +19,7 @@ from .polymatroid import Polymatroid, validate_polymatroid
 
 SUM_TOL = 1e-9
 MARGINAL_TOL = 1e-9
-INT64_MAX = np.iinfo(np.int64).max
+INT64_MIN, INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 # _dense_ranks counts keys whose span is at most this many per key, else sorts
 COUNT_SPAN = 4
 # entropy_vector expands a batch of subsets into at most this many label
@@ -49,10 +49,14 @@ class JointDistribution:
             for v in np.asarray(probs, dtype=object).flat:
                 if isinstance(v, bool) or not isinstance(v, numbers.Real):
                     raise ValueError(f"probabilities must be real numbers, got {v!r:.40}")
-        if not isinstance(outcomes, np.ndarray):
+        if not isinstance(outcomes, np.ndarray):  # numpy would make an int past int64 a float
             for v in np.asarray(outcomes, dtype=object).flat:
                 if isinstance(v, (bool, np.bool_)):
                     raise ValueError(f"outcome values must be integers, got {v!r}")
+                if isinstance(v, int) and not INT64_MIN <= v <= INT64_MAX:
+                    raise ValueError(
+                        f"outcome values must be integers that fit in a 64-bit signed integer, got {v}"
+                    )
         rows = np.asarray(outcomes)
         try:
             p = np.asarray(probs, dtype=np.float64)

@@ -96,7 +96,7 @@ class ExpandedMatroid:
         """Index of the base element whose block holds the atom ``name``."""
         try:
             return self._block_of[name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownLabel(f"{name!r} is not an element of the expansion") from None
 
     def dual(self) -> "ExpandedMatroid":
@@ -161,12 +161,10 @@ class ExpandedMatroid:
         # 1 == 1.0 == True as keys, so a hit stands only for counts of type int
         if value is None or not _INT.issuperset(map(type, counts)):
             key = self._checked(counts)
-            value = self._memo.get(key)
-            if value is None:
-                terms = ((1,) + key) @ self._rows
-                value = int(terms[terms.argmin()])  # cheaper than terms.min()
-                if len(self._memo) < MEMO_ENTRIES:
-                    self._memo[key] = value
+            terms = ((1,) + key) @ self._rows
+            value = int(terms[terms.argmin()])  # cheaper than terms.min()
+            if len(self._memo) < MEMO_ENTRIES:
+                self._memo[key] = value
         return value
 
     def rank(self, S) -> int:

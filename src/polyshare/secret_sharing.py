@@ -32,22 +32,21 @@ from .polymatroid import DECISION_TOL, resolve_tol, validate_polymatroid
 class AccessStructure:
     """Qualified-subset family over a participant ground set.
 
-    Give either the ``qualified`` flags (one per subset mask) or a membership
-    ``oracle``.  On at most MAX_DENSE_ELEMENTS participants the structure always
-    holds the ``qualified`` table: an oracle is evaluated on every subset at
-    construction, so its upward closure is checked too.  Larger structures
-    keep the oracle, ``qualified`` is None, and only the empty and the full
-    set are checked.
+    On at most MAX_DENSE_ELEMENTS participants the structure is its
+    ``qualified`` table, one flag per subset mask, and its upward closure is
+    checked; an ``oracle`` there is refused.  Larger structures are a
+    membership ``oracle``, ``qualified`` is None, and only the empty and the
+    full set are checked.
     """
 
     def __init__(self, participants: GroundSet, qualified=None, oracle=None):
         if (qualified is None) == (oracle is None):
             raise ValueError("provide exactly one of qualified array or oracle")
+        if oracle is not None and participants.n <= MAX_DENSE_ELEMENTS:
+            raise ValueError(f"an oracle is for more than {MAX_DENSE_ELEMENTS} participants; "
+                             "give a smaller structure as its qualified table")
         self.participants = participants
         full = participants.full_mask
-        if oracle is not None and participants.n <= MAX_DENSE_ELEMENTS:
-            qualified = np.fromiter(map(oracle, range(full + 1)), dtype=bool, count=full + 1)
-            oracle = None
         self.qualified = None
         self.oracle = oracle
         if qualified is not None:
@@ -136,19 +135,21 @@ def minimal_qualified(A: AccessStructure) -> list[int]:
 
 
 def _secret_rank(M, secret: str, tolerance=None):
-    """(f(secret), tolerance) of a dense polymatroid or an expansion M, and the
-    one loop rule: a secret of rank within the tolerance is refused.  An
-    expansion is exact and takes no tolerance; its secret has the atom rank
-    of its block."""
+    """(index, f(secret), tolerance) of a dense polymatroid or an expansion M,
+    whose secret is one element label or atom name, read once, and the one loop
+    rule: a secret of rank within the tolerance is refused.  An expansion is
+    exact and takes no tolerance; the index is its secret's block."""
     if isinstance(M, ExpandedMatroid):
         if tolerance is not None:
             raise ValueError(f"an expansion is exact and takes no tolerance, got {tolerance}")
-        tol, fs = 0, M.atom_ranks[M.block_of(secret)]
+        tol, i = 0, M.block_of(secret)
+        fs = M.atom_ranks[i]
     else:
-        tol, fs = resolve_tol(tolerance, DECISION_TOL, M.mode), M.rank_of(secret)
+        tol, i = resolve_tol(tolerance, DECISION_TOL, M.mode), M.ground.index(secret)
+        fs = M.value(1 << i)
     if fs <= tol:
         raise ValueError(f"secret {secret!r} is a loop (rank {fs}); the secret must be non-trivial")
-    return fs, tol
+    return i, fs, tol
 
 
 def _secret_gaps(M, secret: str, tolerance):
@@ -157,12 +158,12 @@ def _secret_gaps(M, secret: str, tolerance):
     and the gaps f(secret + S) - f(S) for every participant mask S; past
     MAX_DENSE_ELEMENTS participants of an expansion, its membership test
     ``ExpandedMatroid.port`` gives in their place."""
-    fs, tol = _secret_rank(M, secret, tolerance)
+    i, fs, tol = _secret_rank(M, secret, tolerance)
     if isinstance(M, ExpandedMatroid):
         return *M.port(secret), fs, tol
-    participants = GroundSet(tuple(label for label in M.ground.labels if label != secret))
-    without, with_secret = lattice.split(M.values, M.ground.index(secret))
-    return participants, (with_secret - without).ravel(), fs, tol
+    labels = M.ground.labels
+    without, with_secret = lattice.split(M.values, i)
+    return GroundSet(labels[:i] + labels[i + 1:]), (with_secret - without).ravel(), fs, tol
 
 
 def matroid_port(M, secret: str, tolerance=None) -> AccessStructure:
@@ -201,14 +202,12 @@ def realizes(M, A: AccessStructure, secret: str, tolerance=None):
 
 def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
-    fs, _ = _secret_rank(M, secret)
-    if isinstance(M, ExpandedMatroid):
-        sblock, exact = M.block_of(secret), True
-        # every block with an atom besides the secret
-        others = [M.atom_ranks[i] for i, size in enumerate(M.block_sizes) if size > (i == sblock)]
+    s, fs, _ = _secret_rank(M, secret)
+    exact = isinstance(M, ExpandedMatroid) or M.mode == "int"
+    if isinstance(M, ExpandedMatroid):  # every block with an atom besides the secret
+        others = [M.atom_ranks[i] for i, size in enumerate(M.block_sizes) if size > (i == s)]
     else:
-        exact = M.mode == "int"
-        others = [M.value(1 << i) for i in range(M.ground.n) if M.ground.labels[i] != secret]
+        others = [M.value(1 << i) for i in range(M.ground.n) if i != s]
     if not others:
         raise ValueError("no participants besides the secret")
     top = max(others)

@@ -188,6 +188,16 @@ class TestPipelines:
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.1084939586639172, abs=1e-12)
 
+    @pytest.mark.parametrize("values", [[-1, 2**63], [2**63, 0], [0, -2**63 - 1]])
+    def test_entropy_of_an_integer_past_int64_names_it(self, capsys, tmp_path, values):
+        path = tmp_path / "wide.json"
+        rows = [{"values": [v], "prob": 0.5} for v in values]
+        path.write_text(json.dumps({"variables": ["x"], "rows": rows}))
+        code, out, err = run(capsys, "entropy", "--in", str(path))
+        bad = next(v for v in values if not -2**63 <= v < 2**63)
+        assert (code, out) == (2, "")
+        assert err == f"error: outcome values must be integers that fit in a 64-bit signed integer, got {bad}\n"
+
     def test_entropy_of_a_constant_writes_positive_zero(self, capsys, tmp_path):
         path = tmp_path / "xy.json"
         rows = [{"values": [x, 5], "prob": 0.5} for x in (0, 1)]
@@ -493,6 +503,24 @@ class TestSigmaCommand:
         doc = json.loads(out)
         assert doc["sigma"] == "38/37"
         assert doc["value"] == pytest.approx(38 / 37)
+
+
+class TestSecretIsOneLabel:
+    """Every subcommand with a --secret reads it as one element label: a
+    subset key, the empty key or a repeated label is an unknown label."""
+
+    @pytest.mark.parametrize("secret", ["a,b", "", "a,a"])
+    def test_non_label_secret_is_usage_error(self, capsys, tmp_path, secret):
+        access = tmp_path / "access.json"
+        access.write_text(json.dumps({"participants": list("bcde"), "minimal_qualified": [["b"]]}))
+        extra = {"port": [], "realizes": ["--access", str(access)], "sigma": []}
+        named = {name for name, sub in subcommands().items() if "--secret" in sub.format_usage()}
+        assert named == set(extra)
+        for name, more in extra.items():
+            argv = [name, "--in", data_file("table2_tight.json"), "--secret", secret, *more]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), name
+            assert err == f"error: label {secret!r} not in ground set ('a', 'b', 'c', 'd', 'e')\n"
 
 
 class TestReproduceCommand:

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import numbers
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -128,6 +129,11 @@ class TestSubsetKeys:
     def test_parse_unknown(self):
         with pytest.raises(UnknownLabel):
             subset_parse(ABC, "d")
+
+    @pytest.mark.parametrize("label", [["a"], {"a": 1}, 0])
+    def test_unhashable_or_other_label_is_unknown(self, label):
+        with pytest.raises(UnknownLabel, match=re.escape(f"label {label!r} not in ground set")):
+            ABC.index(label)
 
     def test_parse_duplicate(self):
         with pytest.raises(DuplicateLabel):

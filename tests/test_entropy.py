@@ -232,6 +232,22 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="outcome values must be integers, got True"):
             JointDistribution(GroundSet("ab"), [[0, True], [1, False]], [0.5, 0.5])
 
+    @pytest.mark.parametrize("outcomes, bad", [
+        ([[-1], [2**63]], 2**63),
+        ([[2**63], [0]], 2**63),
+        ([[0], [-(2**63) - 1]], -(2**63) - 1),
+        ([[2**64], [2**63]], 2**64),
+    ])
+    def test_int_past_int64_in_an_outcome_list_is_named(self, outcomes, bad):
+        # numpy would make the first two lists float64 before a dtype check
+        message = f"outcome values must be integers that fit in a 64-bit signed integer, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            JointDistribution(GroundSet("a"), outcomes, [0.5, 0.5])
+
+    def test_int64_extremes_in_an_outcome_list_accepted(self):
+        d = JointDistribution(GroundSet("a"), [[-(2**63)], [2**63 - 1]], [0.5, 0.5])
+        assert d.outcomes.tolist() == [[-(2**63)], [2**63 - 1]]
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64, ">i8"])
     def test_integer_dtypes_stored_as_int64(self, dtype):
         rows = np.array([[0, 5], [2**7 - 1, 0]], dtype=dtype)

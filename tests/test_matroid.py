@@ -370,6 +370,24 @@ class TestOracleAgainstReferences:
         E.rank_of_counts((1, 2, 3, 4, 5))
         assert flipped._memo == {}
 
+    def test_a_query_meets_the_memo_once(self, E):
+        """A miss is computed and stored without a second lookup; a query
+        that is not a tuple of Python ints is computed, not found."""
+        class CountingDict(dict):
+            gets = 0
+
+            def get(self, key, default=None):
+                self.gets += 1
+                return super().get(key, default)
+
+        E._memo = memo = CountingDict()
+        queries = [(1, 2, 3, 4, 5), (0, 0, 0, 0, 0), (1, 2, 3, 4, 5),
+                   [1, 2, 3, 4, 5], tuple(np.array([1, 2, 3, 4, 5]))]
+        got = [E.rank_of_counts(counts) for counts in queries]
+        assert memo.gets == len(queries)
+        assert got == [reference_rank(E, counts) for counts in queries]
+        assert memo == {(1, 2, 3, 4, 5): got[0], (0, 0, 0, 0, 0): 0}
+
     def test_memo_stops_growing_at_its_cap(self, E, monkeypatch):
         monkeypatch.setattr(matroid, "MEMO_ENTRIES", 8)
         C = self.random_counts(E, 40, 9)
@@ -504,6 +522,34 @@ class TestPortCatalogue:
                 valid += 1
                 assert realizes(E, matroid_port(E, secret), secret) == (True, None)
         assert 0 < valid < len(catalogue)
+
+
+    @pytest.fixture(scope="class")
+    def expansions(self, bases):
+        return [helgason_expand(M, dualized) for M in bases for dualized in (False, True)]
+
+    def test_block_collapse(self, expansions):
+        for E in expansions:
+            assert block_collapse(E).values.tolist() == reference_block_collapse(E), E.base.values
+
+    def test_sigma_at_every_atom(self, expansions):
+        outcomes = set()
+        for E in expansions:
+            for atom in E.element_names:
+                want = reference_sigma(E, atom)
+                if isinstance(want, Fraction):
+                    assert sigma(E, atom) == want, (E.base.values, E.dualized, atom)
+                else:
+                    with pytest.raises(ValueError, match=f"^{want}"):
+                        sigma(E, atom)
+                outcomes.add(want if isinstance(want, str) else "ratio")
+        assert outcomes == {"ratio", "secret", "no participants"}
+
+    def test_rank_of_every_count_vector(self, expansions):
+        for E in expansions:
+            counts = list(itertools.product(*(range(size + 1) for size in E.block_sizes)))
+            want = [reference_rank(E, c) for c in counts]
+            assert [E.rank_of_counts(c) for c in counts] == want, (E.base.values, E.dualized)
 
 
 class TestOneTableAtTwentyBaseElements:

@@ -78,14 +78,14 @@ class TestAccessStructure:
         with pytest.raises(ValueError, match="empty set"):
             AccessStructure(g, qualified=[True, True, False, True])
         with pytest.raises(ValueError, match="empty set"):
-            AccessStructure(g, oracle=lambda m: True)
+            AccessStructure(P21, oracle=lambda m: True)
 
     def test_full_set_must_be_qualified(self):
         g = GroundSet(("p", "q"))
         with pytest.raises(ValueError, match="full participant set"):
             AccessStructure(g, qualified=[False, True, False, False])
         with pytest.raises(ValueError, match="full participant set"):
-            AccessStructure(g, oracle=lambda m: False)
+            AccessStructure(P21, oracle=lambda m: False)
 
     def test_upward_closure_enforced(self):
         g = GroundSet(("p", "q", "r"))
@@ -143,13 +143,16 @@ class TestAccessStructure:
         assert is_qualified(A, 0b111)
         assert not is_qualified(A, 0b011)
 
-    def test_small_oracle_is_materialised_and_checked(self):
-        g = GroundSet(("p", "q", "r"))
-        A = AccessStructure(g, oracle=lambda m: m.bit_count() >= 2)
-        assert A.qualified is not None
-        assert A == threshold_structure(2, g.labels)
-        with pytest.raises(ValueError, match="not upward closed"):
-            AccessStructure(g, oracle=lambda m: m in (0b001, 0b111))
+    def test_small_oracle_is_refused(self):
+        """Within the cap a structure is only its table: an oracle there is
+        refused before it is called, so it is never evaluated mask by mask."""
+        def oracle(m):
+            raise AssertionError("a small oracle was evaluated")
+
+        for n in (1, 3, 20):
+            g = GroundSet(tuple(f"p{i}" for i in range(n)))
+            with pytest.raises(ValueError, match="^an oracle is for more than 20 participants; "):
+                AccessStructure(g, oracle=oracle)
 
     def test_equality_is_explicit_only(self):
         t = threshold_structure(2, BC)
@@ -248,8 +251,9 @@ class TestDualStructure:
 
     def test_oracle_dual_matches_explicit_dual(self):
         g = GroundSet(("p", "q", "r"))
-        oracle = AccessStructure(g, oracle=lambda m: m.bit_count() >= 2)
-        assert dual_structure(oracle) == dual_structure(threshold_structure(2, g.labels))
+        table = np.fromiter((m.bit_count() >= 2 for m in range(1 << g.n)), bool)
+        explicit = AccessStructure(g, qualified=table)
+        assert dual_structure(explicit) == dual_structure(threshold_structure(2, g.labels))
         # past the cap the dual stays lazy: at least 2 of 21 dualizes to at least 20 of 21
         dual_lazy = dual_structure(AccessStructure(P21, oracle=lambda m: m.bit_count() >= 2))
         assert dual_lazy.qualified is None
@@ -495,7 +499,8 @@ class TestRealizes:
         M = uniform_matroid(8, labels)
         participants = GroundSet(labels[1:])
         X = participants.mask_of([f"p{i}" for i in range(4, 11)])
-        A = AccessStructure(participants, oracle=lambda S: S.bit_count() >= 8 or S & X == X)
+        table = np.fromiter((S.bit_count() >= 8 or S & X == X for S in range(1 << 15)), bool)
+        A = AccessStructure(participants, qualified=table)
         assert X == 1016
         assert realizes(M, A, "p0") == (False, X)
         assert realizes(M, matroid_port(M, "p0"), "p0") == (True, None)
@@ -613,6 +618,47 @@ class TestSigma:
         E = helgason_expand(tight_pm)
         with pytest.raises(ValueError, match="not an element"):
             sigma(E, "zz_1")
+
+
+class TestSecretIsOneLabel:
+    """The secret is one element label (an atom name for an expansion),
+    looked up once: a subset key, the empty key, a repeated label or a list
+    is an unknown label to sigma, matroid_port and realizes alike."""
+
+    @pytest.mark.parametrize("secret", ["a,b", "", "a,a", ["a"]])
+    def test_dense_secret_must_be_a_label(self, tight_pm, secret):
+        message = f"^label {re.escape(repr(secret))} not in ground set "
+        A = threshold_structure(2, BC)
+        for M in (tight_pm, U23):
+            with pytest.raises(UnknownLabel, match=message):
+                sigma(M, secret)
+            with pytest.raises(UnknownLabel, match=message):
+                matroid_port(M, secret)
+        with pytest.raises(UnknownLabel, match=message):
+            realizes(U23, A, secret)
+
+    @pytest.mark.parametrize("secret", ["a_1,b_1", "", "a_1,a_1", ["a_1"]])
+    def test_expansion_secret_must_be_an_atom(self, secret):
+        E = helgason_expand(U23)
+        message = f"^{re.escape(repr(secret))} is not an element of the expansion$"
+        for call in (lambda: sigma(E, secret), lambda: matroid_port(E, secret),
+                     lambda: realizes(E, threshold_structure(2, ("b_1", "c_1")), secret)):
+            with pytest.raises(UnknownLabel, match=message):
+                call()
+
+    def test_check_order(self):
+        """The expansion's tolerance refusal, then a bad tolerance, then an
+        unknown label, then a loop, then no participants."""
+        E = helgason_expand(U23)
+        with pytest.raises(ValueError, match="exact and takes no tolerance"):
+            matroid_port(E, "zz", "0.1")
+        with pytest.raises(ValueError, match="tolerance must be a finite number"):
+            matroid_port(U23, "zz", "0.1")
+        lonely_loop = pm({"a": 0})
+        with pytest.raises(UnknownLabel):
+            sigma(lonely_loop, "zz")
+        with pytest.raises(ValueError, match="is a loop"):
+            sigma(lonely_loop, "a")
 
 
 class TestJsonRoundTrips:
