@@ -141,14 +141,6 @@ def cmd_circuits(args) -> tuple:
     return 0, doc, [subset_format(pm.ground, m) for m in found] or ["(none)"]
 
 
-def _relative_to_out(in_path: str, out: str | None) -> str:
-    """``in_path`` as an expanded-port ``base_file``: relative to the --out
-    file's directory, absolute when the document goes to stdout."""
-    if out is None:
-        return os.path.abspath(in_path)
-    return os.path.relpath(os.path.abspath(in_path), os.path.dirname(os.path.abspath(out)) or ".")
-
-
 def cmd_port(args) -> tuple:
     from .matroid import helgason_expand
     from .polymatroid import dual
@@ -159,8 +151,7 @@ def cmd_port(args) -> tuple:
     port = matroid_port(M, args.secret, args.tolerance)  # an expanded one only to raise if unusable
     if not args.expanded:
         return 0, port, None
-    base_file = _relative_to_out(args.infile, args.out)
-    return 0, expanded_port_doc(base_file, args.dual, args.secret), None
+    return 0, expanded_port_doc(args.infile, args.dual, args.secret, args.out), None
 
 
 def cmd_access_dual(args) -> tuple:
@@ -175,12 +166,11 @@ def cmd_access_dual(args) -> tuple:
         doc = json.load(fh)
     base_dir = os.path.dirname(os.path.abspath(args.infile))
     structure = access_structure_from_json(doc, base_dir)  # a pointer's port is built, so checked
-    expanded = expanded_port_spec(doc)
+    expanded = expanded_port_spec(doc, base_dir)
     if expanded is None:
         return 0, dual_structure(structure), None
-    base_file, dualized, secret = expanded
-    base_file = _relative_to_out(os.path.join(base_dir, base_file), args.out)
-    return 0, expanded_port_doc(base_file, not dualized, secret), None
+    base_path, dualized, secret = expanded
+    return 0, expanded_port_doc(base_path, not dualized, secret, args.out), None
 
 
 def cmd_realizes(args) -> tuple:

@@ -115,13 +115,10 @@ class ExpandedMatroid:
                     if label in seen:
                         raise DuplicateLabel(f"block {label!r} given twice")
                     seen.add(label)
-                    index = self.base.ground.index(label)
-                    try:
-                        counts[index] = int(cnt)
-                    except ValueError:
-                        raise ValueError(
-                            f"block {label!r} count must be an integer, got {cnt.strip()!r}"
-                        ) from None
+                    index, cnt = self.base.ground.index(label), cnt.strip()
+                    if not (cnt.isascii() and cnt.isdigit()):  # no sign, "_" or other digits
+                        raise ValueError(f"block {label!r} count must be an integer, got {cnt!r}")
+                    counts[index] = int(cnt)
                 return tuple(counts)
             S = tokens
         seen = set()

@@ -196,14 +196,17 @@ def factor(M: Polymatroid, block: dict, target) -> Polymatroid:
     ``target``: the rank of a target subset is the rank of the union of its
     preimages, whose masks are built in one pass over the map."""
     target = GroundSet(target)
-    mapped, labels = set(block), set(M.ground.labels)
-    if mapped != labels:
-        raise ValueError(f"map domain mismatch: missing {labels - mapped}, extra {mapped - labels}")
+    sides = {"missing": [label for label in M.ground if label not in block],
+             "extra": [label for label in block if label not in M.ground]}
+    if any(sides.values()):  # in ground and map order, so the message is fixed
+        named = [f"{side} {labels}" for side, labels in sides.items() if labels]
+        raise ValueError("map domain mismatch: " + ", ".join(named))
     preimages = [0] * target.n
     for label, image in block.items():
         preimages[target.index(image)] |= M.ground.bit(label)
     if not all(preimages):
-        raise ValueError(f"map not surjective: {set(target.labels) - set(block.values())} never hit")
+        unhit = [label for label, preimage in zip(target, preimages) if not preimage]
+        raise ValueError(f"map not surjective: {unhit} never hit")
     return Polymatroid(RankVector(target, M.values[lattice.additive(preimages)], M.mode))
 
 

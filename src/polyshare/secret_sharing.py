@@ -34,23 +34,20 @@ class AccessStructure:
 
     On at most MAX_DENSE_ELEMENTS participants the structure is its
     ``qualified`` table, one flag per subset mask, and its upward closure is
-    checked; an ``oracle`` there is refused.  Larger structures are a
-    membership ``oracle``, ``qualified`` is None, and only the empty and the
-    full set are checked.
+    checked.  Larger structures are a membership ``oracle``, ``qualified`` is
+    None, and only the empty and the full set are checked.
     """
 
     def __init__(self, participants: GroundSet, qualified=None, oracle=None):
-        if (qualified is None) == (oracle is None):
-            raise ValueError("provide exactly one of qualified array or oracle")
-        if oracle is not None and participants.n <= MAX_DENSE_ELEMENTS:
-            raise ValueError(f"an oracle is for more than {MAX_DENSE_ELEMENTS} participants; "
-                             "give a smaller structure as its qualified table")
+        small = participants.n <= MAX_DENSE_ELEMENTS
+        if (qualified is not None, oracle is not None) != (small, not small):
+            raise ValueError(f"give exactly one form: the qualified table on at most "
+                             f"{MAX_DENSE_ELEMENTS} participants, a membership oracle on more")
         self.participants = participants
         full = participants.full_mask
         self.qualified = None
         self.oracle = oracle
-        if qualified is not None:
-            check_dense(participants)
+        if small:
             q = np.array(qualified, dtype=bool)
             if q.shape != (full + 1,):
                 raise ValueError(f"need one flag per subset, got shape {q.shape}")
@@ -203,10 +200,11 @@ def realizes(M, A: AccessStructure, secret: str, tolerance=None):
 def sigma(M, secret: str):
     """Largest share-to-secret rank ratio over the participants."""
     s, fs, _ = _secret_rank(M, secret)
-    exact = isinstance(M, ExpandedMatroid) or M.mode == "int"
-    if isinstance(M, ExpandedMatroid):  # every block with an atom besides the secret
+    if isinstance(M, ExpandedMatroid):  # exact; every block with an atom besides the secret
+        exact = True
         others = [M.atom_ranks[i] for i, size in enumerate(M.block_sizes) if size > (i == s)]
     else:
+        exact = M.mode == "int"
         others = [M.value(1 << i) for i in range(M.ground.n) if i != s]
     if not others:
         raise ValueError("no participants besides the secret")
@@ -226,30 +224,33 @@ def access_document(A: AccessStructure) -> str:
             + '\n ],\n "minimal_qualified": [\n  ' + ",\n  ".join(groups) + "\n ]\n}")
 
 
-def expanded_port_doc(base_file: str, dualized: bool, secret: str) -> dict:
-    """Document naming the port of the expansion of the rank vector in
-    ``base_file`` (a path relative to the document's own directory)."""
-    expanded = {"base_file": base_file, "dualized": dualized}
-    return {"port": {"expanded": expanded, "secret": secret}}
+def expanded_port_doc(base_path: str, dualized: bool, secret: str, out=None) -> dict:
+    """Document naming the port of the expansion of the rank vector in ``base_path``,
+    written relative to the directory of ``out``, the file it goes to, else absolute."""
+    base_file = os.path.abspath(base_path)
+    if out is not None:
+        base_file = os.path.relpath(base_file, os.path.dirname(os.path.abspath(out)))
+    return {"port": {"expanded": {"base_file": base_file, "dualized": dualized}, "secret": secret}}
 
 
-def expanded_port_spec(doc) -> tuple[str, bool, str] | None:
-    """(base_file, dualized, secret) of a port document, None for a document
-    without a port; a port must name an expansion."""
+def expanded_port_spec(doc, base_dir: str = ".") -> tuple[str, bool, str] | None:
+    """(base path, dualized, secret) of a port document read from ``base_dir``,
+    None for a document without a port; a port must name an expansion, and its
+    ``base_file`` is relative to the document's directory."""
     if not (isinstance(doc, dict) and "port" in doc):
         return None
     spec = json_field(doc, "port", dict, "access-structure file")
     exp = json_field(spec, "expanded", dict, "port spec")
     dualized = json_field(exp, "dualized", bool, "expanded port") if "dualized" in exp else False
-    base_file = json_field(exp, "base_file", str, "expanded port")
-    return base_file, dualized, json_field(spec, "secret", str, "port spec")
+    base_path = os.path.join(base_dir, json_field(exp, "base_file", str, "expanded port"))
+    return base_path, dualized, json_field(spec, "secret", str, "port spec")
 
 
 def access_structure_from_json(doc: dict, base_dir: str = ".") -> AccessStructure:
-    expanded = expanded_port_spec(doc)
+    expanded = expanded_port_spec(doc, base_dir)
     if expanded is not None:
-        base_file, dualized, secret = expanded
-        base = validate_polymatroid(load_rank_vector(os.path.join(base_dir, base_file)))
+        base_path, dualized, secret = expanded
+        base = validate_polymatroid(load_rank_vector(base_path))
         return matroid_port(helgason_expand(base, dualized=dualized), secret)
     where = "access-structure file"
     participants = GroundSet(json_field(doc, "participants", list, where))

@@ -359,6 +359,15 @@ class TestExpand:
         assert out == ""
         assert err == "error: block 'a' count must be an integer, got '1.5'\n"
 
+    @pytest.mark.parametrize("query, count", [
+        ("a:1_2,b:+3", "1_2"), ("b:+3", "+3"), ("a:\u0661\u0662", "\u0661\u0662"), ("a:", ""),
+    ])
+    def test_a_count_is_ascii_digits(self, capsys, tight_file, query, count):
+        """int() would read "1_2", "+3" and "١٢"; the query refuses them."""
+        code, out, err = run(capsys, "expand", "--in", tight_file, "--query", query)
+        assert (code, out) == (2, "")
+        assert err == f"error: block '{query[0]}' count must be an integer, got {count!r}\n"
+
 
 class TestCircuits:
     def test_u13_circuit_listing(self, capsys, tmp_path):
@@ -448,7 +457,8 @@ class TestPortCommands:
         flipped_file = str(tmp_path / "flipped.json")
         code, _, _ = run(capsys, "access-dual", "--in", port_file, "--out", flipped_file)
         assert code == 0
-        want = json.dumps(expanded_port_doc("base.json", True, "a_1"), indent=1) + "\n"
+        want = json.dumps(expanded_port_doc(base_file, True, "a_1", flipped_file), indent=1) + "\n"
+        assert '"base_file": "base.json"' in want
         with open(flipped_file) as fh:
             assert fh.read() == want
 
@@ -461,15 +471,19 @@ class TestPortCommands:
     def test_expanded_access_dual_refuses_what_port_refuses(self, capsys, tmp_path, base, secret,
                                                              code):
         """A pointer to a missing or invalid base, or to an atom the base
-        has not, exits as ``port --expanded`` does on it and writes no file."""
+        has not, exits as ``port --expanded`` does on it, with its message,
+        and writes no file."""
         save_rank_vector(pm({"a": 2, "b": 2, "a,b": 3}).rank, tmp_path / "base.json")
         (tmp_path / "left.json").write_text(json.dumps(fixture_doc("table2_left.json")))
         pointer = tmp_path / "pointer.json"
-        pointer.write_text(json.dumps(expanded_port_doc(base, False, secret)))
+        doc = expanded_port_doc(tmp_path / base, False, secret, pointer)
+        assert doc["port"]["expanded"]["base_file"] == base
+        pointer.write_text(json.dumps(doc))
         out = tmp_path / "out.json"
-        assert run(capsys, "port", "--in", str(tmp_path / base), "--secret", secret,
-                   "--expanded", "--out", str(out))[0] == code
-        assert run(capsys, "access-dual", "--in", str(pointer), "--out", str(out))[0] == code
+        refusal = run(capsys, "port", "--in", str(tmp_path / base), "--secret", secret,
+                      "--expanded", "--out", str(out))
+        assert refusal[0] == code
+        assert run(capsys, "access-dual", "--in", str(pointer), "--out", str(out)) == refusal
         assert not out.exists()
 
     def test_realizes_failure_prints_witness(self, capsys, tmp_path, u23_file):
@@ -1018,7 +1032,7 @@ FUZZ_DOCS = {
          ["realizes", "--in", "{dir}/u23.json", "--secret", "a", "--access", "{doc}"]],
     ),
     "expanded port": (
-        expanded_port_doc("base.json", False, "a_1"),
+        expanded_port_doc("base.json", False, "a_1", "doc.json"),  # beside the document
         [["access-dual", "--in", "{doc}"],
          ["realizes", "--in", "{dir}/dense.json", "--secret", "a_1", "--access", "{doc}"]],
     ),

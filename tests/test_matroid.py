@@ -1,5 +1,6 @@
 """Matroid predicate, circuits, and the lazy unit-atom expansion."""
 
+import functools
 import itertools
 import re
 import tracemalloc
@@ -22,19 +23,22 @@ from polyshare import (
     circuit_connected,
     circuits,
     dual,
+    dual_structure,
     expanded_mmrv,
     helgason_expand,
     is_connected,
     is_matroid,
     is_qualified,
+    is_tight,
     matroid_port,
     mmrv,
     realizes,
     sigma,
+    tighten,
     uniform_matroid,
     validate_polymatroid,
 )
-from polyshare import matroid
+from polyshare import lattice, matroid
 from polyshare.lattice import additive, least_over
 
 from generators import (
@@ -449,6 +453,121 @@ def small_polymatroids() -> list[Polymatroid]:
     g = GroundSet(("a", "b", "c"))
     ranks = (RankVector(g, (0, *v), "int") for v in itertools.product(range(4), repeat=7))
     return [Polymatroid(rank) for rank in ranks if not check_polymatroid(rank)]
+
+
+@functools.cache
+def small_matroids() -> tuple[tuple[int, frozenset[int]], ...]:
+    """Every labelled matroid on 0..5 elements as (n, its bases as masks):
+    each non-empty family of equal-size subsets that meets the exchange
+    axiom, some B1 - x + y in the family for all B1, B2 and x in B1 - B2,
+    with y in B2 - B1.  Built once per session."""
+    def bits(mask):
+        return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    found = []
+    for n in range(6):
+        for k in range(n + 1):
+            sets = [m for m in range(1 << n) if m.bit_count() == k]
+            for pick in range(1, 1 << len(sets)):
+                bases = frozenset(m for j, m in enumerate(sets) if pick >> j & 1)
+                if all(any(b1 ^ x | y in bases for y in bits(b2 & ~b1))
+                       for b1 in bases for b2 in bases for x in bits(b1 & ~b2)):
+                    found.append((n, bases))
+    return tuple(found)
+
+
+def matroid_of(n, bases) -> Polymatroid:
+    """The matroid on "abcde"[:n] whose rank of A is the most of A in one basis."""
+    masks = np.arange(1 << n)
+    values = np.max([lattice.sizes(n)[masks & b] for b in bases], axis=0)
+    return validate_polymatroid(RankVector(GroundSet("abcde"[:n]), values, "int"))
+
+
+def reference_circuits(r, n) -> list[int]:
+    """Dependent sets (rank below size) each of whose one-smaller subsets is
+    independent, ordered by size then mask."""
+    found = [
+        m for m in range(1, 1 << n)
+        if r[m] < m.bit_count()
+        and all(r[m ^ 1 << i] == m.bit_count() - 1 for i in range(n) if m >> i & 1)
+    ]
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def reference_connected(r, n):
+    """The first proper bipartition (A, B), A holding element 0 and taken in
+    mask order, with r(A) + r(B) = r(E), else (True, None)."""
+    full = (1 << n) - 1
+    for a in range(1, full, 2):
+        if r[a] + r[full ^ a] <= r[full]:
+            return False, (a, full ^ a)
+    return True, None
+
+
+class TestMatroidCatalogue:
+    """Every labelled matroid on 1..5 elements against per-subset references."""
+
+    @pytest.fixture(scope="class")
+    def catalogue(self):
+        return [matroid_of(n, bases) for n, bases in small_matroids() if n]
+
+    def test_sizes(self):
+        sizes = [n for n, _ in small_matroids()]
+        assert [sizes.count(n) for n in range(6)] == [1, 2, 5, 16, 68, 406]  # OEIS A058673
+
+    def test_circuits(self, catalogue):
+        for M in catalogue:
+            assert circuits(M) == reference_circuits(M.values, M.ground.n), M.values
+
+    def test_dual(self, catalogue):
+        """dual(M) is a tight matroid with r(E - A) + sum of r(i) over A - r(E),
+        and dualizing twice tightens: U_{1,1} goes to a loop, then to rank 0."""
+        for M in catalogue:
+            r, n = M.values.tolist(), M.ground.n
+            full = (1 << n) - 1
+            D = dual(M)
+            want = [r[full ^ a] + sum(r[1 << i] for i in range(n) if a >> i & 1) - r[full]
+                    for a in range(1 << n)]
+            assert D.values.tolist() == want, r
+            assert is_matroid(D) and is_tight(D), r
+            assert dual(D).values.tolist() == tighten(M).values.tolist(), r
+        assert dual(dual(uniform_matroid(1, "a"))).values.tolist() == [0, 0]
+
+    def test_is_connected(self, catalogue):
+        outcomes = set()
+        for M in catalogue:
+            want = reference_connected(M.values, M.ground.n)
+            assert is_connected(M) == want, M.values
+            outcomes.add(want[0])
+        assert outcomes == {True, False}
+
+    def test_circuit_connected(self, catalogue):
+        for M in catalogue:
+            found = reference_circuits(M.values, M.ground.n)
+            for x, y in itertools.combinations(M.ground, 2):
+                pair = M.ground.bit(x) | M.ground.bit(y)
+                witness = next((c for c in found if c & pair == pair), None)
+                assert circuit_connected(M, x, y) == (witness is not None, witness), M.values
+
+    def test_ports(self, catalogue):
+        """At every element that is neither a loop nor a coloop, the port is
+        {S : r(S + s) = r(S)}, M realizes it, and its dual is the port of
+        dual(M)."""
+        ports = 0
+        for M in catalogue:
+            r, n = M.values, M.ground.n
+            full = (1 << n) - 1
+            for i, s in enumerate(M.ground):
+                if r[1 << i] == 0 or r[full ^ 1 << i] < r[full]:
+                    continue
+                A = matroid_port(M, s)
+                low = np.arange(1 << (n - 1))  # participant masks as element masks
+                S = (low & ((1 << i) - 1)) | ((low >> i) << (i + 1))
+                assert A.qualified.tolist() == (r[S | 1 << i] == r[S]).tolist(), (r, s)
+                assert realizes(M, A, s) == (True, None), (r, s)
+                assert dual_structure(A) == matroid_port(dual(M), s), (r, s)
+                ports += 1
+        assert ports == 1514
 
 
 def dense_expansion_ranks(E) -> np.ndarray:
@@ -906,6 +1025,20 @@ class TestExpansionSubsetSyntax:
         e = helgason_expand(tight_pm)
         with pytest.raises(DuplicateLabel):
             e.rank("a:1,a:2")
+
+    def test_spaces_around_counts(self, tight_pm):
+        e = helgason_expand(tight_pm)
+        assert e.counts_of("a:12, b:3") == (12, 3, 0, 0, 0)
+        assert e.counts_of("a: 3") == (3, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("count", ["1_2", "+3", "\u0661\u0662", "", "-0"])
+    def test_a_count_is_ascii_digits(self, tight_pm, count):
+        """int() would read "1_2", "+3" and Arabic-Indic "١٢"; a count is
+        one or more ASCII digits, and anything else names its block."""
+        e = helgason_expand(tight_pm)
+        message = f"block 'a' count must be an integer, got {count!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            e.counts_of(f"a:{count},b:1")
 
 
 class TestExpansionAgainstIteratedSplits:

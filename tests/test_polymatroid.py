@@ -291,6 +291,23 @@ class TestFactor:
         with pytest.raises(ValueError, match="domain mismatch"):
             factor(other, {l: "one" for l in U23.ground}, ("one",))
 
+    @pytest.mark.parametrize("block, target, message", [
+        ({"a": "x"}, ["x"], "map domain mismatch: missing ['b', 'c', 'd', 'e']"),
+        ({**dict.fromkeys("abcde", "x"), "z": "x", "q": "x"}, ["x"],
+         "map domain mismatch: extra ['z', 'q']"),
+        ({"e": "x", "z": "x", "a": "x"}, ["x"],
+         "map domain mismatch: missing ['b', 'c', 'd'], extra ['z']"),
+        (dict.fromkeys("abcde", "x"), ["x", "z", "y"], "map not surjective: ['z', 'y'] never hit"),
+        (dict(zip("abcde", "yxxxx")), ["z", "x", "w", "y"],
+         "map not surjective: ['z', 'w'] never hit"),
+    ])
+    def test_refusals_name_labels_in_order(self, block, target, message):
+        """Missing labels come in ground order, extra ones in map order and
+        unhit targets in target order, so a refusal reads the same in every
+        process; an empty side is left out."""
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            factor(uniform_matroid(2, "abcde"), block, target)
+
 
 class TestUniformMatroid:
     @pytest.mark.parametrize("k", [True, 1.5, -1])

@@ -3,6 +3,7 @@
 import ast
 import itertools
 import json
+import os
 import re
 from fractions import Fraction
 
@@ -63,6 +64,10 @@ def access_structure_to_json(A):
         "participants": list(A.participants.labels),
         "minimal_qualified": [list(A.participants.labels_of(m)) for m in minimal_qualified(A)],
     }
+
+
+FORM_MESSAGE = ("give exactly one form: the qualified table on at most 20 participants, "
+                "a membership oracle on more")
 
 
 class TestAccessStructure:
@@ -151,8 +156,15 @@ class TestAccessStructure:
 
         for n in (1, 3, 20):
             g = GroundSet(tuple(f"p{i}" for i in range(n)))
-            with pytest.raises(ValueError, match="^an oracle is for more than 20 participants; "):
+            with pytest.raises(ValueError, match="^" + re.escape(FORM_MESSAGE) + "$"):
                 AccessStructure(g, oracle=oracle)
+
+    def test_large_table_is_refused(self):
+        """Past the cap a structure is only its oracle, and the one form
+        check refuses a table before its shape is read."""
+        for qualified in (np.ones(1 << 21, bool), [True]):
+            with pytest.raises(ValueError, match="^" + re.escape(FORM_MESSAGE) + "$"):
+                AccessStructure(P21, qualified=qualified)
 
     def test_equality_is_explicit_only(self):
         t = threshold_structure(2, BC)
@@ -709,11 +721,18 @@ class TestJsonRoundTrips:
 
 class TestPortDocuments:
     def test_expanded_round_trip(self):
-        assert expanded_port_spec(expanded_port_doc("b.json", True, "a_1")) == ("b.json", True, "a_1")
+        """The base is written relative to the directory of the document's
+        file, absolute without one, and read back against that directory."""
+        for out, base_file in [("/work/d/p.json", "b.json"), ("/work/e/p.json", "../d/b.json"),
+                               (None, "/work/d/b.json")]:
+            doc = expanded_port_doc("/work/d/b.json", True, "a_1", out)
+            assert doc["port"]["expanded"]["base_file"] == base_file
+            base_path, dualized, secret = expanded_port_spec(doc, os.path.dirname(out or "/x/p"))
+            assert (os.path.normpath(base_path), dualized, secret) == ("/work/d/b.json", True, "a_1")
 
     def test_dualized_defaults_to_false(self):
         doc = {"port": {"expanded": {"base_file": "b.json"}, "secret": "a_1"}}
-        assert expanded_port_spec(doc) == ("b.json", False, "a_1")
+        assert expanded_port_spec(doc, "d") == (os.path.join("d", "b.json"), False, "a_1")
 
     @pytest.mark.parametrize("doc", [
         {"participants": ["b"], "minimal_qualified": [["b"]]},
