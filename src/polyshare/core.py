@@ -76,6 +76,28 @@ def json_field(doc, name: str, kind, where: str):
     return value
 
 
+def integer(value):
+    """``value`` as a Python int when it is an integral number (a numpy integer
+    too) and not a bool, else None: what every entry point takes as an integer."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    return None
+
+
+def real(value):
+    """``value`` as a Python int when integral, else a float, when it is a real
+    number (a numpy scalar or a Fraction too) and not a bool, else None: what
+    every entry point takes as a number.  A number past the float range is an
+    infinity, so it counts as non-finite."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an int or a Fraction past the float range
+        return math.inf if value > 0 else -math.inf
+    return int(value) if isinstance(value, numbers.Integral) else number
+
+
 def check_dense(ground: "GroundSet", added: int = 0) -> None:
     """Raise before anything is allocated when one value per subset of
     ``ground`` and ``added`` more elements would exceed the dense cap."""
@@ -177,12 +199,14 @@ def subset_parse(ground: GroundSet, key) -> int:
     return ground.mask_of(key)
 
 
-def check_mask(ground: GroundSet, mask: int) -> None:
-    """Raise unless ``mask`` is a subset of ``ground``: an integer, not a bool, in 0..full."""
-    is_int = type(mask) is int or isinstance(mask, numbers.Integral) and not isinstance(mask, bool)
-    if not is_int or not 0 <= mask <= ground.full_mask:
+def check_mask(ground: GroundSet, mask) -> int:
+    """``mask`` as a Python int, refused unless it is a subset of ``ground``: an
+    integer in 0..full; a plain int skips the rule."""
+    number = mask if type(mask) is int else integer(mask)
+    if number is None or not 0 <= number <= ground.full_mask:
         raise ValueError(f"mask {mask!r} is not a subset: out of range for {ground.n} "
                          f"elements (valid: integers 0..{ground.full_mask})")
+    return number
 
 
 def subset_format(ground: GroundSet, mask: int) -> str:
@@ -300,14 +324,12 @@ def _checked_values(ground: GroundSet, ranks: dict, int_mode: bool) -> list:
         if mask in seen:
             raise ValueError(f"subset {key!r} given twice")
         seen.add(mask)
-        # plain ints and floats skip the slower abstract-base-class check
-        if type(val) not in (int, float) and (
-            isinstance(val, bool) or not isinstance(val, numbers.Real)
-        ):
+        number = val if type(val) in (int, float) else real(val)  # plain ones skip the rule
+        if number is None:
             raise NonNumericRank(f"rank of subset {key!r} is {val!r}; ranks must be real numbers")
-        if int_mode and type(val) is not int and float(val).is_integer():
-            val = int(val)  # 2.0 in int mode, kept exact beside big ints
-        dense[mask] = val
+        if int_mode and type(number) is float and number.is_integer():
+            number = int(number)  # 2.0 in int mode, kept exact beside big ints
+        dense[mask] = number
     if len(seen) != ground.full_mask:
         missing = [m for m in range(1, 1 << ground.n) if m not in seen]
         first = ", ".join(subset_format(ground, m) for m in missing[:5])

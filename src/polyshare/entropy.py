@@ -8,13 +8,12 @@ entropy_vector returns a validated Polymatroid.
 import functools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import GroundSet, RankVector, check_dense, check_mask, json_field
+from .core import GroundSet, RankVector, check_dense, check_mask, integer, json_field, real
 from .polymatroid import Polymatroid, validate_polymatroid
 
 SUM_TOL = 1e-9
@@ -41,22 +40,27 @@ class JointDistribution:
 
     def __init__(self, variables: GroundSet, outcomes, probs):
         # an ndarray is judged by its dtype, so it costs no pass over its values;
-        # other input element by element, before numpy casts True or "0.5"
+        # other input element by element by core's rule, before numpy casts it
         if isinstance(probs, np.ndarray):
             if probs.dtype.kind not in "fiu":
                 raise ValueError(f"probabilities must be real numbers, got {probs.dtype}")
         else:
-            for v in np.asarray(probs, dtype=object).flat:
-                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            probs = np.asarray(probs, dtype=object)
+            for i, v in enumerate(probs.flat):  # plain ones are judged below, as floats
+                number = probs.flat[i] = v if type(v) in (int, float) else real(v)
+                if number is None:
                     raise ValueError(f"probabilities must be real numbers, got {v!r:.40}")
-        if not isinstance(outcomes, np.ndarray):  # numpy would make an int past int64 a float
-            for v in np.asarray(outcomes, dtype=object).flat:
-                if isinstance(v, (bool, np.bool_)):
+        if not isinstance(outcomes, np.ndarray):
+            outcomes = np.asarray(outcomes, dtype=object)
+            for i, v in enumerate(outcomes.flat):  # plain ints skip the rule
+                number = outcomes.flat[i] = v if type(v) is int else integer(v)
+                if number is None:
                     raise ValueError(f"outcome values must be integers, got {v!r}")
-                if isinstance(v, int) and not INT64_MIN <= v <= INT64_MAX:
+                if not INT64_MIN <= number <= INT64_MAX:
                     raise ValueError(
                         f"outcome values must be integers that fit in a 64-bit signed integer, got {v}"
                     )
+            outcomes = outcomes.astype(np.int64)
         rows = np.asarray(outcomes)
         try:
             p = np.asarray(probs, dtype=np.float64)

@@ -8,10 +8,9 @@ certifies that a polymatroid is not almost entropic.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .core import check_mask
+from .core import check_mask, integer, real
 from .polymatroid import Polymatroid
 
 
@@ -25,16 +24,16 @@ class InfoTerm:
     coeff: float = 1
 
     def __post_init__(self):
-        for mask in (self.a, self.b, self.given):
-            if isinstance(mask, bool) or not isinstance(mask, numbers.Integral) or mask < 0:
-                raise ValueError(f"mask {mask!r} is not a subset: masks are integers >= 0")
-        c = self.coeff
-        try:  # an int beyond the float range overflows, as it would in float mode
-            finite = not isinstance(c, bool) and isinstance(c, numbers.Real) and math.isfinite(c)
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError(f"coefficient {c!r:.40} is not a finite real number in the float range")
+        # the rule's Python numbers are kept, set past the frozen __setattr__
+        for field in ("a", "b", "given"):
+            if (mask := integer(getattr(self, field))) is None or mask < 0:
+                raise ValueError(f"mask {getattr(self, field)!r} is not a subset: "
+                                 "masks are integers >= 0")
+            object.__setattr__(self, field, mask)
+        if (coeff := real(self.coeff)) is None or not math.isfinite(coeff):
+            raise ValueError(f"coefficient {self.coeff!r:.40} is not a finite real number "
+                             "in the float range")
+        object.__setattr__(self, "coeff", coeff)
         if not (self.a and self.b):
             raise ValueError("argument masks must be non-empty")
         if (self.a | self.b) & self.given or self.a & self.b and self.a != self.b:

@@ -13,7 +13,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import lattice
-from .core import MAX_DENSE_ELEMENTS, DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel
+from .core import MAX_DENSE_ELEMENTS, DuplicateLabel, GroundSet, ModeError, RankVector, UnknownLabel, integer
 from .polymatroid import Polymatroid, dual
 
 # at about 123 B per entry, the rank_of_counts memo stays under ~8 MB
@@ -141,12 +141,13 @@ class ExpandedMatroid:
         counts = tuple(counts)
         if len(counts) != len(sizes):
             raise ValueError(f"need {len(sizes)} block counts, got {len(counts)}")
-        for c, size, label in zip(counts, sizes, self.base.ground.labels):
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+        checked = tuple(map(integer, counts))
+        for c, count, size, label in zip(counts, checked, sizes, self.base.ground.labels):
+            if count is None:
                 raise ValueError(f"block {label!r} count must be an integer, got {c!r}")
-            if not 0 <= c <= size:
+            if not 0 <= count <= size:
                 raise ValueError(f"block {label!r} holds {size} atoms, asked for {c}")
-        return tuple(map(int, counts))
+        return checked
 
     def rank_of_counts(self, counts) -> int:
         """Rank of the subset with these per-block atom counts, memoised up

@@ -27,6 +27,8 @@ from .core import (
     RankVector,
     check_dense,
     check_mask,
+    integer,
+    real,
     subset_format,
     subset_parse,
 )
@@ -211,23 +213,20 @@ def factor(M: Polymatroid, block: dict, target) -> Polymatroid:
 
 
 def _require_mode_value(mode: str, alpha, name: str):
-    """alpha as a number of the given mode: finite, within the float range,
-    >= 0, and integral in int mode; a string or a bool is not a number."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+    """alpha as a Python number of the given mode: a number by ``core.real``,
+    finite, >= 0, and in int mode integral, as an int."""
+    value = real(alpha)
+    if value is None:
         raise ValueError(f"{name} must be a number, got {alpha!r:.40}")
-    try:
-        value = float(alpha)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite and within the float range, got {alpha!s:.40}")
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {alpha}")
-    if mode == "int":
-        if not value.is_integer():
-            raise ModeError(f"{name}={alpha} is not an integer; convert to float mode first")
-        return int(alpha)
-    return value
+    if mode == "float":
+        return float(value)
+    if value % 1:
+        raise ModeError(f"{name}={alpha} is not an integer; convert to float mode first")
+    return int(value)
 
 
 def principal_extension(M: Polymatroid, a: str, alpha, new_label: str) -> Polymatroid:
@@ -331,9 +330,9 @@ def round_to_integer(rank: RankVector) -> RankVector:
 
 def uniform_matroid(k: int, labels) -> Polymatroid:
     """Rank min(|A|, k) on the given labels, integer mode."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+    if (number := integer(k)) is None or number < 0:
         raise ValueError(f"uniform matroid rank k must be an integer >= 0, got {k!r}")
     ground = GroundSet(labels)
     check_dense(ground)
-    k = min(int(k), ground.n)  # the same ranks, and no k past int64 reaches numpy
+    k = min(number, ground.n)  # the same ranks, and no k past int64 reaches numpy
     return Polymatroid(RankVector(ground, np.minimum(lattice.sizes(ground.n), k), "int"))

@@ -8,7 +8,6 @@ oracles answering one subset at a time.
 """
 
 import json
-import numbers
 import os
 from fractions import Fraction
 from itertools import compress
@@ -22,6 +21,7 @@ from .core import (
     GroundSetMismatch,
     check_dense,
     check_mask,
+    integer,
     json_field,
     load_rank_vector,
 )
@@ -98,19 +98,19 @@ def threshold_structure(k: int, labels) -> AccessStructure:
     """Qualified iff at least k participants are present; k is an integer."""
     participants = GroundSet(labels)
     n = participants.n
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+    if (number := integer(k)) is None:
         raise ValueError(f"threshold must be an integer, got {k!r}")
-    if not 1 <= k <= n:  # str, so that a numpy integer prints as a number
-        raise ValueError(f"threshold must be in 1..{n}, got {k}")
+    if not 1 <= number <= n:
+        raise ValueError(f"threshold must be in 1..{n}, got {number}")
     check_dense(participants)
-    return AccessStructure(participants, qualified=lattice.sizes(n) >= k)
+    return AccessStructure(participants, qualified=lattice.sizes(n) >= number)
 
 
 def is_qualified(A: AccessStructure, S: int) -> bool:
-    check_mask(A.participants, S)
+    S = check_mask(A.participants, S)  # a Python int, which an oracle may mix with ints past 64 bits
     if A.qualified is not None:
         return bool(A.qualified[S])
-    return bool(A.oracle(int(S)))  # an oracle may mix S with Python ints past 64 bits
+    return bool(A.oracle(S))
 
 
 def dual_structure(A: AccessStructure) -> AccessStructure:

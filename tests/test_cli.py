@@ -928,6 +928,14 @@ class TestClosedOperations:
         assert (code, err) == (0, "")
         assert json.loads(out)["ground"] == ["a", "b", "c"]
 
+    @pytest.mark.xfail(strict=True, reason="VALIDATION_TOL is an absolute 1e-9, while the dual's "
+                       "differences of differences of ranks near 4e6 err by a few ulps of 4e6")
+    def test_float_dual_validates(self, capsys, tmp_path):
+        path, dual = tmp_path / "float.json", tmp_path / "dual.json"
+        path.write_text(json.dumps(FLOAT_DOC))
+        assert run(capsys, "dual", "--in", str(path), "--out", str(dual))[0] == 0
+        assert run(capsys, "validate", "--in", str(dual)) == (0, "valid\n", "")
+
 
 class TestDenseCap:
     def test_entropy_of_21_variables_refused_at_once(self, capsys, tmp_path):

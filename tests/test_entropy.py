@@ -187,6 +187,17 @@ class TestJointDistribution:
         with pytest.raises(ValueError, match="sum"):
             JointDistribution(GroundSet("a"), [[0], [1]], [0.5, 0.4])
 
+    @pytest.mark.parametrize("excess, refused", [(5e-9, True), (5e-10, False)])
+    def test_sum_tolerance_lies_between_the_two(self, excess, refused):
+        """SUM_TOL (1e-9) refuses a total 5e-9 past 1 and takes one 5e-10
+        past it: ten times wider or narrower, it fails one of the two."""
+        probs = [0.5, 0.5 + excess]
+        if refused:
+            with pytest.raises(ValueError, match="probabilities sum to 1.000000005, not 1"):
+                JointDistribution(GroundSet("a"), [[0], [1]], probs)
+        else:
+            assert JointDistribution(GroundSet("a"), [[0], [1]], probs).probs.sum() == 1 + excess
+
     def test_duplicate_row_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             JointDistribution(GroundSet("a"), [[0], [0]], [0.5, 0.5])
@@ -722,6 +733,18 @@ class TestConditionalProduct:
         d2 = JointDistribution(GroundSet("bc"), [[0, 0], [1, 1]], [0.3, 0.7])
         with pytest.raises(MarginalMismatch):
             conditional_product(d1, d2)
+
+    @pytest.mark.parametrize("gap, refused", [(5e-9, True), (5e-10, False)])
+    def test_marginal_tolerance_lies_between_the_two(self, gap, refused):
+        """MARGINAL_TOL (1e-9) refuses a shared marginal 5e-9 apart and glues
+        one 5e-10 apart: ten times wider or narrower, it fails one of the two."""
+        d1 = JointDistribution(GroundSet("ab"), [[0, 0], [1, 1]], [0.5, 0.5])
+        d2 = JointDistribution(GroundSet("bc"), [[0, 0], [1, 1]], [0.5 + gap, 0.5 - gap])
+        if refused:
+            with pytest.raises(MarginalMismatch, match=r"\{'b': 0\}: 0\.5 vs 0\.500000005 \(gap 5\.000e-09\)"):
+                conditional_product(d1, d2)
+        else:
+            assert conditional_product(d1, d2).probs.tolist() == [0.5 + gap, 0.5 - gap]
 
     def test_maximizes_entropy_over_couplings(self):
         # any joint with the same two marginals is a competing coupling

@@ -76,7 +76,10 @@ class TestInfoTerm:
     @pytest.mark.parametrize("coeff", [0, -3, 2.5, np.int64(-2), np.float64(0.5),
                                        Fraction(1, 3), 2**62 + 1])
     def test_finite_real_coefficients_accepted(self, coeff):
-        assert InfoTerm(1, 2, coeff=coeff).coeff is coeff
+        """Kept as the Python number: an int for an integral one, else a float."""
+        want = int(coeff) if isinstance(coeff, (int, np.integer)) else float(coeff)
+        stored = InfoTerm(1, 2, coeff=coeff).coeff
+        assert stored == want and type(stored) is type(want)
 
 
 class TestEval:

@@ -116,6 +116,22 @@ def test_private_attributes_are_read_only_by_their_own_module():
     assert foreign == []
 
 
+def test_only_core_asks_what_a_number_is():
+    """core.integer and core.real are the one number rule: no other module
+    asks isinstance whether a value is a real, an integral or a boolean."""
+    rule = {"numbers.Real", "numbers.Integral", "bool", "np.bool_"}
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "polyshare", "*.py"))):
+        if os.path.basename(path) == "core.py":
+            continue
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1]
+                named = {ast.unparse(k) for k in getattr(kinds, "elts", [kinds])}
+                found += [(os.path.basename(path), node.lineno, name) for name in sorted(named & rule)]
+    assert found == []
+
+
 def read_names(tree) -> set[str]:
     """Names a syntax tree reads: bare names, attributes and imported names."""
     return {

@@ -110,6 +110,15 @@ class TestAccessStructure:
         with pytest.raises(ValueError, match="adding 'q'|adding 'r'"):
             AccessStructure(g, qualified=q)
 
+    def test_closure_message_names_the_lowest_witness(self):
+        """{p} and {q} are qualified and {p, q} is not: the least bad set has
+        two witnesses, and the message names the one of its lowest bit."""
+        q = np.zeros(8, bool)
+        q[[0b001, 0b010, 0b111]] = True
+        message = "not upward closed: ('q',) qualified but adding 'p' loses qualification"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            AccessStructure(GroundSet(("p", "q", "r")), qualified=q)
+
     def test_closure_error_names_a_set_that_loses_qualification(self):
         """On random tables that are not upward closed (checked by brute
         force), the named set is qualified and adding the named participant
